@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
+
 FERMIONIC = "fermionic"
 BOSONIC = "bosonic"
 
@@ -173,42 +175,6 @@ def decompose_density_matrix(rho, flavor, psd_tol=1e-10, trace_tol=1e-12):
 # -- conservation-of-statistics residual check -----------------------------
 
 
-def _apply_symbol_numeric(kind, mode, state, q):
-    out = {}
-    for w, c in state.items():
-        if kind == "c":
-            nw = (mode,) + w
-            out[nw] = out.get(nw, 0) + c
-        else:
-            for i, label in enumerate(w):
-                if label == mode:
-                    nw = w[:i] + w[i + 1:]
-                    out[nw] = out.get(nw, 0) + c * q ** i
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def _apply_bilinear(create, destroy, state, q):
-    """b†(create) b(destroy) on a state dict with exact rational q."""
-    state = _apply_symbol_numeric("a", destroy, state, q)
-    return _apply_symbol_numeric("c", create, state, q)
-
-
-def _inner_numeric(u, v, q, memo):
-    """<u, v> on the free Fock space at an exact rational q."""
-    if len(u) != len(v) or sorted(u) != sorted(v):
-        return Fraction(0)
-    key = (u, v)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    state = {v: Fraction(1)}
-    for m in u:
-        state = _apply_symbol_numeric("a", m, state, q)
-    result = state.get((), Fraction(0))
-    memo[key] = result
-    return result
-
-
 def _conservation_test_states(momenta, max_particles):
     k, l, p, r = momenta
     modes = sorted({p, k + p, l + r, r})
@@ -240,20 +206,22 @@ def conservation_residual(q_e, momenta, q_b=None, max_particles=3):
     q_e = _as_fraction(q_e)
     q_b = q_e * q_e if q_b is None else _as_fraction(q_b)
     states = _conservation_test_states(momenta, max_particles)
+    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
+    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
+    commutator = ((b1 + b2, 1), (b2 + b1, -q_b))
     memo = {}
     per_state = []
     for w in states:
-        psi = {w: Fraction(1)}
-        first = _apply_bilinear(p, k + p, _apply_bilinear(l + r, r, psi, q_e), q_e)
-        second = _apply_bilinear(l + r, r, _apply_bilinear(p, k + p, psi, q_e), q_e)
-        resid = dict(first)
-        for word, c in second.items():
-            resid[word] = resid.get(word, 0) - q_b * c
-        resid = {word: c for word, c in resid.items() if c != 0}
+        resid = apply_terms(commutator, {w: Fraction(1)}, q_e)
         worst = Fraction(0)
         for phi in states:
-            me = sum((c * _inner_numeric(phi, word, q_e, memo)
-                      for word, c in resid.items()), Fraction(0))
+            me = Fraction(0)
+            for word, c in resid.items():
+                key = (phi, word)
+                inner = memo.get(key)
+                if inner is None:
+                    inner = memo[key] = q_inner_product(phi, word, q_e)
+                me += c * inner
             worst = max(worst, abs(me))
         per_state.append((w, worst))
     return per_state

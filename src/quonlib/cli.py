@@ -133,7 +133,8 @@ def _cmd_observables(args):
 
 def _cmd_para(args):
     kind = "parabose" if args.kind == "bose" else "parafermi"
-    r = parastat.build_green(kind, args.p, args.modes, cap=args.cap)
+    r = parastat.build_green(kind, args.p, args.modes, cap=args.cap,
+                             limit=args.limit_dim)
     if args.check == "trilinear":
         rep = parastat.check_trilinear(r)
         return rep, rep["exact"]
@@ -159,7 +160,7 @@ def _cmd_gentile(args):
 def _cmd_speicher(args):
     word = parse_word(args.word)
     est = speicher.mc_estimate(word, args.q, args.N, args.samples, args.seed)
-    target = speicher.quon_target(word, args.q)
+    target = wick_expectation(word)(args.q)
     sigmas = abs(est.mean - target) / est.stderr if est.stderr else 0.0
     ok = abs(est.mean - target) <= max(3 * est.stderr, 2.0 / args.N)
     return {"mean": est.mean, "stderr": est.stderr, "target": target,
@@ -212,6 +213,10 @@ def _cmd_verify_all(args):
         line = "PASS" if c["passed"] else "FAIL"
         print(f"[{line}] criterion {c['id']}: {c['name']} "
               f"({c['elapsed']}s)", file=sys.stderr)
+    if args.stable_output:
+        rep["elapsed"] = 0.0
+        for c in rep["criteria"]:
+            c["elapsed"] = 0.0
     return rep, rep["passed"]
 
 
@@ -226,11 +231,8 @@ def build_parser():
                    help="global RNG seed for stochastic subcommands")
     p.add_argument("--limit-dim", type=int, default=parastat.DIM_BUDGET,
                    help="matrix dimension budget for realizations")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; computations are deterministic "
-                        "regardless of this setting")
     p.add_argument("--stable-output", action="store_true",
-                   help="zero the elapsed field so identical invocations "
+                   help="zero every elapsed field so identical invocations "
                         "produce byte-identical output")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -287,7 +289,8 @@ def build_parser():
     s.add_argument("--q", type=float, required=True)
     s.add_argument("--N", type=int, default=100)
     s.add_argument("--samples", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=0)
+    # also accepted after the subcommand; without it the global --seed holds
+    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     s.set_defaults(fn=_cmd_speicher)
 
     s = sub.add_parser("bounds", help="violation-parameter arithmetic")
@@ -328,7 +331,7 @@ def run(argv=None):
     try:
         results, ok = args.fn(args)
         status = "pass" if ok else "fail"
-    except (ValueError, NonVEVWordError, gram.GramLimitError,
+    except (ValueError, ZeroDivisionError, NonVEVWordError, gram.GramLimitError,
             parastat.DimensionBudgetError,
             observables.TruncationError) as exc:
         results = {"error": str(exc)}

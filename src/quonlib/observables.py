@@ -21,11 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qfock import ANNIHILATOR, CREATOR
-
-
-class TruncationError(RuntimeError):
-    """An intermediate state exceeded the particle cap; deepen the truncation."""
+# TruncationError is re-exported: callers catch observables.TruncationError
+from .qfock import (ANNIHILATOR, CREATOR, TruncationError,  # noqa: F401
+                    apply_symbol, apply_terms)
 
 
 class NonzeroQError(ValueError):
@@ -55,41 +53,6 @@ class TruncatedFockSpace:
 
     def states_below_cap(self):
         return [w for w in self.basis if len(w) < self.cap]
-
-
-# States are dicts FockWord -> exact scalar (int or Fraction).
-
-
-def _apply_symbol_q0(symbol, state, cap):
-    kind, mode = symbol
-    out = {}
-    for w, c in state.items():
-        if kind == CREATOR:
-            if len(w) >= cap:
-                raise TruncationError(
-                    f"creator on a {len(w)}-particle word exceeds cap {cap}")
-            nw = (mode,) + w
-            out[nw] = out.get(nw, 0) + c
-        else:
-            # q=0: only a leftmost match survives (q^i vanishes for i > 0)
-            if w and w[0] == mode:
-                nw = w[1:]
-                out[nw] = out.get(nw, 0) + c
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def apply_terms_q0(terms, state, cap):
-    """Apply a list of (operator word, scalar coefficient) terms at q = 0."""
-    out = {}
-    for word, coeff in terms:
-        cur = state
-        for symbol in reversed(word):
-            cur = _apply_symbol_q0(symbol, cur, cap)
-            if not cur:
-                break
-        for w, c in cur.items():
-            out[w] = out.get(w, 0) + coeff * c
-    return {w: c for w, c in out.items() if c != 0}
 
 
 def transition_operator(k, l, depth, modes, q=0):
@@ -122,12 +85,12 @@ def commutator_residual(space, k, l, m, depth):
     res = {}
     for w in space.states_below_cap():
         psi = {w: 1}
-        up = _apply_symbol_q0((CREATOR, m), psi, space.cap)
+        up = apply_symbol((CREATOR, m), psi, 0, space.cap)
         lhs = _state_sub(
-            apply_terms_q0(nkl, up, space.cap),
-            _apply_symbol_q0((CREATOR, m),
-                             apply_terms_q0(nkl, psi, space.cap), space.cap))
-        rhs = _apply_symbol_q0((CREATOR, k), psi, space.cap) if l == m else {}
+            apply_terms(nkl, up, 0, space.cap),
+            apply_symbol((CREATOR, m),
+                         apply_terms(nkl, psi, 0, space.cap), 0, space.cap))
+        rhs = apply_symbol((CREATOR, k), psi, 0, space.cap) if l == m else {}
         diff = _state_sub(lhs, rhs)
         if diff:
             res[w] = diff
@@ -168,7 +131,7 @@ def check_free_hamiltonian(space, energies, depth=None):
     terms = free_hamiltonian_terms(space, energies, depth)
     failures = []
     for w in space.basis:
-        got = apply_terms_q0(terms, {w: 1}, space.cap)
+        got = apply_terms(terms, {w: 1}, 0, space.cap)
         want_e = sum(Fraction(energies[m]) for m in w)
         want = {w: want_e} if want_e != 0 else {}
         if _state_sub(got, want):
@@ -183,7 +146,7 @@ def locality_check_discrete(space, x, y, w, depth=None):
         depth = space.cap - 1
     rep = check_transition_commutator(space, x, y, w, depth)
     nxy = transition_operator(x, y, depth, space.modes)
-    vac_ok = not apply_terms_q0(nxy, {(): 1}, space.cap)
+    vac_ok = not apply_terms(nxy, {(): 1}, 0, space.cap)
     return {"commutator": rep, "annihilates_vacuum": vac_ok,
             "exact": rep["exact"] and vac_ok}
 
@@ -196,9 +159,9 @@ def adjoint_pair_check(space, k, l, depth=None):
     nkl = transition_operator(k, l, depth, space.modes)
     nlk = transition_operator(l, k, depth, space.modes)
     for u in space.basis:
-        a = apply_terms_q0(nkl, {u: 1}, space.cap)
+        a = apply_terms(nkl, {u: 1}, 0, space.cap)
         for v in space.basis:
-            b = apply_terms_q0(nlk, {v: 1}, space.cap)
+            b = apply_terms(nlk, {v: 1}, 0, space.cap)
             if a.get(v, 0) != b.get(u, 0):
                 return False
     return True

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gram import inversions
+
 DIM_BUDGET = 4096
 
 
@@ -73,7 +75,7 @@ class GreenRealization:
         return ok
 
 
-def build_green(kind, p, modes, cap=None):
+def build_green(kind, p, modes, cap=None, limit=DIM_BUDGET):
     """Explicit Green-ansatz matrices on the component tensor space."""
     if kind not in ("parabose", "parafermi"):
         raise ValueError(f"kind must be parabose or parafermi, got {kind!r}")
@@ -86,9 +88,8 @@ def build_green(kind, p, modes, cap=None):
     levels = cap + 1
     nsites = p * modes
     dim = levels ** nsites
-    if dim > DIM_BUDGET:
-        raise DimensionBudgetError(
-            f"dimension {dim} exceeds budget {DIM_BUDGET}")
+    if dim > limit:
+        raise DimensionBudgetError(f"dimension {dim} exceeds budget {limit}")
 
     def site(alpha, k):
         return alpha * modes + k
@@ -188,17 +189,12 @@ def _projected_state(r, word, symmetric, creators=None):
     n = len(word)
     out = np.zeros(r.dim)
     for perm in itertools.permutations(range(n)):
-        sgn = 1.0 if symmetric else (-1.0) ** _perm_inversions(perm)
+        sgn = 1.0 if symmetric else (-1.0) ** inversions(perm)
         v = r.vacuum
         for i in reversed(perm):
             v = creators[word[i]] @ v
         out = out + sgn * v
     return out / math.factorial(n)
-
-
-def _perm_inversions(perm):
-    return sum(perm[i] > perm[j]
-               for i in range(len(perm)) for j in range(i + 1, len(perm)))
 
 
 def max_occupancy(r, word, symmetric=True, creators=None):

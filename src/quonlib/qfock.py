@@ -5,7 +5,9 @@ The single defining relation is
     a_k a†_l  =  delta_kl + q a†_l a_k
 
 with no relation at all between two creators or two annihilators.
-Everything here is exact: coefficients live in the polynomial ring QPoly.
+Everything here is exact: coefficients live in the polynomial ring QPoly,
+or, where the free Fock action is taken at a fixed exact q, in the ring of
+that q.  The action itself is written once, in apply_symbol.
 
 Conventions
 -----------
@@ -128,56 +130,78 @@ def vacuum_expectation(word, _memo=None):
 # -- free Fock-space action ------------------------------------------------
 
 
-def apply_annihilator(k, fock_word):
-    """a_k acting on a Fock word: sum over positions i with label k of
-    q^i times the word with that letter removed."""
-    k = int(k)
-    out = {}
-    for i, label in enumerate(fock_word):
-        if label == k:
-            _add_term(out, fock_word[:i] + fock_word[i + 1:], QPoly.monomial(i))
-    return out
+class TruncationError(RuntimeError):
+    """An intermediate state exceeded the particle cap; deepen the truncation."""
 
 
-def apply_creator(k, fock_word):
-    return {(int(k),) + tuple(fock_word): QPoly.one()}
+def apply_symbol(symbol, state, q=QPoly.q(), cap=None):
+    """One operator symbol acting on a state dict {Fock word: scalar}.
 
-
-def apply_symbol_to_state(symbol, state):
+    a†_k prepends k; a_k removes a letter k at position i with weight q^i.
+    The scalar ring follows from q: the default QPoly q gives polynomial
+    coefficients, an exact Fraction gives exact numbers, and q = 0 keeps
+    only the leftmost match.  A creator that would take a word past `cap`
+    letters raises TruncationError.  The state stores no zero coefficient,
+    and neither does the result.
+    """
     kind, mode = symbol
+    if kind == CREATOR:
+        if cap is not None and max(map(len, state), default=0) >= cap:
+            raise TruncationError(f"creator on a {max(map(len, state))}"
+                                  f"-particle word exceeds cap {cap}")
+        # prepending one mode to distinct words cannot make two words collide
+        return {(mode,) + w: c for w, c in state.items()}
     out = {}
     for w, c in state.items():
-        if kind == CREATOR:
-            _add_term(out, (mode,) + w, c)
-        else:
-            for i, label in enumerate(w):
-                if label == mode:
-                    _add_term(out, w[:i] + w[i + 1:], c * QPoly.monomial(i))
-    return out
+        for i, label in enumerate(w):
+            if label != mode:
+                continue
+            if i:
+                weight = q ** i
+                if not weight:
+                    break     # q = 0: every later power vanishes too
+                c_i = c * weight
+            else:
+                c_i = c
+            nw = w[:i] + w[i + 1:]
+            cur = out.get(nw)
+            out[nw] = c_i if cur is None else cur + c_i
+    return {w: c for w, c in out.items() if c}
 
 
-def apply_word_to_state(word, state):
-    """Apply an operator word to a state dict (rightmost symbol acts first)."""
-    for symbol in reversed(word):
-        state = apply_symbol_to_state(symbol, state)
-    return state
+def apply_terms(terms, state, q=QPoly.q(), cap=None):
+    """Apply a sum of (operator word, scalar coefficient) terms to a state;
+    the rightmost symbol of each word acts first."""
+    out = {}
+    for word, coeff in terms:
+        cur = state
+        for symbol in reversed(word):
+            cur = apply_symbol(symbol, cur, q, cap)
+            if not cur:
+                break
+        for w, c in cur.items():
+            c = coeff * c
+            prev = out.get(w)
+            out[w] = c if prev is None else prev + c
+    return {w: c for w, c in out.items() if c}
 
 
-def q_inner_product(u, v):
+def q_inner_product(u, v, q=QPoly.q()):
     """<u, v> for Fock words, via the annihilator action on |v>.
 
     Equals the vacuum expectation of a_{u_n} ... a_{u_1} a†_{v_1} ... a†_{v_n};
-    zero whenever the label multisets differ.
+    zero whenever the label multisets differ.  The result lies in the
+    scalar ring of q (QPoly for the default).
     """
     u, v = tuple(u), tuple(v)
-    if len(u) != len(v) or sorted(u) != sorted(v):
-        return QPoly.zero()
-    state = {v: QPoly.one()}
-    for m in u:
-        state = apply_symbol_to_state((ANNIHILATOR, m), state)
-        if not state:
-            return QPoly.zero()
-    return state.get((), QPoly.zero())
+    one = q ** 0          # the 1 of the scalar ring of q
+    if len(u) == len(v) and sorted(u) == sorted(v):
+        state = {v: one}
+        for m in u:
+            state = apply_symbol((ANNIHILATOR, m), state, q)
+        if state:
+            return state[()]
+    return 0 * one
 
 
 def vev_word_for_inner_product(u, v):

@@ -105,6 +105,9 @@ class QPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
+        if self.coeffs and not any(self.coeffs[:-1]):
+            # a monomial c q^d: c^n q^(dn) needs no multiplication
+            return QPoly.monomial(self.degree * n, self.coeffs[-1] ** n)
         result = _ONE
         base = self
         while n:

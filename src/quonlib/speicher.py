@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .wick import chords_cross, enumerate_contractions
-from .qpoly import QPoly
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -148,14 +147,6 @@ def _count_for_pattern(pattern, n):
     for i in range(blocks):
         count *= (n - i)
     return count
-
-
-def quon_target(word, q):
-    """The N -> infinity limit: the quon VEV evaluated at q."""
-    poly = QPoly.zero()
-    for _, crossings in enumerate_contractions(word):
-        poly = poly + QPoly.monomial(crossings)
-    return float(poly(float(q)))
 
 
 def mc_estimate(word, q, n_components, samples, seed):

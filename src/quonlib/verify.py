@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, gram, observables, parastat, speicher
-from .qfock import (ANNIHILATOR, CREATOR, apply_annihilator, parse_word,
-                    vacuum_expectation, vev_word_for_inner_product)
+from .qfock import (ANNIHILATOR, CREATOR, apply_terms, parse_word,
+                    vacuum_expectation)
 from .qpoly import QPoly
 from .wick import wick_expectation
 
@@ -95,19 +95,16 @@ def gram_positivity(max_n=4, samples=50):
 
 @_criterion(4, "Defining relation on the free Fock action")
 def quon_relation(max_len=5, modes=3):
-    q = QPoly.q()
     words = []
     for n in range(max_len + 1):
         words.extend(itertools.product(range(modes), repeat=n))
     for k in range(modes):
         for l in range(modes):
+            a_k, c_l = (ANNIHILATOR, k), (CREATOR, l)
+            relation = (((a_k, c_l), 1), ((c_l, a_k), -QPoly.q()))
             for w in words:
                 # a_k a†_l |w> - q a†_l a_k |w> must be delta_kl |w>
-                lhs = apply_annihilator(k, (l,) + w)
-                for ww, c in apply_annihilator(k, w).items():
-                    key = (l,) + ww
-                    lhs[key] = lhs.get(key, QPoly.zero()) - q * c
-                lhs = {ww: c for ww, c in lhs.items() if not c.is_zero()}
+                lhs = apply_terms(relation, {w: QPoly.one()})
                 want = {w: QPoly.one()} if k == l else {}
                 if lhs != want:
                     return {"passed": False, "failure": (k, l, w)}
@@ -189,7 +186,7 @@ def speicher_convergence(word="a1 a2 c1 c2", q=0.5, n_components=100,
                          samples=2000, seed=987654321):
     w = parse_word(word)
     est = speicher.mc_estimate(w, q, n_components, samples, seed)
-    target = speicher.quon_target(w, q)
+    target = wick_expectation(w)(q)
     tol = max(3 * est.stderr, 2.0 / n_components)
     main_ok = abs(est.mean - target) <= tol
 
@@ -203,7 +200,7 @@ def speicher_convergence(word="a1 a2 c1 c2", q=0.5, n_components=100,
     for n in (10, 50, 200):
         minus = speicher.sample_sign_matrix(n, -1.0, 0)
         fermi_vals.append(float(speicher.expectation_given_signs(w, minus)))
-    fermi_target = speicher.quon_target(w, -1.0)
+    fermi_target = wick_expectation(w)(-1.0)
     gaps = [abs(v - fermi_target) for v in fermi_vals]
     fermi_ok = gaps[0] > gaps[1] > gaps[2]
 
@@ -276,8 +273,3 @@ def run_all():
     return {"criteria": reports,
             "passed": all(r["passed"] for r in reports),
             "elapsed": round(sum(r["elapsed"] for r in reports), 3)}
-
-
-def _vev_positivity_word(labels):
-    """<w|w>-style word for a Fock word, used by property tests."""
-    return vev_word_for_inner_product(labels, labels)

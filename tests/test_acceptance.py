@@ -43,9 +43,19 @@ def test_criterion_12_full_suite_runtime():
     assert _total_elapsed < 900
 
 
-def test_cli_verify_all_exit_code(capsys):
+def test_cli_verify_all_exit_code(capsys, monkeypatch):
+    # every criterion already ran above; this checks only the CLI wiring,
+    # on two cheap criteria and a stub that fails
+    import json
+
     from quonlib import cli
-    code = cli.run(["--stable-output", "verify-all"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert '"status": "pass"' in out
+    cheap = [verify.bound_propagation, verify.composite_rule]
+    failing = verify._criterion(99, "always fails")(lambda: {"passed": False})
+    for criteria, want_code, want_status in ((cheap, 0, "pass"),
+                                             (cheap + [failing], 1, "fail")):
+        monkeypatch.setattr(verify, "ALL_CRITERIA", criteria)
+        code = cli.run(["--stable-output", "verify-all"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == want_code
+        assert rep["status"] == want_status
+        assert len(rep["results"]["criteria"]) == len(criteria)

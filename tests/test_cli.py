@@ -1,10 +1,14 @@
 import importlib.resources
 import json
+import time
 
 import jsonschema
 import pytest
 
-from quonlib import cli
+from quonlib import cli, verify
+
+# two criteria that take milliseconds, standing in for the full suite
+CHEAP_CRITERIA = [verify.bound_propagation, verify.composite_rule]
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,27 @@ def test_speicher(capsys, schema):
                         "--seed", "7")
     assert code == 0
     assert rep["results"]["stderr"] > 0
+    assert rep["parameters"]["seed"] == 7
+    validate(rep, schema)
+
+
+def test_speicher_takes_the_global_seed(capsys, schema):
+    argv = ("speicher", "--word", "a1 c1", "--q", "0.5", "--N", "10",
+            "--samples", "20")
+    _, rep = run_cli(capsys, "--seed", "5", *argv)
+    assert rep["parameters"]["seed"] == 5
+    validate(rep, schema)
+    _, rep = run_cli(capsys, *argv)
+    assert rep["parameters"]["seed"] == 0
+
+
+def test_para_respects_limit_dim(capsys, schema):
+    # parafermi p=2 on 2 modes has dimension 16
+    code, rep = run_cli(capsys, "--limit-dim", "8", "para", "--kind",
+                        "fermi", "--p", "2")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert "16" in rep["results"]["error"]
     validate(rep, schema)
 
 
@@ -115,6 +140,13 @@ def test_bounds_convert_and_propagate(capsys, schema):
     code, rep = run_cli(capsys, "bounds", "propagate", "--qe=-1/2")
     assert code == 0
     assert rep["results"]["q_gamma_exact"] == "1/4"
+    validate(rep, schema)
+
+
+def test_bounds_convert_division_by_zero(capsys, schema):
+    code, rep = run_cli(capsys, "bounds", "convert", "--vf", "1/0")
+    assert code == 1
+    assert rep["status"] == "error"
     validate(rep, schema)
 
 
@@ -140,6 +172,22 @@ def test_stable_output_byte_identical(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["elapsed"] == 0.0
+
+
+def test_stable_output_verify_all_byte_identical(capsys, monkeypatch):
+    # the sleeping stub would report a nonzero elapsed if it were kept
+    slow = verify._criterion(99, "sleeps")(
+        lambda: time.sleep(0.005) or {"passed": True})
+    monkeypatch.setattr(verify, "ALL_CRITERIA", CHEAP_CRITERIA + [slow])
+    cli.run(["--stable-output", "verify-all"])
+    first = capsys.readouterr().out
+    cli.run(["--stable-output", "verify-all"])
+    second = capsys.readouterr().out
+    assert first == second
+    rep = json.loads(first)
+    assert rep["elapsed"] == 0.0
+    assert rep["results"]["elapsed"] == 0.0
+    assert [c["elapsed"] for c in rep["results"]["criteria"]] == [0.0] * 3
 
 
 def test_report_shape_all_subcommands(capsys, schema):

@@ -4,8 +4,8 @@ import pytest
 
 from quonlib import observables as obs
 from quonlib.observables import (NonzeroQError, TruncatedFockSpace,
-                                 TruncationError, apply_terms_q0,
-                                 transition_operator)
+                                 TruncationError, transition_operator)
+from quonlib.qfock import apply_symbol, apply_terms
 
 
 @pytest.fixture
@@ -40,21 +40,21 @@ def test_depth_one_word_shape():
 
 def test_apply_terms_examples(space):
     n01 = transition_operator(0, 1, 2, space.modes)
-    assert apply_terms_q0(n01, {(1,): 1}, space.cap) == {(0,): 1}
-    assert apply_terms_q0(n01, {(): 1}, space.cap) == {}
+    assert apply_terms(n01, {(1,): 1}, 0, space.cap) == {(0,): 1}
+    assert apply_terms(n01, {(): 1}, 0, space.cap) == {}
     # the deep terms repair the leftmost-only annihilator action
-    assert apply_terms_q0(n01, {(2, 1): 1}, space.cap) == {(2, 0): 1}
+    assert apply_terms(n01, {(2, 1): 1}, 0, space.cap) == {(2, 0): 1}
 
 
 def test_annihilator_leftmost_only():
-    out = obs._apply_symbol_q0(("a", 1), {(1, 1): 1}, 3)
+    out = apply_symbol(("a", 1), {(1, 1): 1}, 0, 3)
     assert out == {(1,): 1}
-    assert obs._apply_symbol_q0(("a", 1), {(2, 1): 1}, 3) == {}
+    assert apply_symbol(("a", 1), {(2, 1): 1}, 0, 3) == {}
 
 
 def test_creator_respects_cap():
     with pytest.raises(TruncationError):
-        obs._apply_symbol_q0(("c", 0), {(0, 0): 1}, 2)
+        apply_symbol(("c", 0), {(0, 0): 1}, 0, 2)
 
 
 def test_commutator_exact_at_sufficient_depth(space):

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quonlib import qfock
-from quonlib.qfock import (apply_annihilator, normal_order, parse_word,
+from quonlib.qfock import (apply_symbol, normal_order, parse_word,
                            q_inner_product, vacuum_expectation,
                            vev_word_for_inner_product)
 from quonlib.qpoly import QPoly
@@ -59,11 +60,15 @@ def test_vev_vanishes_on_unbalanced_words():
     assert vacuum_expectation(parse_word("c0 a0")).is_zero()
 
 
+def annihilate(k, word):
+    return apply_symbol(("a", k), {word: ONE})
+
+
 def test_apply_annihilator_examples():
-    assert apply_annihilator(5, (5,)) == {(): ONE}
-    assert apply_annihilator(5, (7, 5)) == {(7,): Q}
-    assert apply_annihilator(5, (7,)) == {}
-    assert apply_annihilator(5, (5, 5)) == {(5,): ONE + Q}
+    assert annihilate(5, (5,)) == {(): ONE}
+    assert annihilate(5, (7, 5)) == {(7,): Q}
+    assert annihilate(5, (7,)) == {}
+    assert annihilate(5, (5, 5)) == {(5,): ONE + Q}
 
 
 def test_inner_product_examples():
@@ -89,8 +94,8 @@ def test_defining_relation_on_fock_words():
     for k in modes:
         for l in modes:
             for w in words:
-                lhs = dict(apply_annihilator(k, (l,) + w))
-                for ww, c in apply_annihilator(k, w).items():
+                lhs = dict(annihilate(k, (l,) + w))
+                for ww, c in annihilate(k, w).items():
                     key = (l,) + ww
                     lhs[key] = lhs.get(key, QPoly.zero()) - Q * c
                 lhs = {ww: c for ww, c in lhs.items() if not c.is_zero()}
@@ -118,7 +123,7 @@ def test_adjointness():
             for v in words:
                 lhs = q_inner_product((k,) + u, v)
                 rhs = QPoly.zero()
-                for w, c in apply_annihilator(k, v).items():
+                for w, c in annihilate(k, v).items():
                     rhs = rhs + c * q_inner_product(u, w)
                 assert lhs == rhs
 
@@ -135,3 +140,24 @@ def test_three_distinct_labels_are_linearly_independent():
     # the 6 orderings of 3 distinct creators have a nonsingular Gram matrix
     from quonlib.gram import det_gram_exact
     assert not det_gram_exact(3).is_zero()
+
+
+fock_states = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=5).map(tuple),
+    st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fock_states, st.sampled_from("ac"), st.integers(0, 2),
+       st.fractions(min_value=-1, max_value=1, max_denominator=50))
+def test_action_is_the_same_over_every_scalar_ring(state, kind, mode, q):
+    # exact Fraction q agrees with the QPoly action evaluated at q
+    symbol = (kind, mode)
+    poly = apply_symbol(symbol, {w: QPoly.const(c) for w, c in state.items()})
+    at_q = {w: c(q) for w, c in poly.items() if c(q) != 0}
+    assert apply_symbol(symbol, state, q) == at_q
+    # q = 0: an annihilator keeps only a leftmost match
+    leftmost = {w[1:]: c for w, c in state.items() if w[:1] == (mode,)}
+    want = leftmost if kind == "a" else {(mode,) + w: c
+                                         for w, c in state.items()}
+    assert apply_symbol(symbol, state, 0) == want

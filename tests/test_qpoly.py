@@ -13,6 +13,9 @@ def test_basic_arithmetic():
     one = QPoly.one()
     assert (one + q) * (one - q) == QPoly([1, 0, -1])
     assert q ** 3 == QPoly.monomial(3)
+    assert q ** 0 == one
+    m = QPoly.monomial(2, Fraction(-3, 2))
+    assert m ** 3 == m * m * m == QPoly.monomial(6, Fraction(-27, 8))
     assert (q - q).is_zero()
     assert QPoly([0, 0, 0]) == QPoly.zero()
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from quonlib import speicher
 from quonlib.qfock import parse_word
 from quonlib.speicher import (expectation_given_signs, expected_over_signs,
-                              mc_estimate, quon_target, sample_sign_matrix)
+                              mc_estimate, sample_sign_matrix)
+from quonlib.wick import wick_expectation
 
 
 def test_sign_matrix_properties():
@@ -36,7 +37,7 @@ def test_bose_corner_is_exact():
     for n in (1, 3, 10):
         sm = sample_sign_matrix(n, 1.0, np.random.default_rng(0))
         assert expectation_given_signs(word, sm) == 2
-    assert quon_target(word, 1.0) == 2.0
+    assert wick_expectation(word)(1.0) == 2.0
 
 
 def test_single_chord_is_sign_free():
@@ -116,9 +117,11 @@ def test_mc_estimate_requires_samples():
 
 
 def test_quon_target_examples():
-    assert quon_target(parse_word("a1 c1"), 0.37) == 1.0
-    assert quon_target(parse_word("a1 a1 c1 c1"), 0.25) == pytest.approx(1.25)
-    assert quon_target(parse_word("a1 c2"), 0.5) == 0.0
+    # the N -> infinity target is the quon VEV evaluated at q
+    assert wick_expectation(parse_word("a1 c1"))(0.37) == 1.0
+    assert wick_expectation(parse_word("a1 a1 c1 c1"))(0.25) == \
+        pytest.approx(1.25)
+    assert wick_expectation(parse_word("a1 c2"))(0.5) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
