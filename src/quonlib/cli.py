@@ -334,7 +334,7 @@ def run(argv=None):
     except (ValueError, ZeroDivisionError, NonVEVWordError, gram.GramLimitError,
             parastat.DimensionBudgetError,
             observables.TruncationError) as exc:
-        results = {"error": str(exc)}
+        results = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"
     elapsed = 0.0 if args.stable_output else round(time.perf_counter() - t0, 3)
     report = {"subcommand": args.subcommand,

@@ -8,11 +8,19 @@ has the closed-form determinant
 
 whose zeros all sit on the unit circle, so the norms stay positive on
 -1 < q < 1.  At q = +-1 the matrix collapses to rank one.
+
+The inner product does not change when the modes are relabelled, so
+<u, v> = <id, u^-1 v>: gram_matrix takes the one row <id, w> from the
+free-Fock action and fills the rest from the multiplication table of S_n.
+Every entry is a monic monomial q^e, so the matrix is stored as its
+integer exponents; exact and float values at a point come from a table of
+powers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,22 +39,39 @@ class GramLimitError(ValueError):
     """Requested size exceeds the configured resource limit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     n: int
     perms: tuple            # lexicographic one-line permutations of range(n)
-    entries: tuple          # n! x n! tuple-of-tuples of QPoly
+    exponents: np.ndarray   # n! x n! int8: entry (i, j) is q ** exponents[i, j]
 
     @property
     def dim(self):
         return len(self.perms)
 
+    @property
+    def entries(self):
+        """The matrix as an n! x n! tuple-of-tuples of QPoly monomials."""
+        monomials = [QPoly.monomial(k)
+                     for k in range(int(self.exponents.max()) + 1)]
+        return tuple(tuple(monomials[k] for k in row)
+                     for row in self.exponents.tolist())
+
+    def _powers(self, x):
+        """[1, x, x^2, ...] up to the largest exponent, by repeated
+        multiplication: for a float x the values Horner's rule gives."""
+        powers = [x ** 0]
+        for _ in range(int(self.exponents.max())):
+            powers.append(powers[-1] * x)
+        return powers
+
     def evaluate(self, x):
-        """Numeric matrix at q = x (float or Fraction)."""
-        return [[e(x) for e in row] for row in self.entries]
+        """Matrix at q = x as nested lists; exact for int or Fraction x."""
+        powers = self._powers(x)
+        return [[powers[k] for k in row] for row in self.exponents.tolist()]
 
     def evaluate_float(self, x):
-        return np.array(self.evaluate(float(x)), dtype=float)
+        return np.array(self._powers(float(x)))[self.exponents]
 
 
 def inversions(perm):
@@ -58,18 +83,31 @@ def inversions(perm):
 def gram_matrix(n, limit=BUILD_LIMIT):
     """Inner products of all orderings of n distinct-mode creators.
 
-    Entries are computed through the free-Fock annihilator action, not
-    from the inversion-count shortcut, so the matrix doubles as an oracle
-    for that closed form.
+    The row <id, w> is computed through the free-Fock annihilator action,
+    not from the inversion-count shortcut, so the matrix doubles as an
+    oracle for that closed form; entry (i, j) is that row at u_i^-1 u_j.
     """
     if not 1 <= n <= limit:
         raise GramLimitError(f"n={n} outside supported range 1..{limit}")
-    labels = tuple(range(n))
-    perms = tuple(itertools.permutations(labels))
-    words = [tuple(p) for p in perms]
-    entries = tuple(
-        tuple(q_inner_product(u, v) for v in words) for u in words)
-    return GramMatrix(n=n, perms=perms, entries=entries)
+    perms = tuple(itertools.permutations(range(n)))
+    row = []
+    for w in perms:
+        e = q_inner_product(perms[0], w)
+        if e != QPoly.monomial(e.degree):
+            raise ValueError(f"<{perms[0]}, {w}> = {e} is not a monic monomial")
+        row.append(e.degree)
+    # inv(w) <= n(n-1)/2 fits int8 far beyond any n! x n! that fits memory
+    row = np.array(row, dtype=np.int8)
+    p = np.array(perms, dtype=np.intp)
+    p_inv = np.argsort(p, axis=1)
+    # base-n code of u_i^-1 u_j, whose letter at position k is
+    # u_i^-1[u_j[k]]; lexicographic order makes the codes of perms sorted
+    code = np.zeros((len(perms), len(perms)), dtype=np.intp)
+    for k in range(n):
+        code = code * n + p_inv[:, p[:, k]]
+    perm_codes = p @ n ** np.arange(n - 1, -1, -1)
+    exponents = row[np.searchsorted(perm_codes, code)]
+    return GramMatrix(n=n, perms=perms, exponents=exponents)
 
 
 def zagier_determinant(n):
@@ -114,31 +152,49 @@ def zagier_factors(n):
 # -- exact determinants ----------------------------------------------------
 
 
+def _denominator_lcm(values):
+    """Least common multiple of the denominators of ints and Fractions:
+    the smallest positive integer that makes every value an integer."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _bareiss(rows):
+    """Fraction-free Gaussian elimination of an integer matrix, in place.
+
+    Returns (rank, sign, last pivot): sign is that of the row swaps, and
+    for a square matrix of full rank sign * last pivot is its determinant.
+    Every division is exact (Sylvester's identity), so no entry is ever a
+    Fraction and none grows past a minor of the input.
+    """
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        if rank == m:
+            break
+        pivot = next((i for i in range(rank, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        rk = rows[rank]
+        pk = rk[col]
+        for i in range(rank + 1, m):
+            ri = rows[i]
+            rik = ri[col]
+            for j in range(col + 1, ncols):
+                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
+            ri[col] = 0
+        prev = pk
+        rank += 1
+    return rank, sign, prev
+
+
 def _det_bareiss_int(rows):
     """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
-    m = len(rows)
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, m):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = rows[k][k]
-        for i in range(k + 1, m):
-            rik = rows[i][k]
-            ri, rk = rows[i], rows[k]
-            for j in range(k + 1, m):
-                ri[j] = (pk * ri[j] - rik * rk[j]) // prev
-            ri[k] = 0
-        prev = pk
-    return sign * rows[m - 1][m - 1]
+    rank, sign, pivot = _bareiss(rows)
+    return sign * pivot if rank == len(rows) else 0
 
 
 def _det_bareiss_poly(rows):
@@ -186,17 +242,28 @@ def _interpolate_newton(points, values):
 def det_exact(entries):
     """Exact determinant of a square matrix of QPoly entries.
 
-    Small matrices go through polynomial Bareiss elimination directly.
-    Larger ones are evaluated at enough integer points (integer Bareiss
-    per point, still fraction-free) and interpolated back; the result is
-    identical and exact.
+    Small matrices go through polynomial Bareiss elimination directly,
+    larger ones through _det_interpolate; the result is identical and exact.
     """
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix is not square")
     if m <= 8:
-        rows = [list(row) for row in entries]
-        return _det_bareiss_poly(rows)
+        return _det_bareiss_poly([list(row) for row in entries])
+    return _det_interpolate(entries)
+
+
+def _det_interpolate(entries):
+    """Determinant by evaluation at integer points and interpolation.
+
+    Each row is first scaled by the lcm of its coefficients' denominators,
+    so every value at an integer point is an integer and each point costs
+    one fraction-free integer Bareiss; the interpolated polynomial is then
+    divided by the product of the row scales.
+    """
+    scales = [_denominator_lcm(c for e in row for c in e.coeffs)
+              for row in entries]
+    scaled = [[e * s for e in row] for row, s in zip(entries, scales)]
     bound = sum(max((e.degree for e in row if not e.is_zero()), default=0)
                 for row in entries)
     # symmetric integer sample points keep the magnitudes down
@@ -207,11 +274,11 @@ def det_exact(entries):
         if len(points) < bound + 1:
             points.append(-t)
         t += 1
-    values = []
-    for x in points:
-        rows = [[int(e(x)) for e in row] for row in entries]
-        values.append(_det_bareiss_int(rows))
-    return _interpolate_newton(points, values)
+    values = [_det_bareiss_int([[e(x) for e in row] for row in scaled])
+              for x in points]
+    det = _interpolate_newton(points, values)
+    scale = math.prod(scales)
+    return QPoly([Fraction(c, scale) for c in det.coeffs])
 
 
 def det_gram_exact(n, limit=EXACT_LIMIT):
@@ -242,24 +309,16 @@ def positivity_scan(n, q_samples):
 
 
 def _rank_exact(rows):
-    """Rank of a matrix of Fractions by Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    rank = 0
-    col = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, m) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, m):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
+    """Exact rank of a matrix of ints and Fractions.
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    rank, and the integer matrix goes through fraction-free elimination.
+    """
+    int_rows = []
+    for row in rows:
+        s = _denominator_lcm(row)
+        int_rows.append([int(x * s) for x in row])
+    return _bareiss(int_rows)[0]
 
 
 def rank_at_limit(n, sign):
@@ -273,11 +332,10 @@ def rank_at_limit(n, sign):
 def limit_eigenvector_check(n, sign):
     """At q = +-1 the surviving state is the totally (anti)symmetric one:
     the vector of signs is an eigenvector with eigenvalue n!.  Returns
-    (holds exactly, n!)."""
+    (holds exactly, n!).  The int64 products are exact: every row sum is
+    at most n! in size."""
     g = gram_matrix(n)
-    mat = g.evaluate(sign)
-    vec = [1 if sign == 1 else (-1) ** inversions(p) for p in g.perms]
-    fact = len(g.perms)
-    ok = all(sum(row[j] * vec[j] for j in range(fact)) == fact * vec[i]
-             for i, row in enumerate(mat))
-    return ok, fact
+    mat = np.power(sign, g.exponents, dtype=np.int64)
+    vec = np.array([sign ** inversions(p) for p in g.perms], dtype=np.int64)
+    fact = g.dim
+    return bool(np.array_equal(mat @ vec, fact * vec)), fact

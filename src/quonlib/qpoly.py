@@ -14,8 +14,9 @@ def _normalize(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    # collapse Fractions with denominator 1 back to int
-    return tuple(int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+    # collapse Fractions with denominator 1 back to int; an exact type
+    # test, as isinstance on Fraction goes through the ABC machinery
+    return tuple(int(c) if type(c) is Fraction and c.denominator == 1 else c
                  for c in coeffs)
 
 

@@ -63,6 +63,8 @@ def test_gram_limit_error(capsys, schema):
     code, rep = run_cli(capsys, "gram", "--n", "9")
     assert code == 1
     assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        "GramLimitError: n=9 outside supported range 1..6")
     validate(rep, schema)
 
 
@@ -147,6 +149,7 @@ def test_bounds_convert_division_by_zero(capsys, schema):
     code, rep = run_cli(capsys, "bounds", "convert", "--vf", "1/0")
     assert code == 1
     assert rep["status"] == "error"
+    assert rep["results"]["error"] == "ZeroDivisionError: Fraction(1, 0)"
     validate(rep, schema)
 
 
@@ -198,3 +201,13 @@ def test_report_shape_all_subcommands(capsys, schema):
         validate(rep, schema)
         assert set(rep) == {"subcommand", "parameters", "results",
                             "status", "elapsed"}
+
+
+def test_gram_n6_at_a_point(capsys, schema):
+    code, rep = run_cli(capsys, "gram", "--n", "6", "--at", "0.5")
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["results"]["dim"] == 720
+    matrix = rep["results"]["matrix_at_q"]
+    assert len(matrix) == 720 and all(len(row) == 720 for row in matrix)
+    validate(rep, schema)

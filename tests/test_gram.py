@@ -1,11 +1,25 @@
+import itertools
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from quonlib import gram
+from quonlib.qfock import q_inner_product
 from quonlib.qpoly import QPoly
 
 Q = QPoly.q()
 ONE = QPoly.one()
+
+
+def all_pairs_gram(n):
+    """Reference build: <u, v> through the Fock action for all (n!)^2
+    pairs of orderings, in the lexicographic order of gram_matrix."""
+    words = list(itertools.permutations(range(n)))
+    return tuple(tuple(q_inner_product(u, v) for v in words) for u in words)
 
 
 def test_gram_n1():
@@ -38,13 +52,73 @@ def test_gram_symmetric_unit_diagonal():
 def test_entries_are_inversion_monomials():
     for n in (2, 3, 4):
         g = gram.gram_matrix(n)
+        entries = g.entries
         for i, s in enumerate(g.perms):
             for j, t in enumerate(g.perms):
                 tinv = [0] * n
                 for pos, x in enumerate(t):
                     tinv[x] = pos
                 rel = tuple(tinv[x] for x in s)
-                assert g.entries[i][j] == QPoly.monomial(gram.inversions(rel))
+                assert entries[i][j] == QPoly.monomial(gram.inversions(rel))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_build_equals_all_pairs_oracle(n):
+    g = gram.gram_matrix(n)
+    oracle = all_pairs_gram(n)
+    assert g.perms == tuple(itertools.permutations(range(n)))
+    assert g.entries == oracle
+    x = Fraction(2, 3)
+    assert g.evaluate(x) == [[e(x) for e in row] for row in oracle]
+
+
+def test_build_rejects_a_row_entry_that_is_not_a_monic_monomial(monkeypatch):
+    monkeypatch.setattr(gram, "q_inner_product", lambda u, v: 2 * Q)
+    with pytest.raises(ValueError, match="not a monic monomial"):
+        gram.gram_matrix(3)
+
+
+def test_evaluate_exact_and_float():
+    g = gram.gram_matrix(3)
+    assert g.evaluate(-1) == [[(-1) ** int(e) for e in row]
+                              for row in g.exponents]
+    assert all(type(v) is int for row in g.evaluate(1) for v in row)
+    assert all(type(v) is Fraction
+               for row in g.evaluate(Fraction(1, 2)) for v in row)
+    # the float table is built as Horner's rule evaluates each monomial
+    x = 0.37
+    np.testing.assert_array_equal(
+        g.evaluate_float(x), [[e(x) for e in row] for row in g.entries])
+
+
+@pytest.fixture(scope="module")
+def gram6():
+    return gram.gram_matrix(6)
+
+
+def test_n6_entries_match_fock_action_and_inversions(gram6):
+    rng = random.Random(6)
+    for _ in range(300):
+        i, j = rng.randrange(gram6.dim), rng.randrange(gram6.dim)
+        u, v = gram6.perms[i], gram6.perms[j]
+        entry = QPoly.monomial(int(gram6.exponents[i, j]))
+        assert entry == q_inner_product(u, v)
+        u_inv = [0] * 6
+        for pos, x in enumerate(u):
+            u_inv[x] = pos
+        assert entry == QPoly.monomial(gram.inversions(u_inv[x] for x in v))
+
+
+def test_n6_positivity(gram6):
+    scan = gram.positivity_scan(6, [-0.9, -0.5, 0.0, 0.5, 0.9])
+    assert len(scan) == 5
+    assert all(e > 0 for _, e in scan)
+
+
+def test_n6_float_determinant_matches_zagier(gram6):
+    for x in (-0.3, 0.45):
+        dv = float(np.linalg.det(gram6.evaluate_float(x)))
+        assert dv == pytest.approx(gram.zagier_eval_float(6, x), rel=1e-9)
 
 
 def test_zagier_formula_small():
@@ -61,6 +135,67 @@ def test_det_exact_small_matrices():
 def test_det_matches_zagier():
     for n in (2, 3, 4):
         assert gram.det_gram_exact(n) == gram.zagier_determinant(n)
+
+
+def test_det_exact_rational_rows_past_the_bareiss_size():
+    # m > 8 takes the interpolation path, whose integer points must not
+    # truncate the values of rational entries
+    rng = random.Random(9)
+    entries = [[QPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                for _ in range(9)] for _ in range(9)]
+    reference = gram._det_bareiss_poly([list(row) for row in entries])
+    assert gram.det_exact(entries) == reference
+
+
+rational_polys = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    max_size=3).map(QPoly)
+
+
+@st.composite
+def square_poly_matrices(draw):
+    m = draw(st.integers(1, 4))
+    return [[draw(rational_polys) for _ in range(m)] for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_poly_matrices())
+def test_both_det_exact_paths_agree(entries):
+    reference = gram._det_bareiss_poly([list(row) for row in entries])
+    assert gram._det_interpolate(entries) == reference
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw):
+    # products of an m x k and a k x c factor, so the rank is often below
+    # min(m, c)
+    m, k, c = (draw(st.integers(1, 5)), draw(st.integers(1, 4)),
+               draw(st.integers(1, 5)))
+    a = [[draw(small_rationals) for _ in range(k)] for _ in range(m)]
+    b = [[draw(small_rationals) for _ in range(c)] for _ in range(k)]
+    product = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                for j in range(c)] for i in range(m)]
+    return draw(st.sampled_from([product, a]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rank_exact_matches_sympy(rows):
+    expected = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row]
+         for row in rows]).rank()
+    assert gram._rank_exact(rows) == expected
+
+
+def test_rank_exact_examples():
+    assert gram._rank_exact([[1, 2], [2, 4]]) == 1
+    assert gram._rank_exact([[0, 0], [0, 0]]) == 0
+    assert gram._rank_exact([[Fraction(1, 2), 1], [1, 2], [0, 1]]) == 2
+    assert gram._rank_exact([[0, 1, 0], [0, 0, 1]]) == 2
 
 
 def test_det_exact_interpolation_path():

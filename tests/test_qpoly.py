@@ -41,6 +41,13 @@ def test_division_keeps_integer_coefficients():
     assert all(isinstance(c, int) for c in out.coeffs)
 
 
+def test_integral_fraction_coefficients_become_int():
+    assert QPoly([Fraction(4, 2)]).coeffs == (2,)
+    assert type(QPoly([Fraction(4, 2)]).coeffs[0]) is int
+    assert QPoly([Fraction(1, 2), Fraction(3)]).coeffs == (Fraction(1, 2), 3)
+    assert type(QPoly([Fraction(1, 2), Fraction(3)]).coeffs[1]) is int
+
+
 def test_evaluation_exact_and_float():
     p = QPoly([1, -1, 2])
     assert p(Fraction(1, 2)) == Fraction(1) - Fraction(1, 2) + Fraction(1, 2)
