@@ -222,6 +222,10 @@ def _cmd_verify_all(args):
 
 # -- argument parsing ------------------------------------------------------
 
+# the one subcommand that reads each global setting; the others' reports
+# leave it out of their parameters
+_GLOBAL_READERS = {"seed": "speicher", "limit_dim": "para"}
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -327,7 +331,8 @@ def run(argv=None):
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     params = {k: v for k, v in vars(args).items()
-              if k not in ("fn",) and not callable(v)}
+              if k != "fn"
+              and _GLOBAL_READERS.get(k, args.subcommand) == args.subcommand}
     try:
         results, ok = args.fn(args)
         status = "pass" if ok else "fail"

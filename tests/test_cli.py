@@ -1,6 +1,10 @@
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -132,6 +136,32 @@ def test_para_respects_limit_dim(capsys, schema):
     assert rep["status"] == "error"
     assert "16" in rep["results"]["error"]
     validate(rep, schema)
+
+
+def test_parameters_name_only_settings_the_subcommand_reads(capsys, schema):
+    _, rep = run_cli(capsys, "bounds", "convert", "--vf", "1/2")
+    assert "seed" not in rep["parameters"]
+    assert "limit_dim" not in rep["parameters"]
+    validate(rep, schema)
+    _, rep = run_cli(capsys, "speicher", "--word", "a1 c1", "--q", "0.5",
+                     "--N", "10", "--samples", "20")
+    assert rep["parameters"]["seed"] == 0
+    assert "limit_dim" not in rep["parameters"]
+    _, rep = run_cli(capsys, "--limit-dim", "64", "para", "--kind", "fermi",
+                     "--p", "2")
+    assert rep["parameters"]["limit_dim"] == 64
+    assert "seed" not in rep["parameters"]
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # every quon command is a fresh interpreter, which pays for each import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, quonlib.cli; "
+            "print(sorted({'scipy', 'sympy', 'jsonschema'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bounds_convert_and_propagate(capsys, schema):

@@ -1,12 +1,141 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from quonlib import parastat
+from quonlib import parastat, verify
 from quonlib.parastat import (DimensionBudgetError, build_green,
                               check_trilinear, check_vacuum_conditions,
                               gentile_demo, max_occupancy)
+
+
+# -- reference oracles: the Kronecker-product build and the dense check ----
+
+
+def _embed(op, site, nsites, levels):
+    """Place a single-site operator at `site` in the tensor product
+    (site 0 is the leftmost kron factor)."""
+    out = np.array([[1.0]])
+    for i in range(nsites):
+        out = np.kron(out, op if i == site else np.eye(levels))
+    return out
+
+
+def kron_green_components(kind, p, modes, cap=None):
+    """Green components as products of embedded single-site matrices,
+    with each Klein sign applied as a dense parity matmul."""
+    levels = 2 if kind == "parafermi" else cap + 1
+    nsites = p * modes
+    low = np.zeros((levels, levels))
+    for n in range(1, levels):
+        low[n - 1, n] = math.sqrt(n)
+    parity = np.diag([(-1.0) ** n for n in range(levels)])
+    components = {}
+    for alpha in range(p):
+        for k in range(modes):
+            op = _embed(low, alpha * modes + k, nsites, levels)
+            if kind == "parafermi":
+                string = [alpha * modes + k2 for k2 in range(k)]
+            else:
+                string = range(alpha * modes)
+            for s in string:
+                op = _embed(parity, s, nsites, levels) @ op
+            components[(alpha, k)] = op
+    return components
+
+
+def dense_trilinear_residual(r):
+    """max |[[a†_k, a_l]_±, a†_m] - 2 delta_lm a†_k| over the protected
+    columns, from the full dense matrices."""
+    sign = 1.0 if r.kind == "parabose" else -1.0
+    cols = r.protected_columns()
+    worst = 0.0
+    for k, l, m in itertools.product(range(r.modes), repeat=3):
+        c_k, a_l, c_m = r.creator(k), r.annihilators[l], r.creator(m)
+        inner = c_k @ a_l + sign * (a_l @ c_k)
+        t = inner @ c_m - c_m @ inner
+        if l == m:
+            t = t - 2 * c_k
+        worst = max(worst, float(np.abs(t[:, cols]).max(initial=0.0)))
+    return worst
+
+
+BUILD_GRID = ([("parafermi", p, m, None) for p in (1, 2, 3) for m in (1, 2, 3)]
+              + [("parabose", p, m, cap) for p, m, cap in
+                 ((1, 1, 3), (1, 2, 4), (2, 1, 2), (2, 2, 1), (2, 2, 3),
+                  (2, 3, 2), (3, 2, 1))])
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", BUILD_GRID)
+def test_index_build_equals_kron_reference(kind, p, modes, cap):
+    r = build_green(kind, p, modes, cap=cap)
+    ref = kron_green_components(kind, p, modes, cap)
+    assert r.components.keys() == ref.keys()
+    for key, op in ref.items():
+        assert np.array_equal(r.components[key], op), key
+    for k in range(modes):
+        assert np.array_equal(r.annihilators[k],
+                              sum(ref[(alpha, k)] for alpha in range(p)))
+
+
+CHECK_GRID = [("parafermi", 1, 2, None), ("parafermi", 2, 2, None),
+              ("parafermi", 3, 2, None), ("parabose", 1, 2, 4),
+              ("parabose", 2, 2, 3), ("parabose", 3, 1, 3),
+              ("parabose", 2, 2, 1)]
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", CHECK_GRID)
+def test_column_check_matches_dense_reference(kind, p, modes, cap):
+    r = build_green(kind, p, modes, cap=cap)
+    rep = check_trilinear(r)
+    want = dense_trilinear_residual(r)
+    assert abs(rep["max_residual"] - want) <= 1e-12
+    assert rep["exact"] == (want <= 1e-10)
+    if kind == "parafermi":
+        assert rep["max_residual"] == 0.0
+
+
+def test_check_reports_the_columns_it_covers():
+    rep = check_trilinear(build_green("parabose", 2, 2, cap=3))
+    assert (rep["dim"], rep["protected_states"]) == (256, 16)
+    # criterion 6's parabose case checks the vacuum column only
+    details = verify.parastatistics()["details"]
+    assert details["trilinear_parabose_columns"] == {
+        "dim": 729, "protected_states": 1}
+    rep = check_trilinear(build_green("parafermi", 2, 2))
+    assert (rep["dim"], rep["protected_states"]) == (16, 16)
+
+
+@pytest.mark.parametrize("kind,p,modes,cap,broken", [
+    ("parafermi", 2, 2, None, (0, 1)),
+    ("parabose", 2, 2, 3, (1, 0)),
+    ("parabose", 2, 3, 2, (1, 2)),
+])
+def test_check_catches_a_wrong_sign_string(kind, p, modes, cap, broken):
+    # drop the Klein string of one component: its relations to the other
+    # components flip between commuting and anticommuting
+    r = build_green(kind, p, modes, cap=cap)
+    components = dict(r.components)
+    components[broken] = np.abs(components[broken])
+    assert not np.array_equal(components[broken], r.components[broken])
+    annihilators = {k: sum(components[(alpha, k)] for alpha in range(p))
+                    for k in range(modes)}
+    bad = dataclasses.replace(r, components=components,
+                              annihilators=annihilators)
+    rep = check_trilinear(bad)
+    assert not rep["exact"]
+    assert rep["max_residual"] >= 1.0
+
+
+def test_protected_columns():
+    r = build_green("parabose", 2, 2, cap=3)
+    cols = r.protected_columns()
+    assert np.array_equal(cols, np.flatnonzero(r.protected_mask(2)))
+    assert (r.occupancy[cols] <= 1).all()
+    assert np.array_equal(build_green("parafermi", 2, 2).protected_columns(),
+                          np.arange(16))
 
 
 def test_build_validation():
