@@ -164,7 +164,9 @@ def _cmd_speicher(args):
     sigmas = abs(est.mean - target) / est.stderr if est.stderr else 0.0
     ok = abs(est.mean - target) <= max(3 * est.stderr, 2.0 / args.N)
     return {"mean": est.mean, "stderr": est.stderr, "target": target,
-            "sigmas": sigmas, "samples": est.samples, "N": args.N}, ok
+            "sigmas": sigmas, "samples": est.samples, "N": args.N,
+            "diagrams": est.diagrams,
+            "crossing_edges": est.crossing_edges}, ok
 
 
 def _cmd_bounds(args):

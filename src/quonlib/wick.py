@@ -8,6 +8,8 @@ independent combinatorial oracle for qfock.vacuum_expectation.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .qfock import ANNIHILATOR, CREATOR
 from .qpoly import QPoly
 
@@ -30,6 +32,8 @@ def chords_cross(p, q):
 
 
 def crossing_number(pairs):
+    """Interleaving chord pairs, counted pair by pair: the reference for
+    the count enumerate_contractions keeps while it builds a matching."""
     pairs = list(pairs)
     return sum(chords_cross(pairs[i], pairs[j])
                for i in range(len(pairs)) for j in range(i + 1, len(pairs)))
@@ -40,42 +44,45 @@ def enumerate_contractions(word):
 
     Returns a list of (pairs, crossings) where pairs is a tuple of
     (annihilator position, creator position) index pairs sorted by
-    annihilator position.  Deterministic lexicographic order.
+    annihilator position.  Deterministic lexicographic order: annihilators
+    are matched left to right, each to its candidate creators in ascending
+    position.  Crossings are counted as the chords are placed: a new chord
+    (a, c) interleaves an already chosen chord, whose annihilator lies left
+    of a, exactly when that chord's creator lies strictly between a and c.
     """
     word = tuple(word)
     ann, cre = _positions(word)
     if len(ann) != len(cre):
         raise NonVEVWordError(
             f"word has {len(ann)} annihilators but {len(cre)} creators")
+    # a contraction <0| a a† |0> needs the annihilator on the left
+    candidates = [[(j, cpos) for j, cpos in enumerate(cre)
+                   if cpos > apos and word[cpos][1] == word[apos][1]]
+                  for apos in ann]
     diagrams = []
     used = [False] * len(cre)
     chosen = []
 
-    def extend(i):
+    def extend(i, crossings):
         if i == len(ann):
-            pairs = tuple(chosen)
-            diagrams.append((pairs, crossing_number(pairs)))
+            diagrams.append((tuple(chosen), crossings))
             return
         apos = ann[i]
-        amode = word[apos][1]
-        for j, cpos in enumerate(cre):
-            # a contraction <0| a a† |0> needs the annihilator on the left
-            if used[j] or cpos < apos or word[cpos][1] != amode:
+        for j, cpos in candidates[i]:
+            if used[j]:
                 continue
             used[j] = True
+            new = sum(apos < c < cpos for _, c in chosen)
             chosen.append((apos, cpos))
-            extend(i + 1)
+            extend(i + 1, crossings + new)
             chosen.pop()
             used[j] = False
 
-    extend(0)
-    diagrams.sort(key=lambda d: d[0])
+    extend(0, 0)
     return diagrams
 
 
 def wick_expectation(word):
     """Sum over complete contractions of q^crossings."""
-    out = QPoly.zero()
-    for _, crossings in enumerate_contractions(word):
-        out = out + QPoly.monomial(crossings)
-    return out
+    hist = Counter(crossings for _, crossings in enumerate_contractions(word))
+    return QPoly([hist[k] for k in range(max(hist, default=-1) + 1)])

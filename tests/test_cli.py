@@ -114,7 +114,36 @@ def test_speicher(capsys, schema):
                         "--seed", "7")
     assert code == 0
     assert rep["results"]["stderr"] > 0
+    assert rep["results"]["diagrams"] == 1
+    assert rep["results"]["crossing_edges"] == 1
     assert rep["parameters"]["seed"] == 7
+    validate(rep, schema)
+
+
+def test_speicher_long_chain(capsys, schema):
+    # 27 chords, each crossing its neighbours: 26 edges over 27 labels
+    tokens = ["a1"]
+    for i in range(2, 28):
+        tokens += [f"a{i}", f"c{i - 1}"]
+    word = " ".join(tokens + ["c27"])
+    code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
+                        "--N", "20", "--samples", "50")
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["results"]["crossing_edges"] == 26
+    validate(rep, schema)
+
+
+def test_speicher_contraction_limit_error(capsys, schema):
+    # all 14 chords interleave pairwise: 91 edges, more than one einsum takes
+    word = " ".join([f"a{i}" for i in range(1, 15)] +
+                    [f"c{i}" for i in range(1, 15)])
+    code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
+                        "--N", "4", "--samples", "2")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith("ContractionLimitError: ")
+    assert "91 edges" in rep["results"]["error"]
     validate(rep, schema)
 
 

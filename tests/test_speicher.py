@@ -1,14 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quonlib import speicher
 from quonlib.qfock import parse_word
 from quonlib.speicher import (expectation_given_signs, expected_over_signs,
                               mc_estimate, sample_sign_matrix)
-from quonlib.wick import wick_expectation
+from quonlib.wick import (chords_cross, enumerate_contractions,
+                          wick_expectation)
 
 
 def test_sign_matrix_properties():
@@ -114,6 +116,8 @@ def test_mc_estimate_matches_closed_form():
 def test_mc_estimate_requires_samples():
     with pytest.raises(ValueError):
         mc_estimate(parse_word("a1 c1"), 0.0, 4, 1, seed=0)
+    with pytest.raises(ValueError, match="component"):
+        mc_estimate(parse_word("a1 c1"), 0.0, 0, 4, seed=0)
 
 
 def test_quon_target_examples():
@@ -132,3 +136,91 @@ def test_fixed_sign_expectation_bounded(n, q):
     sm = sample_sign_matrix(n, float(q), np.random.default_rng(42))
     val = expectation_given_signs(word, sm)
     assert abs(val) <= 2
+
+
+def chain_word(k):
+    """a1 a2 c1 a3 c2 ... ak c(k-1) ck: chord i crosses only chord i+-1."""
+    tokens = ["a1"]
+    for i in range(2, k + 1):
+        tokens += [f"a{i}", f"c{i - 1}"]
+    return parse_word(" ".join(tokens + [f"c{k}"]))
+
+
+def test_mc_estimate_sums_past_int64():
+    # 11 chords at N = 100: the sign sums reach 100^11 > 2^63
+    word = chain_word(11)
+    plus = mc_estimate(word, 1.0, 100, 200, seed=3)
+    assert plus.mean == pytest.approx(1.0, rel=1e-12)
+    minus = mc_estimate(word, -1.0, 100, 200, seed=3)
+    assert minus.mean == pytest.approx((-0.98) ** 10, rel=1e-12)
+    est = mc_estimate(word, 0.5, 100, 200, seed=3)
+    want = float(expected_over_signs(word, Fraction(1, 2), 100))
+    assert abs(est.mean - want) <= 5 * est.stderr
+
+
+@st.composite
+def chord_words(draw, max_pairs=7):
+    npairs = draw(st.integers(1, max_pairs))
+    modes = draw(st.lists(st.integers(0, 3), min_size=npairs,
+                          max_size=npairs))
+    syms = [("a", m) for m in modes] + [("c", m) for m in modes]
+    return tuple(draw(st.permutations(syms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chord_words(), st.integers(1, 12), st.floats(-1, 1),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_float_contraction_matches_exact(word, n, q, seed, data):
+    diagrams = enumerate_contractions(word)
+    assume(diagrams)
+    pairs, _ = data.draw(st.sampled_from(diagrams))
+    plan = speicher._plan_contraction(pairs, n)
+    signs = sample_sign_matrix(n, q, seed).signs
+    exact = speicher._assignment_sum(plan, signs.astype(object), n)
+    assert speicher._assignment_sum(plan, signs.astype(float), n) == exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(chord_words(max_pairs=5), st.integers(1, 12),
+       st.sampled_from([1.0, -1.0]))
+def test_mc_at_bose_and_fermi_points_is_exact(word, n, q):
+    # at q = +-1 every draw is the same matrix, so the mean is that value
+    fixed = sample_sign_matrix(n, q, 0)
+    est = mc_estimate(word, q, n, 2, seed=1)
+    assert est.mean == float(expectation_given_signs(word, fixed))
+
+
+def _expected_over_signs_loop(word, q, n):
+    """Reference: every set partition of the chords one at a time."""
+    q = Fraction(q)
+    total = Fraction(0)
+    for pairs, _ in enumerate_contractions(word):
+        chords = len(pairs)
+        edges = [(i, j) for i in range(chords) for j in range(i + 1, chords)
+                 if chords_cross(pairs[i], pairs[j])]
+        patterns = [[]]
+        for _ in range(chords):
+            patterns = [p + [b] for p in patterns
+                        for b in range(max(p, default=-1) + 2)]
+        for p in patterns:
+            blocks = max(p) + 1
+            if blocks > n:
+                continue
+            mult = Counter()
+            for i, j in edges:
+                if p[i] != p[j]:
+                    mult[frozenset((p[i], p[j]))] += 1
+            labelings = 1
+            for b in range(blocks):
+                labelings *= n - b
+            w = q ** sum(m % 2 for m in mult.values())
+            total += w * Fraction(labelings, n ** chords)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(chord_words(max_pairs=6), st.integers(1, 8),
+       st.fractions(min_value=-1, max_value=1))
+def test_expected_over_signs_matches_partition_loop(word, n, q):
+    assert expected_over_signs(word, q, n) == \
+        _expected_over_signs_loop(word, q, n)

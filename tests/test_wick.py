@@ -97,6 +97,8 @@ def vev_words(draw):
 @given(vev_words())
 def test_wick_matches_rewriting(word):
     assert wick_expectation(word) == vacuum_expectation(word)
+    assert all(crossings == crossing_number(pairs)
+               for pairs, crossings in enumerate_contractions(word))
 
 
 def test_crossing_number_helper():
