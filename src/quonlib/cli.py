@@ -72,7 +72,7 @@ def _cmd_gram(args):
     results = {"n": args.n, "dim": g.dim}
     ok = True
     if args.exact:
-        det = gram.det_exact(g.entries)
+        det = gram.det_gram_exact(args.n)
         zag = gram.zagier_determinant(args.n)
         ok = det == zag
         results["det_poly"] = str(det)

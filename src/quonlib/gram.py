@@ -15,6 +15,21 @@ free-Fock action and fills the rest from the multiplication table of S_n.
 Every entry is a monic monomial q^e, so the matrix is stored as its
 integer exponents; exact and float values at a point come from a table of
 powers.
+
+So M_n is a group matrix, M[u, v] = f(u^-1 v) with f(w) = q^row[w]: the
+sum of f(w) R(w) over the right regular representation R of S_n, which
+holds each irreducible rho_lambda f_lambda times.  By Frobenius,
+
+    det M_n = prod_lambda det(T_lambda)^f_lambda,
+    T_lambda = sum_w f(w) rho_lambda(w),
+
+over the irreducible representations rho_lambda of dimension f_lambda,
+taken in Young's seminormal form (rational matrices from standard
+tableaux and contents).  det_gram_exact computes det M_n this way, from
+blocks of size at most 6 at n = 5.  It reads f from the Fock-action row
+and uses neither the inversion count nor the product formula, so its
+agreement with zagier_determinant still tests the Fock action against
+Zagier.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ import numpy as np
 from .qfock import q_inner_product
 from .qpoly import QPoly
 
-# largest n for which the exact n! x n! polynomial determinant is attempted
+# largest n for which det_gram_exact computes the exact determinant
 EXACT_LIMIT = 4
 # largest n the module builds at all
 BUILD_LIMIT = 6
@@ -197,33 +212,6 @@ def _det_bareiss_int(rows):
     return sign * pivot if rank == len(rows) else 0
 
 
-def _det_bareiss_poly(rows):
-    """Bareiss over the polynomial ring; exact_div is guaranteed to succeed."""
-    m = len(rows)
-    if m == 0:
-        return QPoly.one()
-    sign = 1
-    prev = QPoly.one()
-    for k in range(m - 1):
-        if rows[k][k].is_zero():
-            for i in range(k + 1, m):
-                if not rows[i][k].is_zero():
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return QPoly.zero()
-        pk = rows[k][k]
-        for i in range(k + 1, m):
-            rik = rows[i][k]
-            for j in range(k + 1, m):
-                rows[i][j] = (pk * rows[i][j] - rik * rows[k][j]).exact_div(prev)
-            rows[i][k] = QPoly.zero()
-        prev = pk
-    det = rows[m - 1][m - 1]
-    return -det if sign < 0 else det
-
-
 def _interpolate_newton(points, values):
     """Exact Newton interpolation through (points[i], values[i])."""
     n = len(points)
@@ -232,24 +220,23 @@ def _interpolate_newton(points, values):
         for i in range(n - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
                 points[i] - points[i - level])
-    # expand the Newton form into monomial coefficients
-    poly = QPoly.zero()
-    for i in range(n - 1, -1, -1):
-        poly = poly * (QPoly.q() - QPoly.const(points[i])) + QPoly.const(coeffs[i])
-    return poly
+    # expand the Newton form into monomial coefficients by Horner's rule,
+    # poly <- poly * (q - x) + c, on a plain coefficient list
+    poly = []
+    for x, c in zip(reversed(points), reversed(coeffs)):
+        shifted = [0] + poly
+        for k, p in enumerate(poly):
+            shifted[k] -= x * p
+        shifted[0] += c
+        poly = shifted
+    return QPoly(poly)
 
 
 def det_exact(entries):
-    """Exact determinant of a square matrix of QPoly entries.
-
-    Small matrices go through polynomial Bareiss elimination directly,
-    larger ones through _det_interpolate; the result is identical and exact.
-    """
+    """Exact determinant of a square matrix of QPoly entries."""
     m = len(entries)
     if any(len(row) != m for row in entries):
         raise ValueError("matrix is not square")
-    if m <= 8:
-        return _det_bareiss_poly([list(row) for row in entries])
     return _det_interpolate(entries)
 
 
@@ -281,11 +268,127 @@ def _det_interpolate(entries):
     return QPoly([Fraction(c, scale) for c in det.coeffs])
 
 
+# -- irreducible representations of S_n -----------------------------------
+
+
+def partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples, largest first."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(k,) + rest for k in range(min(n, largest), 0, -1)
+            for rest in partitions(n - k, k)]
+
+
+def standard_tableaux(shape):
+    """Standard Young tableaux of a shape.  A tableau is the tuple of the
+    (row, column) boxes holding 0, 1, ..., n-1 in turn."""
+    out = []
+    filled = [0] * len(shape)
+
+    def grow(boxes):
+        if len(boxes) == sum(shape):
+            out.append(tuple(boxes))
+        for r, length in enumerate(shape):
+            if filled[r] < length and (r == 0 or filled[r - 1] > filled[r]):
+                boxes.append((r, filled[r]))
+                filled[r] += 1
+                grow(boxes)
+                filled[r] -= 1
+                boxes.pop()
+
+    grow([])
+    return out
+
+
+def seminormal_generators(shape):
+    """Young's seminormal matrices of the transpositions s_i = (i, i+1).
+
+    Returns one matrix for each i = 0..n-2, on the basis of
+    standard_tableaux(shape), as its columns: column T is the list of
+    (row, value) pairs of rho(s_i) v_T.  With d the content (column - row)
+    of i+1 minus that of i in T,
+
+        rho(s_i) v_T = v_T / d + (1 + 1/d) v_{s_i T},
+
+    the second term absent when i and i+1 share a row or a column of T
+    (d = +-1), where s_i T is not standard.  So each column has at most
+    two nonzeros, all rational.
+    """
+    tableaux = standard_tableaux(shape)
+    index = {t: k for k, t in enumerate(tableaux)}
+    gens = []
+    for i in range(sum(shape) - 1):
+        cols = []
+        for t in tableaux:
+            (r0, c0), (r1, c1) = t[i], t[i + 1]
+            d = (c1 - r1) - (c0 - r0)
+            col = [(index[t], Fraction(1, d))]
+            if abs(d) > 1:
+                swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
+                col.append((index[swapped], 1 + Fraction(1, d)))
+            cols.append(col)
+        gens.append(cols)
+    return gens
+
+
+def _representation(shape):
+    """rho(w) for every w in S_n as {one-line w: list of columns}.
+
+    A walk from the identity: w s_i is w with positions i and i+1 swapped,
+    and rho(w s_i) = rho(w) rho(s_i), each of whose columns combines at
+    most two columns of rho(w).
+    """
+    gens = seminormal_generators(shape)
+    dim = len(standard_tableaux(shape))
+    identity = tuple(range(sum(shape)))
+    reps = {identity: [[Fraction(int(r == c)) for r in range(dim)]
+                       for c in range(dim)]}
+    frontier = [identity]
+    while frontier:
+        reached = []
+        for w in frontier:
+            rho = reps[w]
+            for i, gen in enumerate(gens):
+                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                if v in reps:
+                    continue
+                reps[v] = [[sum(value * rho[k][r] for k, value in col)
+                            for r in range(dim)] for col in gen]
+                reached.append(v)
+        frontier = reached
+    return reps
+
+
 def det_gram_exact(n, limit=EXACT_LIMIT):
+    """det M_n(q) exactly, block by block over the irreducibles of S_n.
+
+    M_n is the group matrix M[i, j] = q^row[u_i^-1 u_j] of the row the
+    Fock action gives, so det M_n is the product over partitions lambda of
+    det(T_lambda)^f_lambda, with T_lambda = sum_w q^row[w] rho_lambda(w)
+    and f_lambda = dim rho_lambda.
+    """
     if n > limit:
         raise GramLimitError(
             f"exact determinant limited to n <= {limit}, got n={n}")
-    return det_exact(gram_matrix(n).entries)
+    g = gram_matrix(n)
+    position = {w: k for k, w in enumerate(g.perms)}
+    row = g.exponents[0].tolist()
+    width = max(row) + 1
+    det = QPoly.one()
+    for shape in partitions(n):
+        reps = _representation(shape)
+        dim = len(reps[g.perms[0]])
+        # coefficient lists of the entries of T_lambda, by power of q
+        block = [[[0] * width for _ in range(dim)] for _ in range(dim)]
+        for w, rho in reps.items():
+            e = row[position[w]]
+            for c, col in enumerate(rho):
+                for r, value in enumerate(col):
+                    block[r][c][e] += value
+        det = det * det_exact([[QPoly(coeffs) for coeffs in entries]
+                               for entries in block]) ** dim
+    return det
 
 
 # -- numeric checks --------------------------------------------------------

@@ -72,6 +72,23 @@ def test_gram_limit_error(capsys, schema):
     validate(rep, schema)
 
 
+def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
+    # --exact honours EXACT_LIMIT: the interpolated determinant of the full
+    # 120 x 120 matrix at n = 5 would run for hours without a word
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quonlib.cli", "--stable-output", "gram",
+         "--n", "5", "--exact"],
+        env=env, capture_output=True, text=True, timeout=60)
+    rep = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        "GramLimitError: exact determinant limited to n <= 4, got n=5")
+    validate(rep, schema)
+
+
 def test_zagier(capsys, schema):
     code, rep = run_cli(capsys, "zagier", "--n", "2")
     assert code == 0

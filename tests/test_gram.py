@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,34 @@ from quonlib.qpoly import QPoly
 
 Q = QPoly.q()
 ONE = QPoly.one()
+
+
+def det_bareiss_poly(rows):
+    """Reference determinant: fraction-free Bareiss elimination over the
+    polynomial ring, in place; each exact_div is guaranteed to succeed."""
+    m = len(rows)
+    if m == 0:
+        return QPoly.one()
+    sign = 1
+    prev = QPoly.one()
+    for k in range(m - 1):
+        if rows[k][k].is_zero():
+            for i in range(k + 1, m):
+                if not rows[i][k].is_zero():
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return QPoly.zero()
+        pk = rows[k][k]
+        for i in range(k + 1, m):
+            rik = rows[i][k]
+            for j in range(k + 1, m):
+                rows[i][j] = (pk * rows[i][j] - rik * rows[k][j]).exact_div(prev)
+            rows[i][k] = QPoly.zero()
+        prev = pk
+    det = rows[m - 1][m - 1]
+    return -det if sign < 0 else det
 
 
 def all_pairs_gram(n):
@@ -128,23 +157,107 @@ def test_zagier_formula_small():
 
 
 def test_det_exact_small_matrices():
+    assert gram.det_exact([]) == ONE
+    assert gram.det_exact([[QPoly.const(2), ONE], [ONE, ONE]]) == ONE
     assert gram.det_exact([[ONE, QPoly.zero()], [QPoly.zero(), ONE]]) == ONE
     assert gram.det_exact(gram.gram_matrix(2).entries) == ONE - Q ** 2
 
 
 def test_det_matches_zagier():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         assert gram.det_gram_exact(n) == gram.zagier_determinant(n)
+    assert gram.det_gram_exact(5, limit=5) == gram.zagier_determinant(5)
+
+
+def dense(columns):
+    """A matrix given as columns of (row, value) pairs, as rows."""
+    out = [[Fraction(0)] * len(columns) for _ in columns]
+    for c, col in enumerate(columns):
+        for r, value in col:
+            out[r][c] += value
+    return out
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_seminormal_generators_satisfy_the_coxeter_relations(n):
+    for shape in gram.partitions(n):
+        gens = gram.seminormal_generators(shape)
+        assert all(len(col) <= 2 for gen in gens for col in gen)
+        s = [dense(cols) for cols in gens]
+        dim = len(gram.standard_tableaux(shape))
+        eye = [[Fraction(int(r == c)) for c in range(dim)] for r in range(dim)]
+        for i in range(n - 1):
+            assert matmul(s[i], s[i]) == eye
+            for j in range(i + 1, n - 1):
+                if j == i + 1:
+                    assert (matmul(matmul(s[i], s[j]), s[i])
+                            == matmul(matmul(s[j], s[i]), s[j]))
+                else:
+                    assert matmul(s[i], s[j]) == matmul(s[j], s[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_irreducible_dimensions_square_sum_to_n_factorial(n):
+    dims = [len(gram.standard_tableaux(shape)) for shape in gram.partitions(n)]
+    assert sum(d * d for d in dims) == math.factorial(n)
+
+
+def block_det_of_exponent_function(monkeypatch, n, phi):
+    """det_gram_exact and the reference determinant of the group matrix
+    q^phi(u_i^-1 u_j), phi given as a list over the lexicographic perms;
+    the matrix comes from gram_matrix's own table, fed phi as its row."""
+    perms = list(itertools.permutations(range(n)))
+    monkeypatch.setattr(gram, "q_inner_product",
+                        lambda u, v: QPoly.monomial(phi[perms.index(v)]))
+    reference = det_bareiss_poly([list(row)
+                                  for row in gram.gram_matrix(n).entries])
+    return gram.det_gram_exact(n), reference
+
+
+# Against Zagier the blocks meet one exponent function, inv, which has
+# symmetries of its own (inv(w) = inv(w^-1), inv is the length); these check
+# the factorisation on functions with none.  No determinant can tell w from
+# w^-1 (the group matrix transposes) or a shape from its conjugate (both
+# blocks enter with the same power), so neither choice is pinned here.
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_block_product_equals_group_determinant_s3(phi):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        block, reference = block_det_of_exponent_function(monkeypatch, 3, phi)
+    assert block == reference
+
+
+def test_block_product_equals_group_determinant_s4(monkeypatch):
+    perms = list(itertools.permutations(range(4)))
+    # exponents 0 and 1 keep the reference elimination near a second; many
+    # such draws have determinant 0, so the check below asks for one that
+    # does not
+    rng = random.Random(0)
+    phi = [rng.randint(0, 1) for _ in perms]
+    # phi is neither inverse-symmetric nor constant on conjugacy classes
+    inverse = [tuple(w.index(k) for k in range(4)) for w in perms]
+    assert any(phi[i] != phi[perms.index(v)] for i, v in enumerate(inverse))
+    transpositions = [phi[i] for i, w in enumerate(perms)
+                      if sum(w[k] != k for k in range(4)) == 2]
+    assert len(set(transpositions)) == 2
+    block, reference = block_det_of_exponent_function(monkeypatch, 4, phi)
+    assert not reference.is_zero()
+    assert block == reference
 
 
 def test_det_exact_rational_rows_past_the_bareiss_size():
-    # m > 8 takes the interpolation path, whose integer points must not
-    # truncate the values of rational entries
+    # the integer points of the interpolation must not truncate the values
+    # of rational entries
     rng = random.Random(9)
     entries = [[QPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
                 for _ in range(9)] for _ in range(9)]
-    reference = gram._det_bareiss_poly([list(row) for row in entries])
+    reference = det_bareiss_poly([list(row) for row in entries])
     assert gram.det_exact(entries) == reference
 
 
@@ -162,7 +275,7 @@ def square_poly_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(square_poly_matrices())
 def test_both_det_exact_paths_agree(entries):
-    reference = gram._det_bareiss_poly([list(row) for row in entries])
+    reference = det_bareiss_poly([list(row) for row in entries])
     assert gram._det_interpolate(entries) == reference
 
 
