@@ -85,14 +85,13 @@ def _cmd_gram(args):
 
 
 def _cmd_zagier(args):
+    # the exact determinant first: past EXACT_LIMIT it fails at once
+    det = gram.det_gram_exact(args.n)
     zag = gram.zagier_determinant(args.n)
     results = {"n": args.n, "det_poly": str(zag),
-               "factors": [(str(b), e) for b, e in gram.zagier_factors(args.n)]}
-    ok = True
-    if args.n <= gram.EXACT_LIMIT:
-        ok = gram.det_gram_exact(args.n) == zag
-        results["match"] = ok
-    return results, ok
+               "factors": [(str(b), e) for b, e in gram.zagier_factors(args.n)],
+               "match": det == zag}
+    return results, results["match"]
 
 
 def _cmd_positivity(args):
@@ -166,7 +165,8 @@ def _cmd_speicher(args):
     return {"mean": est.mean, "stderr": est.stderr, "target": target,
             "sigmas": sigmas, "samples": est.samples, "N": args.N,
             "diagrams": est.diagrams,
-            "crossing_edges": est.crossing_edges}, ok
+            "crossing_edges": est.crossing_edges,
+            "multiply_adds": est.multiply_adds}, ok
 
 
 def _cmd_bounds(args):

@@ -11,13 +11,21 @@ quon value q^crossings per diagram as N grows.
 
 Each diagram's sum is one np.einsum over its crossing graph: one
 sign-matrix operand per interleaving chord pair, in integer sublist form,
-along a path from np.einsum_path.  mc_estimate plans every diagram once
-per call and draws each sample into one reused float64 sign buffer; its
-sums of ±1 products are exact below 2^53 and never wrap.  Exact values
-(expectation_given_signs) run the same contraction on object-dtype
-integers.  A crossing graph with more edges than einsum takes operands,
-or more chords than its 52 axis labels, raises ContractionLimitError
-when it is planned.
+along a path from np.einsum_path.  Samples are evaluated in blocks: the
+sign matrices of B samples form one (B, N, N) float64 stack, every operand
+carries one shared batch label, and each diagram is contracted once per
+block along a path planned once per mc_estimate call.  B is chosen so the
+stack fits _BLOCK_BYTES.  Every sample draws from its own SeedSequence
+child, and float64 sums of ±1 products are exact below 2^53, so the
+estimate does not depend on B.  Exact values (expectation_given_signs) run
+the same contraction on a batch of one object-dtype integer matrix.
+
+A crossing graph with more edges than einsum takes operands, or more than
+51 chords (einsum names axes by 52 letters and the batch takes one),
+raises ContractionLimitError when it is planned.  So does a call whose
+estimated work (_path_work: samples times N^(labels a step loops over),
+summed over the steps of every diagram's path) exceeds _WORK_BUDGET
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -40,8 +48,7 @@ class SignMatrix:
         s = self.signs
         if s.shape != (self.n_components, self.n_components):
             raise ValueError("sign matrix shape mismatch")
-        if not np.array_equal(s, s.T):
-            raise ValueError("sign matrix must be symmetric")
+        _check_symmetric(s)
 
 
 @dataclass(frozen=True)
@@ -52,16 +59,27 @@ class MCEstimate:
     n_components: int
     diagrams: int           # complete contractions of the word
     crossing_edges: int     # interleaving chord pairs over all diagrams
+    multiply_adds: int      # estimated contraction work, see _path_work
 
 
 class ContractionLimitError(ValueError):
-    """A diagram's crossing graph does not fit one np.einsum call."""
+    """A diagram's crossing graph does not fit one np.einsum call, or the
+    contraction work of a call exceeds _WORK_BUDGET."""
 
 
 # numpy's C einsum takes at most NPY_MAXARGS operands (64 since numpy 2.0,
-# 32 before) and names each axis by one of 52 letters
+# 32 before) and names each axis by one of 52 letters; the last label is
+# the batch of samples, which leaves 51 for chords
 _MAX_OPERANDS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 _MAX_LABELS = 52
+_BATCH = _MAX_LABELS - 1
+# bytes of the (B, N, N) float64 sign stack of one block of samples: at
+# N = 100 a block is 13 samples
+_BLOCK_BYTES = 1 << 20
+# estimated multiply-adds of one call (samples times _path_work of every
+# diagram); a step over many operands runs at about 10^8 per second, so
+# this bounds a call to minutes
+_WORK_BUDGET = 10 ** 10
 # partitions per vectorised step of expected_over_signs, which keeps its
 # temporaries small
 _PARTITION_ROWS = 4096
@@ -71,8 +89,9 @@ _PARTITION_ROWS = 4096
 # interleaving chord pair (an edge of the crossing graph) is one sign-matrix
 # operand, edges holding its integer sublist labels; each of the
 # free_chords chords on no edge contributes a factor N.  The path comes
-# from np.einsum_path, once.
-_ContractionPlan = namedtuple("_ContractionPlan", "free_chords edges path")
+# from np.einsum_path, once; work is its estimated multiply-adds per sample.
+_ContractionPlan = namedtuple("_ContractionPlan",
+                              "free_chords edges path work")
 
 
 def _diagram_edges(pairs):
@@ -82,40 +101,87 @@ def _diagram_edges(pairs):
             if chords_cross(pairs[i], pairs[j])]
 
 
-def _plan_contraction(pairs, n_components):
-    """The contraction plan of one diagram with N components per chord.
+def _plan_contraction(pairs, n_components, batch):
+    """The contraction plan of one diagram on stacks of batch sign
+    matrices with N components per chord.
 
     Raises ContractionLimitError when the crossing graph has more edges
-    than numpy's einsum takes operands or more chords than it has labels.
+    than numpy's einsum takes operands or more chords than it has labels
+    besides the batch.
     """
     edges = _diagram_edges(pairs)
     chords = sorted({i for e in edges for i in e})
-    if len(edges) > _MAX_OPERANDS or len(chords) > _MAX_LABELS:
+    if len(edges) > _MAX_OPERANDS or len(chords) > _BATCH:
         raise ContractionLimitError(
             f"crossing graph has {len(edges)} edges over {len(chords)} chords;"
             f" one np.einsum call takes at most {_MAX_OPERANDS} operands and"
-            f" {_MAX_LABELS} labels")
+            f" {_BATCH} chords (one of its {_MAX_LABELS} labels is the batch"
+            f" of samples)")
     label = {c: i for i, c in enumerate(chords)}
     edges = tuple((label[i], label[j]) for i, j in edges)
     path = None
     if edges:
-        like = np.broadcast_to(0.0, (n_components, n_components))
-        path = np.einsum_path(*_operands(edges, like), [],
+        like = np.broadcast_to(0.0, (batch, n_components, n_components))
+        path = np.einsum_path(*_operands(edges, like), [_BATCH],
                               optimize="greedy")[0]
     return _ContractionPlan(free_chords=len(pairs) - len(chords),
-                            edges=edges, path=path)
+                            edges=edges, path=path,
+                            work=_path_work(edges, path, n_components))
+
+
+def _path_work(edges, path, n):
+    """Estimated multiply-adds per sample along an einsum path.
+
+    A step over one operand, or over three or more, loops over every
+    chord label they carry.  A step over two first sums out of each operand the
+    labels that neither the other operand nor a later one carries, then
+    loops over the labels left (numpy's einsum contracts a pair by matmul
+    after such sums).  A step's result keeps the labels later operands
+    still use.
+    """
+    operands = [set(e) for e in edges]
+    work = 0
+    for step in (path or [])[1:]:
+        joined = [operands[k] for k in step]
+        for k in sorted(step, reverse=True):
+            del operands[k]
+        later = set().union(*operands)
+        if len(joined) == 2:
+            a, b = joined
+            work += n ** len(a) + n ** len(b)
+            loop = (a & b) | ((a | b) & later)
+        else:
+            loop = set().union(*joined)
+        work += n ** len(loop)
+        operands.append(set().union(*joined) & later)
+    return work
+
+
+def _plan_word(word, n_components, batch, samples):
+    """Plans of every diagram of word and samples times their work;
+    raises ContractionLimitError when that exceeds _WORK_BUDGET."""
+    plans = [_plan_contraction(pairs, n_components, batch)
+             for pairs, _ in enumerate_contractions(word)]
+    work = samples * sum(p.work for p in plans)
+    if work > _WORK_BUDGET:
+        raise ContractionLimitError(
+            f"estimated {work:.3g} multiply-adds ({samples} samples at"
+            f" N={n_components}) exceed the budget of {_WORK_BUDGET:.0e}")
+    return plans, work
 
 
 def _operands(edges, signs):
-    """einsum arguments in sublist form: signs, [i, j], signs, [k, l], ..."""
+    """einsum arguments in sublist form over a stack of sign matrices:
+    signs, [batch, i, j], signs, [batch, k, l], ..."""
     out = []
-    for e in edges:
-        out += (signs, e)
+    for i, j in edges:
+        out += (signs, [_BATCH, i, j])
     return out
 
 
 def _assignment_sum(plan, signs, n):
-    """Sum over component assignments of the product of cross-chord signs.
+    """Per matrix of the (B, N, N) stack signs, the sum over component
+    assignments of the product of cross-chord signs, as an array of B.
 
     Chords form a product over interleaving edges; the diagonal of the
     sign matrix is 1, which is exactly the same-component Bose factor, so
@@ -125,50 +191,66 @@ def _assignment_sum(plan, signs, n):
     """
     free = n ** plan.free_chords
     if not plan.edges:
-        return free
-    return np.einsum(*_operands(plan.edges, signs), [],
+        return np.full(len(signs), free, dtype=signs.dtype)
+    return np.einsum(*_operands(plan.edges, signs), [_BATCH],
                      optimize=plan.path) * free
 
 
-def _draw_signs(out, upper, q, rng):
-    """Fill the off-diagonal of out with ±1, one draw per unordered pair
-    in the row-major order of the upper-triangle mask, prob(+1) = (1+q)/2."""
+def _check_q(q):
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [-1, 1]")
-    n = len(out)
-    draws = (rng.random(n * (n - 1) // 2) < (1.0 + q) / 2.0) * 2.0 - 1.0
-    out[upper] = draws
-    out.T[upper] = draws
 
 
-def _upper_mask(n):
-    return np.triu(np.ones((n, n), dtype=bool), k=1)
+def _check_symmetric(signs):
+    """signs is one sign matrix or a stack of them."""
+    if not np.array_equal(signs, np.swapaxes(signs, -1, -2)):
+        raise ValueError("sign matrix must be symmetric")
+
+
+def _pair_indices(n):
+    """Flat positions in an N x N matrix of the unordered pairs i < j, in
+    the row-major order of the upper triangle, and of their mirrors."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, j * n + i
+
+
+def _draw_signs(stack, uniforms, rngs, q, positions):
+    """Fill the off-diagonal of stack[k] with ±1 from rngs[k]: one uniform
+    per unordered pair, in the order of positions (see _pair_indices),
+    gives +1 with probability (1+q)/2.  uniforms is a (B, N(N-1)/2)
+    scratch buffer."""
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    np.less(uniforms, (1.0 + q) / 2.0, out=uniforms)
+    uniforms *= 2.0
+    uniforms -= 1.0
+    flat = stack.reshape(len(stack), -1)
+    upper, lower = positions
+    flat[:, upper] = uniforms
+    flat[:, lower] = uniforms
 
 
 def sample_sign_matrix(n_components, q, rng):
     """Independent ±1 per unordered pair, prob(+1) = (1+q)/2."""
+    _check_q(q)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
     n = n_components
-    s = np.ones((n, n), dtype=np.int64)
-    _draw_signs(s, _upper_mask(n), q, rng)
-    return SignMatrix(n_components=n, signs=s)
+    stack = np.ones((1, n, n))
+    _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q,
+                _pair_indices(n))
+    return SignMatrix(n_components=n, signs=stack[0].astype(np.int64))
 
 
 def expectation_given_signs(word, sign_matrix, exact=True):
     """Exact finite-N vacuum expectation of a word for fixed signs."""
-    n_comp = sign_matrix.n_components
-    signs = sign_matrix.signs.astype(object)  # exact big-int arithmetic
-    total = 0
-    n_chords = None
-    for pairs, _ in enumerate_contractions(word):
-        n_chords = len(pairs)
-        total += int(_assignment_sum(_plan_contraction(pairs, n_comp), signs,
-                                     n_comp))
-    if n_chords is None:
-        # no contraction at all: the expectation is zero for any N
-        n_chords = len(word) // 2
-    value = Fraction(total, n_comp ** n_chords) if n_chords else Fraction(total)
+    n = sign_matrix.n_components
+    # a batch of one, in exact big-int arithmetic
+    signs = sign_matrix.signs.astype(object)[None]
+    plans, _ = _plan_word(word, n, 1, 1)
+    total = sum(int(_assignment_sum(plan, signs, n)[0]) for plan in plans)
+    # a word without contractions has expectation zero for any N
+    value = Fraction(total, n ** (len(word) // 2))
     return value if exact else float(value)
 
 
@@ -254,30 +336,37 @@ def mc_estimate(word, q, n_components, samples, seed):
     Per-sample streams are spawned from a single SeedSequence, so the
     estimate is reproducible from (seed, N, samples) and samples are
     independent regardless of evaluation order.  Each diagram is planned
-    once; every sample is drawn into one float64 sign buffer, whose sums of
-    ±1 products are exact below 2^53 and never wrap.
+    once; samples are drawn in blocks of B into one reused (B, N, N)
+    float64 stack, whose sums of ±1 products are exact below 2^53 and
+    never wrap, and each diagram is contracted once per block.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if n_components < 1:
         raise ValueError("need at least one component")
+    _check_q(q)
     n = n_components
-    plans = [_plan_contraction(pairs, n)
-             for pairs, _ in enumerate_contractions(word)]
+    batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))
+    plans, work = _plan_word(word, n, batch, samples)
     n_chords = len(word) // 2
     denom = float(n) ** n_chords if n_chords else 1.0
-    upper = _upper_mask(n)
-    signs = np.ones((n, n))
+    positions = _pair_indices(n)
+    stack = np.ones((batch, n, n))
+    uniforms = np.empty((batch, n * (n - 1) // 2))
     values = np.empty(samples)
     children = np.random.SeedSequence(seed).spawn(samples)
-    for i, child in enumerate(children):
-        _draw_signs(signs, upper, q, np.random.default_rng(child))
-        SignMatrix(n_components=n, signs=signs)  # the symmetry check
-        total = sum(_assignment_sum(plan, signs, n) for plan in plans)
-        values[i] = total / denom
+    for start in range(0, samples, batch):
+        rngs = [np.random.default_rng(c)
+                for c in children[start:start + batch]]
+        block = stack[:len(rngs)]
+        _draw_signs(block, uniforms[:len(rngs)], rngs, q, positions)
+        _check_symmetric(block)
+        total = sum(_assignment_sum(plan, block, n) for plan in plans)
+        values[start:start + len(rngs)] = total / denom
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples,
                       n_components=n,
                       diagrams=len(plans),
-                      crossing_edges=sum(len(p.edges) for p in plans))
+                      crossing_edges=sum(len(p.edges) for p in plans),
+                      multiply_adds=work)

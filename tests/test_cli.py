@@ -93,6 +93,17 @@ def test_zagier(capsys, schema):
     code, rep = run_cli(capsys, "zagier", "--n", "2")
     assert code == 0
     assert rep["results"]["det_poly"] == "1 - q^2"
+    assert rep["results"]["match"] is True
+    validate(rep, schema)
+
+
+def test_zagier_past_the_exact_limit_is_a_typed_error(capsys, schema):
+    # nothing to compare the closed form with, so no pass
+    code, rep = run_cli(capsys, "--stable-output", "zagier", "--n", "5")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        "GramLimitError: exact determinant limited to n <= 4, got n=5")
     validate(rep, schema)
 
 
@@ -133,6 +144,7 @@ def test_speicher(capsys, schema):
     assert rep["results"]["stderr"] > 0
     assert rep["results"]["diagrams"] == 1
     assert rep["results"]["crossing_edges"] == 1
+    assert rep["results"]["multiply_adds"] == 200 * 50 ** 2
     assert rep["parameters"]["seed"] == 7
     validate(rep, schema)
 
@@ -161,6 +173,25 @@ def test_speicher_contraction_limit_error(capsys, schema):
     assert rep["status"] == "error"
     assert rep["results"]["error"].startswith("ContractionLimitError: ")
     assert "91 edges" in rep["results"]["error"]
+    validate(rep, schema)
+
+
+def test_speicher_work_budget_error(schema):
+    # 8 chords, all crossing: 28 edges under the operand limit, but about
+    # N^8 = 10^16 multiply-adds per sample
+    word = " ".join([f"a{i}" for i in range(1, 9)] +
+                    [f"c{i}" for i in range(1, 9)])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quonlib.cli", "speicher", "--word", word,
+         "--q", "0.5"],
+        env=env, capture_output=True, text=True, timeout=60)
+    rep = json.loads(proc.stdout)
+    assert proc.returncode == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith("ContractionLimitError: ")
+    assert "multiply-adds" in rep["results"]["error"]
     validate(rep, schema)
 
 

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,8 +175,8 @@ def test_float_contraction_matches_exact(word, n, q, seed, data):
     diagrams = enumerate_contractions(word)
     assume(diagrams)
     pairs, _ = data.draw(st.sampled_from(diagrams))
-    plan = speicher._plan_contraction(pairs, n)
-    signs = sample_sign_matrix(n, q, seed).signs
+    plan = speicher._plan_contraction(pairs, n, 1)
+    signs = sample_sign_matrix(n, q, seed).signs[None]
     exact = speicher._assignment_sum(plan, signs.astype(object), n)
     assert speicher._assignment_sum(plan, signs.astype(float), n) == exact
 
@@ -224,3 +225,123 @@ def _expected_over_signs_loop(word, q, n):
 def test_expected_over_signs_matches_partition_loop(word, n, q):
     assert expected_over_signs(word, q, n) == \
         _expected_over_signs_loop(word, q, n)
+
+
+def mc_estimate_per_sample(word, q, n, samples, seed):
+    """Reference: one unbatched einsum per diagram per sample, each sample
+    drawn into an N x N matrix from its own SeedSequence child."""
+    diagrams = []
+    for pairs, _ in enumerate_contractions(word):
+        edges = [(i, j) for i in range(len(pairs))
+                 for j in range(i + 1, len(pairs))
+                 if chords_cross(pairs[i], pairs[j])]
+        chords = sorted({i for e in edges for i in e})
+        label = {c: k for k, c in enumerate(chords)}
+        sublists = [[label[i], label[j]] for i, j in edges]
+        path = None
+        if edges:
+            like = np.broadcast_to(0.0, (n, n))
+            path = np.einsum_path(*[x for e in sublists for x in (like, e)],
+                                  [], optimize="greedy")[0]
+        diagrams.append((sublists, path, n ** (len(pairs) - len(chords))))
+    n_chords = len(word) // 2
+    denom = float(n) ** n_chords if n_chords else 1.0
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    signs = np.ones((n, n))
+    values = np.empty(samples)
+    children = np.random.SeedSequence(seed).spawn(samples)
+    for k, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        draws = (rng.random(n * (n - 1) // 2) < (1.0 + q) / 2.0) * 2.0 - 1.0
+        signs[upper] = draws
+        signs.T[upper] = draws
+        speicher.SignMatrix(n_components=n, signs=signs)
+        total = 0
+        for sublists, path, free in diagrams:
+            if not sublists:
+                total += free
+                continue
+            args = [x for e in sublists for x in (signs, e)]
+            total += np.einsum(*args, [], optimize=path) * free
+        values[k] = total / denom
+    return (float(values.mean()),
+            float(values.std(ddof=1) / np.sqrt(samples)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chord_words(max_pairs=5), st.integers(1, 12), st.floats(-1, 1),
+       st.integers(1, 6), st.integers(2, 16), st.integers(0, 2 ** 32 - 1))
+def test_batched_estimate_equals_per_sample_loop(word, n, q, block, samples,
+                                                 seed):
+    # blocks of 1..6 samples: counts below, equal to and not a multiple of
+    # the block size, down to 2
+    with mock.patch.object(speicher, "_BLOCK_BYTES", block * 8 * n * n):
+        est = mc_estimate(word, q, n, samples, seed)
+    assert (est.mean, est.stderr) == \
+        mc_estimate_per_sample(word, q, n, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [2, 12, 13, 14, 40])
+def test_batched_estimate_at_the_block_budget(samples):
+    # N = 100: blocks of 13 samples
+    word = chain_word(4)
+    for q in (0.5, -1.0):
+        est = mc_estimate(word, q, 100, samples, seed=7)
+        assert (est.mean, est.stderr) == \
+            mc_estimate_per_sample(word, q, 100, samples, 7)
+
+
+def test_asymmetric_sign_stack_raises(monkeypatch):
+    draw = speicher._draw_signs
+
+    def lopsided(stack, *args):
+        draw(stack, *args)
+        stack[-1, 0, 1] = -stack[-1, 1, 0]
+
+    monkeypatch.setattr(speicher, "_draw_signs", lopsided)
+    with pytest.raises(ValueError, match="symmetric"):
+        mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, 4, 5, seed=0)
+
+
+def test_chord_label_limit():
+    # the batch of samples takes one of einsum's 52 labels
+    with pytest.raises(speicher.ContractionLimitError, match="51 chords"):
+        mc_estimate(chain_word(52), 0.5, 3, 2, seed=0)
+    est = mc_estimate(chain_word(51), -1.0, 3, 2, seed=0)
+    assert est.mean == pytest.approx((-1 / 3) ** 50, rel=1e-12)
+
+
+def test_work_budget():
+    # 8 chords, all crossing: one step over 8 labels, N^8 per sample
+    word = parse_word(" ".join([f"a{i}" for i in range(1, 9)]
+                               + [f"c{i}" for i in range(1, 9)]))
+    with pytest.raises(speicher.ContractionLimitError, match="multiply-adds"):
+        mc_estimate(word, 0.5, 100, 2, seed=0)
+    with pytest.raises(speicher.ContractionLimitError, match="multiply-adds"):
+        expectation_given_signs(word, sample_sign_matrix(100, 0.5, 0))
+    # three operands at once: a loop over all their labels
+    triangle = ((0, 1), (0, 2), (1, 2))
+    assert speicher._path_work(triangle, ["einsum_path", (0, 1, 2)], 10) \
+        == 10 ** 3
+    # two at a time: joining (0, 1) and (1, 2) sums label 0 out first and
+    # loops over 1 and 2 (label 2 is still needed by edge (2, 3)); the
+    # last step sums label 3 out and loops over label 2
+    path = ["einsum_path", (0, 1), (0, 1)]
+    assert speicher._path_work(((0, 1), (1, 2), (2, 3)), path, 10) == \
+        (2 * 10 ** 2 + 10 ** 2) + (10 ** 2 + 10 + 10)
+    est = mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, 10, 4, seed=0)
+    assert est.multiply_adds == 4 * 10 ** 2
+    # a chain at N = 200 and 2000 samples takes about a second
+    _, work = speicher._plan_word(chain_word(3), 200, 3, 2000)
+    assert work == 2000 * (200 + 2 * 200 ** 2)
+
+
+def test_q_is_checked_once_per_call(monkeypatch):
+    checks = []
+    check = speicher._check_q
+    monkeypatch.setattr(speicher, "_check_q",
+                        lambda q: checks.append(q) or check(q))
+    mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, 4, 30, seed=0)
+    assert checks == [0.5]
+    with pytest.raises(ValueError, match=r"q=1.5 outside \[-1, 1\]"):
+        mc_estimate(parse_word("a1 c1"), 1.5, 4, 2, seed=0)
