@@ -161,9 +161,11 @@ def _cmd_speicher(args):
     est = speicher.mc_estimate(word, args.q, args.N, args.samples, args.seed)
     target = wick_expectation(word)(args.q)
     sigmas = abs(est.mean - target) / est.stderr if est.stderr else 0.0
-    ok = abs(est.mean - target) <= max(3 * est.stderr, 2.0 / args.N)
+    tol = speicher.tolerance(est, len(word) // 2)
+    ok = abs(est.mean - target) <= tol
     return {"mean": est.mean, "stderr": est.stderr, "target": target,
-            "sigmas": sigmas, "samples": est.samples, "N": args.N,
+            "sigmas": sigmas, "tolerance": tol, "samples": est.samples,
+            "N": args.N,
             "diagrams": est.diagrams,
             "crossing_edges": est.crossing_edges,
             "multiply_adds": est.multiply_adds}, ok

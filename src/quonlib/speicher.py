@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -328,6 +329,30 @@ def _odd_sign_pairs(parts, edges):
         run_odd = new_run | ~run_odd
     odd += run_odd & (keys[:, -1] >= 0)
     return odd
+
+
+def bias_bound(diagrams, chords, n_components):
+    """Bound on how far the finite-N expectation over sign draws lies from
+    the quon value, the sum over diagrams of q^crossings.
+
+    Per diagram, the assignments giving every chord its own component, a
+    fraction N(N-1)...(N-m+1)/N^m of all for m chords, average exactly
+    q^crossings (their crossing pairs carry distinct, independent signs);
+    every other assignment contributes a product of signs, at most 1 in
+    size.  So each diagram is off by at most 2(1 - N(N-1)...(N-m+1)/N^m),
+    returned as an exact Fraction: 2/N for one diagram of two chords.
+    """
+    n = n_components
+    distinct = prod(range(n - chords + 1, n + 1))   # 0 when chords > n
+    return 2 * diagrams * (1 - Fraction(distinct, n ** chords))
+
+
+def tolerance(est, chords):
+    """Accepted distance of an estimate of a word with the given number of
+    chords from the quon value: three standard errors or the finite-N
+    bias bound, whichever is larger."""
+    return max(3 * est.stderr,
+               float(bias_bound(est.diagrams, chords, est.n_components)))
 
 
 def mc_estimate(word, q, n_components, samples, seed):

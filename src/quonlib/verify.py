@@ -192,7 +192,7 @@ def speicher_convergence(word="a1 a2 c1 c2", q=0.5, n_components=100,
     w = parse_word(word)
     est = speicher.mc_estimate(w, q, n_components, samples, seed)
     target = wick_expectation(w)(q)
-    tol = max(3 * est.stderr, 2.0 / n_components)
+    tol = speicher.tolerance(est, len(w) // 2)
     main_ok = abs(est.mean - target) <= tol
 
     # corners: all-plus signs give the bosonic VEV exactly at any N

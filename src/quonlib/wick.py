@@ -4,11 +4,22 @@ Each complete contraction pairs every annihilator with a creator of the
 same mode standing to its right; drawing the chords above the axis, the
 term contributes q^(number of interleaving chord pairs).  This is an
 independent combinatorial oracle for qfock.vacuum_expectation.
+
+Chords are placed left to right over the annihilators.  A new chord (a, c)
+then crosses exactly the placed chords whose creator lies strictly between
+a and c, so its new crossings depend only on the set of creators already
+used.  wick_expectation sums the crossing histogram over those sets,
+merging every partial matching with the same used set (the transfer behind
+the Touchard-Riordan statistic), and lists no matching.
+enumerate_contractions lists the diagrams one by one, with the same
+crossing rule, for the Speicher ansatz's per-diagram contractions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
+from collections import defaultdict
+from math import prod
 
 from .qfock import ANNIHILATOR, CREATOR
 from .qpoly import QPoly
@@ -18,10 +29,32 @@ class NonVEVWordError(ValueError):
     """Raised for words that cannot be a vacuum expectation (count mismatch)."""
 
 
-def _positions(word):
+def _chord_table(word):
+    """Annihilator positions, left to right, and for each its candidate
+    chords: (creator bit, creator position, mask of the creators strictly
+    between the two ends), in ascending creator position.
+
+    Creator j (the j-th creator from the left) is bit 1 << j.  A chord
+    placed after the chords of every annihilator to its left crosses
+    exactly those whose creator lies under its between-mask.
+    """
+    word = tuple(word)
     ann = [i for i, (kind, _) in enumerate(word) if kind == ANNIHILATOR]
     cre = [i for i, (kind, _) in enumerate(word) if kind == CREATOR]
-    return ann, cre
+    if len(ann) != len(cre):
+        raise NonVEVWordError(
+            f"word has {len(ann)} annihilators but {len(cre)} creators")
+    table = []
+    for apos in ann:
+        # creators are in ascending position: those right of apos start at
+        # index first, and those strictly between apos and creator j are
+        # first .. j-1; a contraction <0| a a† |0> needs the annihilator on
+        # the left
+        first = bisect_right(cre, apos)
+        table.append([(1 << j, cpos, (1 << j) - (1 << first))
+                      for j, cpos in enumerate(cre[first:], first)
+                      if word[cpos][1] == word[apos][1]])
+    return ann, table
 
 
 def chords_cross(p, q):
@@ -46,43 +79,57 @@ def enumerate_contractions(word):
     (annihilator position, creator position) index pairs sorted by
     annihilator position.  Deterministic lexicographic order: annihilators
     are matched left to right, each to its candidate creators in ascending
-    position.  Crossings are counted as the chords are placed: a new chord
-    (a, c) interleaves an already chosen chord, whose annihilator lies left
-    of a, exactly when that chord's creator lies strictly between a and c.
+    position.  Crossings are counted as the chords are placed, by the rule
+    of _chord_table.
     """
-    word = tuple(word)
-    ann, cre = _positions(word)
-    if len(ann) != len(cre):
-        raise NonVEVWordError(
-            f"word has {len(ann)} annihilators but {len(cre)} creators")
-    # a contraction <0| a a† |0> needs the annihilator on the left
-    candidates = [[(j, cpos) for j, cpos in enumerate(cre)
-                   if cpos > apos and word[cpos][1] == word[apos][1]]
-                  for apos in ann]
+    ann, table = _chord_table(word)
     diagrams = []
-    used = [False] * len(cre)
     chosen = []
 
-    def extend(i, crossings):
+    def extend(i, used, crossings):
         if i == len(ann):
             diagrams.append((tuple(chosen), crossings))
             return
-        apos = ann[i]
-        for j, cpos in candidates[i]:
-            if used[j]:
+        for bit, cpos, between in table[i]:
+            if used & bit:
                 continue
-            used[j] = True
-            new = sum(apos < c < cpos for _, c in chosen)
-            chosen.append((apos, cpos))
-            extend(i + 1, crossings + new)
+            chosen.append((ann[i], cpos))
+            extend(i + 1, used | bit, crossings + (used & between).bit_count())
             chosen.pop()
-            used[j] = False
 
-    extend(0, 0)
+    extend(0, 0, 0)
     return diagrams
 
 
 def wick_expectation(word):
-    """Sum over complete contractions of q^crossings."""
-    hist = Counter(crossings for _, crossings in enumerate_contractions(word))
-    return QPoly([hist[k] for k in range(max(hist, default=-1) + 1)])
+    """Sum over complete contractions of q^crossings.
+
+    One pass over the annihilators, left to right, keeps for each set of
+    used creators the crossing histogram of the partial matchings that used
+    exactly those.  A histogram is packed into one integer, the number of
+    matchings with k crossings in bits [k * width, (k + 1) * width): adding
+    a chord with c new crossings shifts it by c * width bits, and merging
+    two adds them.  width holds the product of the candidate counts, which
+    bounds the number of partial matchings at every step, so no count
+    carries into its neighbour.
+    """
+    _, table = _chord_table(word)
+    width = prod(len(options) for options in table).bit_length()
+    layer = {0: 1}
+    for options in table:
+        nxt = defaultdict(int)
+        for used, packed in layer.items():
+            for bit, _, between in options:
+                if not used & bit:
+                    nxt[used | bit] += packed << (
+                        width * (used & between).bit_count())
+        layer = nxt
+    # after the last annihilator every creator is used: one state, or none
+    # when the word has no complete contraction
+    packed = sum(layer.values())
+    mask = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= width
+    return QPoly(coeffs)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from quonlib import cli, verify
+from quonlib import cli, speicher, verify
 
 # two criteria that take milliseconds, standing in for the full suite
 CHEAP_CRITERIA = [verify.bound_propagation, verify.composite_rule]
@@ -146,6 +147,35 @@ def test_speicher(capsys, schema):
     assert rep["results"]["crossing_edges"] == 1
     assert rep["results"]["multiply_adds"] == 200 * 50 ** 2
     assert rep["parameters"]["seed"] == 7
+    validate(rep, schema)
+
+
+def test_speicher_three_chords_within_the_bias_bound(capsys, schema):
+    # the finite-N mean (about 0.1515) is 42 standard errors from
+    # q^3 = 0.125 but within the bias bound 2(1 - 100*99*98/100^3)
+    code, rep = run_cli(capsys, "speicher", "--word", "a1 a2 a3 c1 c2 c3",
+                        "--q", "0.5", "--samples", "200")
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["results"]["sigmas"] > 40
+    assert rep["results"]["tolerance"] == pytest.approx(0.0596)
+    validate(rep, schema)
+
+
+def test_speicher_fails_an_estimate_past_the_tolerance(capsys, monkeypatch,
+                                                       schema):
+    real = speicher.mc_estimate
+
+    def moved(*args):
+        est = real(*args)
+        return dataclasses.replace(est, mean=0.125 + 0.0597)
+
+    monkeypatch.setattr(speicher, "mc_estimate", moved)
+    code, rep = run_cli(capsys, "speicher", "--word", "a1 a2 a3 c1 c2 c3",
+                        "--q", "0.5", "--samples", "200")
+    assert code == 1
+    assert rep["status"] == "fail"
+    assert rep["results"]["tolerance"] < 0.0597
     validate(rep, schema)
 
 

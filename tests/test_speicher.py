@@ -96,6 +96,27 @@ def test_expected_over_signs_converges_to_quon():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+@pytest.mark.parametrize("text", ["a1 a2 c1 c2", "a1 a2 a3 c1 c2 c3",
+                                  "a1 a1 c1 c1", "a1 a2 a1 c2 c1 c1",
+                                  "a1 a2 c1 a3 c2 c3"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("q", [Fraction(-1), Fraction(-1, 3), Fraction(1, 2)])
+def test_bias_bound_holds_for_the_exact_average(text, n, q):
+    word = parse_word(text)
+    gap = abs(expected_over_signs(word, q, n) - wick_expectation(word)(q))
+    bound = speicher.bias_bound(len(enumerate_contractions(word)),
+                                len(word) // 2, n)
+    assert gap <= bound
+
+
+def test_bias_bound_values():
+    # one diagram of two chords: exactly 2/N, the old tolerance term
+    assert speicher.bias_bound(1, 2, 100) == Fraction(2, 100)
+    assert speicher.bias_bound(1, 3, 100) == Fraction(596, 10000)
+    assert speicher.bias_bound(3, 1, 5) == 0
+    assert speicher.bias_bound(2, 4, 3) == 4        # no assignment is distinct
+
+
 def test_mc_estimate_reproducible():
     word = parse_word("a1 a2 c1 c2")
     a = mc_estimate(word, 0.5, 50, 40, seed=11)

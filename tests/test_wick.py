@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,13 @@ def test_repeated_mode_enumeration():
 def test_rejects_unbalanced_words():
     with pytest.raises(NonVEVWordError):
         enumerate_contractions(parse_word("a1 a1 c1"))
+    with pytest.raises(NonVEVWordError):
+        wick_expectation(parse_word("a1 a1 c1"))
+
+
+def test_empty_word_has_one_empty_diagram():
+    assert enumerate_contractions(()) == [((), 0)]
+    assert wick_expectation(()) == QPoly.one()
 
 
 def test_no_matching_when_multisets_differ():
@@ -86,8 +94,8 @@ def test_relabeling_invariance():
 
 
 @st.composite
-def vev_words(draw):
-    npairs = draw(st.integers(1, 6))
+def vev_words(draw, min_pairs=1, max_pairs=6):
+    npairs = draw(st.integers(min_pairs, max_pairs))
     modes = draw(st.lists(st.integers(0, 3), min_size=npairs, max_size=npairs))
     syms = [("a", m) for m in modes] + [("c", m) for m in modes]
     return tuple(draw(st.permutations(syms)))
@@ -103,3 +111,32 @@ def test_wick_matches_rewriting(word):
 
 def test_crossing_number_helper():
     assert crossing_number([(0, 4), (1, 3), (2, 5)]) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(vev_words(0, 7))
+def test_histogram_equals_listed_diagrams(word):
+    # the used-creator pass against the listing of every diagram
+    diagrams = enumerate_contractions(word)
+    listed = Counter(crossings for _, crossings in diagrams)
+    value = wick_expectation(word)
+    assert {k: c for k, c in enumerate(value.coeffs) if c} == dict(listed)
+    assert value(1) == len(diagrams)
+
+
+def _q_factorial(n):
+    out = QPoly.one()
+    for k in range(1, n + 1):
+        out = out * QPoly([1] * k)
+    return out
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_single_mode_moment_is_q_factorial(n):
+    # <0| a^n a†^n |0> = [1]_q [2]_q ... [n]_q; at n = 12 that is 479001600
+    # matchings, which the used-creator pass never lists
+    word = (("a", 1),) * n + (("c", 1),) * n
+    value = wick_expectation(word)
+    assert value == _q_factorial(n)
+    if n <= 10:
+        assert value == vacuum_expectation(word)
