@@ -2,9 +2,9 @@
 
 Covers the v <-> q affine maps, the exchange-symmetry decomposition of a
 two-particle density matrix, conservation of statistics (q_b = q_f^2)
-with its numerical residual check on the q-Fock representation, the
-composite rule q_composite = q_constituent^(n^2), and the compositeness
-apparent-violation overlap.
+checked through exact residual polynomials on the q-Fock
+representation, the composite rule q_composite = q_constituent^(n^2), and
+the compositeness apparent-violation overlap.
 
 Everything that can be exact rational is: a fermionic bound
 v_F <= 1.7e-26 propagates to q_e = -1 + 3.4e-26 and (to leading order)
@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
+from .qpoly import QPoly
 
 FERMIONIC = "fermionic"
 BOSONIC = "bosonic"
@@ -172,11 +173,20 @@ def decompose_density_matrix(rho, flavor, psd_tol=1e-10, trace_tol=1e-12):
     return v, parts["normal"], parts["anomalous"], coherence
 
 
-# -- conservation-of-statistics residual check -----------------------------
+# -- conservation-of-statistics residual ------------------------------------
 
 
 def _conservation_test_states(momenta, max_particles):
+    if len(momenta) != 4:
+        raise ValueError(f"momenta must be four values (k, l, p, r), "
+                         f"got {len(momenta)}")
+    if max_particles < 1:
+        raise ValueError(f"max_particles must be >= 1, got {max_particles}")
     k, l, p, r = momenta
+    if k + p == l + r or r == p:
+        raise ValueError(
+            "momenta must satisfy k+p != l+r and r != p (the dropped "
+            "delta terms would otherwise contribute)")
     modes = sorted({p, k + p, l + r, r})
     states = []
     for n in range(1, max_particles + 1):
@@ -184,47 +194,60 @@ def _conservation_test_states(momenta, max_particles):
     return states
 
 
+def _matrix_elements(momenta, max_particles, q):
+    """(A, B) = (<phi, b1 b2 psi>, <phi, b2 b1 psi>) for every pair of test
+    states, with b1 = b†(p) b(k+p) and b2 = b†(l+r) b(r).
+
+    The values lie in the scalar ring of q: QPoly for QPoly.q(), exact
+    numbers for a Fraction.  Returns [(psi, [(A, B) for each phi])] in the
+    order of the test states.
+    """
+    states = _conservation_test_states(momenta, max_particles)
+    k, l, p, r = momenta
+    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
+    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
+    one = q ** 0
+    memo = {}
+
+    def element(phi, image):
+        total = 0 * one
+        for word, c in image.items():
+            key = (phi, word)
+            inner = memo.get(key)
+            if inner is None:
+                inner = memo[key] = q_inner_product(phi, word, q)
+            if inner:
+                total = total + c * inner
+        return total
+
+    out = []
+    for psi in states:
+        ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
+        ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
+        out.append((psi, [(element(phi, ab), element(phi, ba))
+                          for phi in states]))
+    return out
+
+
 def conservation_residual(q_e, momenta, q_b=None, max_particles=3):
     """Residual of the bilinear-replacement commutation check.
 
     R = [b†(p) b(k+p)][b†(l+r) b(r)] - q_b [b†(l+r) b(r)][b†(p) b(k+p)]
     applied to every test state, with q_b defaulting to q_e^2.  The
-    residual per state is the largest matrix element <phi, R psi> in the
-    q_e-deformed inner product, over all test states phi.  The deformed
-    inner product degenerates at q_e = -1, which is exactly right: the
-    operator-level mismatch of R psi there is a null vector, invisible to
-    every matrix element, so the residual is exactly zero.  Exact
-    rational throughout.
+    residual per state is the largest matrix element |<phi, R psi>| =
+    |A - q_b B| in the q_e-deformed inner product, over all test states
+    phi.  The deformed inner product degenerates at q_e = -1, which is
+    exactly right: the operator-level mismatch of R psi there is a null
+    vector, invisible to every matrix element, so the residual is exactly
+    zero.  Exact rational throughout.
 
     Returns a list of (state, residual Fraction).
     """
-    k, l, p, r = momenta
-    if k + p == l + r or r == p:
-        raise ValueError(
-            "momenta must satisfy k+p != l+r and r != p (the dropped "
-            "delta terms would otherwise contribute)")
     q_e = _as_fraction(q_e)
     q_b = q_e * q_e if q_b is None else _as_fraction(q_b)
-    states = _conservation_test_states(momenta, max_particles)
-    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
-    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
-    commutator = ((b1 + b2, 1), (b2 + b1, -q_b))
-    memo = {}
-    per_state = []
-    for w in states:
-        resid = apply_terms(commutator, {w: Fraction(1)}, q_e)
-        worst = Fraction(0)
-        for phi in states:
-            me = Fraction(0)
-            for word, c in resid.items():
-                key = (phi, word)
-                inner = memo.get(key)
-                if inner is None:
-                    inner = memo[key] = q_inner_product(phi, word, q_e)
-                me += c * inner
-            worst = max(worst, abs(me))
-        per_state.append((w, worst))
-    return per_state
+    return [(psi, max((abs(a - q_b * b) for a, b in pairs if a or b),
+                      default=Fraction(0)))
+            for psi, pairs in _matrix_elements(momenta, max_particles, q_e)]
 
 
 def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
@@ -245,24 +268,71 @@ def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
     }
 
 
-def conservation_sweep(deltas=(Fraction(1, 10), Fraction(1, 100),
-                               Fraction(1, 1000)), momenta=(1, 2, 5, 9)):
-    """Residual scaling against (1 - q_e^2) over a sweep of q_e = -1 + delta.
+_Q = QPoly.q()
 
-    Returns the fitted log-log slope, the fitted proportionality constant
-    C = max residual / (1 - q_e^2), and the raw points.  The constant and
-    the test-state family are artifact choices, reported, not asserted.
+# q_b(q_e) choices the check must reject: both are off 1 at q_e = -1
+CONSERVATION_CONTROLS = (("q_e", _Q), ("999/1000", Fraction(999, 1000)))
+
+
+def _root_multiplicity(poly, root):
+    """Multiplicity of `root` as a root of the nonzero QPoly `poly`."""
+    factor = QPoly([-root, 1])
+    m = 0
+    while poly(root) == 0:
+        poly = poly.exact_div(factor)
+        m += 1
+    return m
+
+
+def _derivative_at(poly, x):
+    return sum(i * c * x ** (i - 1) for i, c in enumerate(poly.coeffs) if i)
+
+
+def _fermi_limit_facts(elements, q_b):
+    """Exact facts at q_e = -1 about R = A - q_b(q_e) B over the (A, B)
+    QPoly elements, q_b a QPoly in q_e or a constant.
+
+    `passed` asks that every R vanish at q_e = -1, the least multiplicity
+    of that root being 1, and that the family see an offset of q_b from 1
+    at all: where A(-1) = B(-1), a constant q_b leaves exactly
+    |1 - q_b| * offset_residual at q_e = -1.
     """
-    points = []
-    for delta in deltas:
-        q_e = Fraction(-1) + Fraction(delta)
-        rep = conservation_residual_check(q_e, momenta)
-        small = 1.0 - float(q_e) ** 2
-        points.append({"q_e": float(q_e), "one_minus_q_sq": small,
-                       "max_residual": rep["max_residual"]})
-    xs = np.log([pt["one_minus_q_sq"] for pt in points])
-    ys = np.log([pt["max_residual"] for pt in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    c_fit = max(pt["max_residual"] / pt["one_minus_q_sq"] for pt in points)
-    return {"slope": float(slope), "intercept": float(intercept),
-            "C": float(c_fit), "points": points}
+    nonzero = [r for r in (a - q_b * b for a, b in elements) if r]
+    zero = all(r(-1) == 0 for r in nonzero)
+    multiplicity = min((_root_multiplicity(r, -1) for r in nonzero),
+                       default=None)
+    slopes = sorted({Fraction(_derivative_at(a - b, -1), b(-1))
+                     for a, b in elements if b(-1)})
+    offset = Fraction(max((abs(b(-1)) for _, b in elements), default=0))
+    return {"zero_at_fermi_limit": zero,
+            "root_multiplicity": multiplicity,
+            "first_order_slopes": slopes,
+            "offset_residual": offset,
+            "passed": zero and multiplicity == 1 and offset > 0}
+
+
+def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
+    """Conservation of statistics near the Fermi limit, from one exact pass.
+
+    Every matrix element <phi, R psi> is A(q_e) - q_b B(q_e) for exact
+    polynomials A, B, computed once at q = QPoly.q() over the same test
+    states as conservation_residual.  With q_b = q_e^2 this reports
+    whether every R vanishes at q_e = -1, the least multiplicity of that
+    root, the set of first-order slopes (A' - B')/B at -1 over elements
+    with B(-1) != 0, and offset_residual = max |B(-1)|.  `passed` also
+    asks that every q_b in CONSERVATION_CONTROLS fail the same gate.
+
+    The gate holds for any q_b with q_b(-1) = 1 and a simple root there
+    (1, -q_e and q_e^4 as well as q_e^2): it establishes q_b -> 1 to first
+    order, not q_b = q_e^2 itself.
+    """
+    per_state = _matrix_elements(momenta, max_particles, _Q)
+    elements = [(a, b) for _, pairs in per_state for a, b in pairs if a or b]
+    facts = _fermi_limit_facts(elements, _Q * _Q)
+    facts["controls_rejected"] = {
+        name: not _fermi_limit_facts(elements, q_b)["passed"]
+        for name, q_b in CONSERVATION_CONTROLS}
+    facts["passed"] = facts["passed"] and all(
+        facts["controls_rejected"].values())
+    facts["n_states"] = len(per_state)
+    return facts

@@ -205,10 +205,8 @@ def _cmd_bounds(args):
     momenta = tuple(int(x) for x in args.momenta.split(","))
     rep = bounds.conservation_residual_check(
         Fraction(args.qe), momenta, max_particles=args.cap)
-    sweep = bounds.conservation_sweep(momenta=momenta)
-    rep["sweep"] = sweep
-    ok = abs(sweep["slope"] - 1.0) <= 0.2
-    return rep, ok
+    rep["sweep"] = bounds.conservation_sweep(momenta, args.cap)
+    return rep, rep["sweep"]["passed"]
 
 
 def _cmd_verify_all(args):

@@ -163,12 +163,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else 0
-
-    def coefficient(self, power):
-        return self.coeffs[power] if power < len(self.coeffs) else 0
-
     def to_json(self):
         """JSON form: array of coefficient strings, constant term first."""
         return [str(c) for c in self.coeffs]

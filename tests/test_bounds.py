@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quonlib.bounds import (BOSONIC, FERMIONIC, composite_q,
-                            compositeness_overlap, conservation_residual_check,
-                            conservation_sweep, decompose_density_matrix,
-                            propagate_statistics, q_from_v, relative_q,
-                            v_from_q)
+from quonlib.bounds import (BOSONIC, FERMIONIC, _fermi_limit_facts,
+                            _matrix_elements, composite_q,
+                            compositeness_overlap, conservation_residual,
+                            conservation_residual_check, conservation_sweep,
+                            decompose_density_matrix, propagate_statistics,
+                            q_from_v, relative_q, v_from_q)
+from quonlib.qpoly import QPoly
 
 
 def test_v_q_conversions_exact():
@@ -145,10 +148,69 @@ def test_conservation_exactly_linear_in_qb_offset():
 
 
 def test_conservation_sweep_slope():
-    rep = conservation_sweep(deltas=(Fraction(1, 10), Fraction(1, 40)))
-    assert abs(rep["slope"] - 1.0) < 0.2
-    assert rep["C"] > 0
-    assert len(rep["points"]) == 2
+    rep = conservation_sweep()
+    assert rep["zero_at_fermi_limit"]
+    assert rep["root_multiplicity"] == 1
+    assert rep["first_order_slopes"] == [-2, 0, 2]
+    assert rep["offset_residual"] == 1
+    assert rep["controls_rejected"] == {"q_e": True, "999/1000": True}
+    assert rep["passed"]
+    assert rep["n_states"] == 84
+    # one-particle states see no matrix element at all: no verdict
+    rep = conservation_sweep(max_particles=1)
+    assert rep["root_multiplicity"] is None and not rep["passed"]
+
+
+def _residual_from_polynomials(per_state, q_e):
+    return [(psi, max(abs(a(q_e) - q_e * q_e * b(q_e)) for a, b in pairs))
+            for psi, pairs in per_state]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=-1, max_value=1, max_denominator=1000))
+def test_polynomial_elements_give_the_fraction_residual(q_e):
+    per_state = _matrix_elements((1, 2, 5, 9), 2, QPoly.q())
+    assert _residual_from_polynomials(per_state, q_e) == \
+        conservation_residual(q_e, (1, 2, 5, 9), max_particles=2)
+
+
+def test_polynomial_elements_give_the_fraction_residual_at_three_particles():
+    per_state = _matrix_elements((1, 2, 5, 9), 3, QPoly.q())
+    for q_e in (Fraction(-1, 2), Fraction(-999, 1000), Fraction(-1)):
+        assert _residual_from_polynomials(per_state, q_e) == \
+            conservation_residual(q_e, (1, 2, 5, 9))
+
+
+def test_conservation_gate_accepts_qb_one_at_fermi_limit_only():
+    q = QPoly.q()
+    elements = [(a, b) for _, pairs in _matrix_elements((1, 2, 5, 9), 3, q)
+                for a, b in pairs if a or b]
+    # every q_b with q_b(-1) = 1 passes alike: q_e^2 is not singled out
+    for q_b in (q * q, 1, -q, q ** 4):
+        facts = _fermi_limit_facts(elements, q_b)
+        assert facts["zero_at_fermi_limit"]
+        assert facts["root_multiplicity"] == 1
+        assert facts["passed"]
+    for q_b in (q, Fraction(999, 1000)):
+        facts = _fermi_limit_facts(elements, q_b)
+        assert not facts["zero_at_fermi_limit"]
+        assert not facts["passed"]
+
+
+def test_conservation_offset_residual_at_fermi_limit():
+    # A(-1) = B(-1), so a constant q_b leaves |1 - q_b| * max |B(-1)|
+    offset = conservation_sweep(max_particles=2)["offset_residual"]
+    for d in (Fraction(1, 1000), Fraction(-3, 7)):
+        rep = conservation_residual_check(Fraction(-1), q_b=1 - d,
+                                          max_particles=2)
+        assert rep["max_residual_exact"] == abs(d) * offset
+
+
+def test_conservation_input_validation():
+    with pytest.raises(ValueError, match="max_particles"):
+        conservation_residual_check(Fraction(-1), max_particles=0)
+    with pytest.raises(ValueError, match="momenta"):
+        conservation_residual_check(Fraction(-1), momenta=(1, 2))
 
 
 def test_inner_numeric_matches_polynomial_oracle():

@@ -302,6 +302,24 @@ def test_bounds_conservation(capsys, schema):
                         "--cap", "2")
     assert code == 0
     assert rep["results"]["all_zero"] is True
+    # the exact sweep covers the states the residual covers
+    assert rep["results"]["sweep"]["n_states"] == rep["results"]["n_states"]
+    assert rep["results"]["sweep"]["passed"] is True
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--cap", "0", "ValueError: max_particles must be >= 1, got 0"),
+    ("--momenta", "1,2",
+     "ValueError: momenta must be four values (k, l, p, r), got 2"),
+])
+def test_bounds_conservation_bad_input_is_a_typed_error(capsys, schema, flag,
+                                                        value, message):
+    code, rep = run_cli(capsys, "bounds", "conservation", "--qe=-1/2",
+                        flag, value)
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == message
     validate(rep, schema)
 
 
