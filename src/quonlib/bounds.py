@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
 from .qpoly import QPoly
@@ -108,6 +107,8 @@ def composite_q(q_constituent, n):
     if n < 1:
         raise ValueError("constituent count must be >= 1")
     q = _as_fraction(q_constituent)
+    if not -1 <= q <= 1:
+        raise ValueError(f"q={q} outside [-1, 1]")
     return q ** (n * n)
 
 
@@ -127,7 +128,13 @@ def compositeness_overlap(lambda_a, lambda_b):
 # -- two-particle density matrix decomposition -----------------------------
 
 
+# numpy is imported here only: no other path of this module needs it, and
+# the quon bounds commands start without it
+
+
 def _swap_matrix(d):
+    import numpy as np
+
     s = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
@@ -142,6 +149,8 @@ def decompose_density_matrix(rho, flavor, psd_tol=1e-10, trace_tol=1e-12):
     fermionic flavor, antisymmetric for bosonic).  Off-block coherences
     are reported separately rather than folded into v.
     """
+    import numpy as np
+
     rho = np.asarray(rho, dtype=complex)
     dsq = rho.shape[0]
     d = int(round(math.sqrt(dsq)))
@@ -176,6 +185,11 @@ def decompose_density_matrix(rho, flavor, psd_tol=1e-10, trace_tol=1e-12):
 # -- conservation-of-statistics residual ------------------------------------
 
 
+# most test states a conservation check takes: 4 + 4^2 + ... + 4^5, five
+# particles on four modes (the element list grows with its square)
+STATE_LIMIT = 1364
+
+
 def _conservation_test_states(momenta, max_particles):
     if len(momenta) != 4:
         raise ValueError(f"momenta must be four values (k, l, p, r), "
@@ -188,6 +202,13 @@ def _conservation_test_states(momenta, max_particles):
             "momenta must satisfy k+p != l+r and r != p (the dropped "
             "delta terms would otherwise contribute)")
     modes = sorted({p, k + p, l + r, r})
+    count = 0
+    for n in range(1, max_particles + 1):
+        count += len(modes) ** n
+        if count > STATE_LIMIT:
+            raise ValueError(
+                f"max_particles={max_particles} on {len(modes)} modes "
+                f"exceeds the limit of {STATE_LIMIT} test states")
     states = []
     for n in range(1, max_particles + 1):
         states.extend(itertools.product(modes, repeat=n))
@@ -200,13 +221,20 @@ def _matrix_elements(momenta, max_particles, q):
 
     The values lie in the scalar ring of q: QPoly for QPoly.q(), exact
     numbers for a Fraction.  Returns [(psi, [(A, B) for each phi])] in the
-    order of the test states.
+    order of the test states.  The inner product of two words vanishes
+    unless they carry the same labels, so only the phi with the label
+    multiset of a word of psi's image (r -> l+r, k+p -> p) are computed;
+    every other pair is an exact zero.
     """
     states = _conservation_test_states(momenta, max_particles)
     k, l, p, r = momenta
     b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
     b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
     one = q ** 0
+    zero = (0 * one, 0 * one)
+    by_labels = defaultdict(list)
+    for i, phi in enumerate(states):
+        by_labels[tuple(sorted(phi))].append(i)
     memo = {}
 
     def element(phi, image):
@@ -224,8 +252,11 @@ def _matrix_elements(momenta, max_particles, q):
     for psi in states:
         ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
         ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
-        out.append((psi, [(element(phi, ab), element(phi, ba))
-                          for phi in states]))
+        pairs = [zero] * len(states)
+        for labels in {tuple(sorted(word)) for word in (*ab, *ba)}:
+            for i in by_labels.get(labels, ()):
+                pairs[i] = (element(states[i], ab), element(states[i], ba))
+        out.append((psi, pairs))
     return out
 
 

@@ -13,31 +13,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from . import bounds, gram, observables, parastat, speicher, verify
-from .qfock import normal_order, parse_word, vacuum_expectation
+from .qfock import TruncationError, parse_word, vacuum_expectation
 from .qpoly import QPoly
-from .wick import NonVEVWordError, wick_expectation
+from .wick import wick_expectation
+
+# Every other quonlib module is imported by the subcommand that drives it,
+# when it runs: numpy alone costs most of an interpreter's start-up, and
+# vev, observables and bounds never load it.
 
 
 def _jsonable(obj):
-    if isinstance(obj, QPoly):
+    if isinstance(obj, (QPoly, Fraction)):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, dict):
         return {_key(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if hasattr(obj, "tolist"):      # numpy scalars and arrays
+        return obj.tolist()
     return obj
 
 
@@ -68,6 +66,9 @@ def _cmd_vev(args):
 
 
 def _cmd_gram(args):
+    from . import gram
+    if args.limit_n is None:
+        args.limit_n = gram.BUILD_LIMIT
     g = gram.gram_matrix(args.n, limit=args.limit_n)
     results = {"n": args.n, "dim": g.dim}
     ok = True
@@ -85,6 +86,7 @@ def _cmd_gram(args):
 
 
 def _cmd_zagier(args):
+    from . import gram
     # the exact determinant first: past EXACT_LIMIT it fails at once
     det = gram.det_gram_exact(args.n)
     zag = gram.zagier_determinant(args.n)
@@ -95,6 +97,9 @@ def _cmd_zagier(args):
 
 
 def _cmd_positivity(args):
+    import numpy as np
+
+    from . import gram
     samples = list(np.linspace(args.lo, args.hi, args.samples))
     scan = gram.positivity_scan(args.n, samples)
     ok = all(e > 1e-12 for _, e in scan)
@@ -104,6 +109,7 @@ def _cmd_positivity(args):
 
 
 def _cmd_observables(args):
+    from . import observables
     space = observables.TruncatedFockSpace(
         modes=tuple(range(args.modes)), cap=args.cap)
     depth = args.depth if args.depth is not None else args.cap - 1
@@ -131,6 +137,9 @@ def _cmd_observables(args):
 
 
 def _cmd_para(args):
+    from . import parastat
+    if args.limit_dim is None:
+        args.limit_dim = parastat.DIM_BUDGET
     kind = "parabose" if args.kind == "bose" else "parafermi"
     r = parastat.build_green(kind, args.p, args.modes, cap=args.cap,
                              limit=args.limit_dim)
@@ -151,12 +160,14 @@ def _cmd_para(args):
 
 
 def _cmd_gentile(args):
+    from . import parastat
     rep = parastat.gentile_demo(args.theta, n_max=args.nmax)
     ok = rep["parafermi_sector_vanishes"]
     return rep, ok
 
 
 def _cmd_speicher(args):
+    from . import speicher
     word = parse_word(args.word)
     est = speicher.mc_estimate(word, args.q, args.N, args.samples, args.seed)
     target = wick_expectation(word)(args.q)
@@ -172,6 +183,7 @@ def _cmd_speicher(args):
 
 
 def _cmd_bounds(args):
+    from . import bounds
     if args.bounds_cmd == "convert":
         if args.vf is not None:
             v = Fraction(args.vf)
@@ -210,6 +222,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify_all(args):
+    from . import verify
     rep = verify.run_all()
     for c in rep["criteria"]:
         line = "PASS" if c["passed"] else "FAIL"
@@ -224,6 +237,15 @@ def _cmd_verify_all(args):
 
 # -- argument parsing ------------------------------------------------------
 
+
+def _finite(text):
+    """A float option's value; nan and inf have no JSON form in a report."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 # the one subcommand that reads each global setting; the others' reports
 # leave it out of their parameters
 _GLOBAL_READERS = {"seed": "speicher", "limit_dim": "para"}
@@ -235,7 +257,8 @@ def build_parser():
         description="Exact quon-algebra computations and verification checks")
     p.add_argument("--seed", type=int, default=0,
                    help="global RNG seed for stochastic subcommands")
-    p.add_argument("--limit-dim", type=int, default=parastat.DIM_BUDGET,
+    # default: parastat.DIM_BUDGET, filled in when para runs
+    p.add_argument("--limit-dim", type=int, default=None,
                    help="matrix dimension budget for realizations")
     p.add_argument("--stable-output", action="store_true",
                    help="zero every elapsed field so identical invocations "
@@ -252,9 +275,10 @@ def build_parser():
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--exact", action="store_true",
                    help="compute the exact determinant and compare")
-    s.add_argument("--at", type=float, default=None,
+    s.add_argument("--at", type=_finite, default=None,
                    help="evaluate the matrix at this q")
-    s.add_argument("--limit-n", type=int, default=gram.BUILD_LIMIT)
+    # default: gram.BUILD_LIMIT, filled in when gram runs
+    s.add_argument("--limit-n", type=int, default=None)
     s.set_defaults(fn=_cmd_gram)
 
     s = sub.add_parser("zagier", help="closed-form Gram determinant")
@@ -264,8 +288,8 @@ def build_parser():
     s = sub.add_parser("positivity", help="Gram eigenvalue scan over q")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--samples", type=int, default=50)
-    s.add_argument("--lo", type=float, default=-0.98)
-    s.add_argument("--hi", type=float, default=0.98)
+    s.add_argument("--lo", type=_finite, default=-0.98)
+    s.add_argument("--hi", type=_finite, default=0.98)
     s.set_defaults(fn=_cmd_positivity)
 
     s = sub.add_parser("observables", help="q=0 number-operator checks")
@@ -287,12 +311,12 @@ def build_parser():
 
     s = sub.add_parser("gentile", help="occupancy-cap basis-dependence demo")
     s.add_argument("--nmax", type=int, default=2)
-    s.add_argument("--theta", type=float, default=0.7853981633974483)
+    s.add_argument("--theta", type=_finite, default=0.7853981633974483)
     s.set_defaults(fn=_cmd_gentile)
 
     s = sub.add_parser("speicher", help="random-sign ansatz Monte Carlo")
     s.add_argument("--word", required=True)
-    s.add_argument("--q", type=float, required=True)
+    s.add_argument("--q", type=_finite, required=True)
     s.add_argument("--N", type=int, default=100)
     s.add_argument("--samples", type=int, default=2000)
     # also accepted after the subcommand; without it the global --seed holds
@@ -302,9 +326,10 @@ def build_parser():
     s = sub.add_parser("bounds", help="violation-parameter arithmetic")
     bs = s.add_subparsers(dest="bounds_cmd", required=True)
     c = bs.add_parser("convert")
-    c.add_argument("--vf")
-    c.add_argument("--vb")
-    c.add_argument("--q")
+    one = c.add_mutually_exclusive_group(required=True)
+    one.add_argument("--vf")
+    one.add_argument("--vb")
+    one.add_argument("--q")
     c.set_defaults(fn=_cmd_bounds)
     c = bs.add_parser("propagate")
     c.add_argument("--qe", required=True)
@@ -314,8 +339,8 @@ def build_parser():
     c.add_argument("--n", type=int, required=True)
     c.set_defaults(fn=_cmd_bounds)
     c = bs.add_parser("overlap")
-    c.add_argument("--la", type=float, required=True)
-    c.add_argument("--lb", type=float, required=True)
+    c.add_argument("--la", type=_finite, required=True)
+    c.add_argument("--lb", type=_finite, required=True)
     c.set_defaults(fn=_cmd_bounds)
     c = bs.add_parser("conservation")
     c.add_argument("--qe", required=True)
@@ -332,24 +357,30 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
-    params = {k: v for k, v in vars(args).items()
-              if k != "fn"
-              and _GLOBAL_READERS.get(k, args.subcommand) == args.subcommand}
     try:
         results, ok = args.fn(args)
         status = "pass" if ok else "fail"
-    except (ValueError, ZeroDivisionError, NonVEVWordError, gram.GramLimitError,
-            parastat.DimensionBudgetError,
-            observables.TruncationError) as exc:
+    except (ValueError, ZeroDivisionError, TruncationError) as exc:
         results = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"
+    # after the command, which fills in the defaults its module defines
+    params = {k: v for k, v in vars(args).items()
+              if k != "fn"
+              and _GLOBAL_READERS.get(k, args.subcommand) == args.subcommand}
     elapsed = 0.0 if args.stable_output else round(time.perf_counter() - t0, 3)
     report = {"subcommand": args.subcommand,
               "parameters": _jsonable(params),
               "results": _jsonable(results),
               "status": status,
               "elapsed": elapsed}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:       # a float result overflowed to inf or nan
+        status = "error"
+        report.update(results={"error": f"{type(exc).__name__}: {exc}"},
+                      status=status)
+        text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
     return 0 if status == "pass" else 1
 
 

@@ -32,6 +32,8 @@ import numpy as np
 from .gram import inversions
 
 DIM_BUDGET = 4096
+# bytes of the dense float64 components and annihilators of a realization
+BYTE_BUDGET = 2 ** 27
 
 
 class DimensionBudgetError(ValueError):
@@ -92,6 +94,12 @@ def build_green(kind, p, modes, cap=None, limit=DIM_BUDGET):
     dim = levels ** nsites
     if dim > limit:
         raise DimensionBudgetError(f"dimension {dim} exceeds budget {limit}")
+    matrices = (p + 1) * modes
+    nbytes = matrices * dim * dim * 8
+    if nbytes > BYTE_BUDGET:
+        raise DimensionBudgetError(
+            f"{matrices} dense {dim}x{dim} matrices take {nbytes} bytes, "
+            f"above the budget of {BYTE_BUDGET}")
 
     strides = levels ** np.arange(nsites - 1, -1, -1)
     occ = (np.arange(dim)[:, None] // strides) % levels

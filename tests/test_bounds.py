@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib.bounds import (BOSONIC, FERMIONIC, _fermi_limit_facts,
+from quonlib.bounds import (BOSONIC, FERMIONIC, STATE_LIMIT,
+                            _conservation_test_states, _fermi_limit_facts,
                             _matrix_elements, composite_q,
                             compositeness_overlap, conservation_residual,
                             conservation_residual_check, conservation_sweep,
                             decompose_density_matrix, propagate_statistics,
                             q_from_v, relative_q, v_from_q)
+from quonlib.qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
 from quonlib.qpoly import QPoly
 
 
@@ -79,6 +81,9 @@ def test_composite_rule():
         assert composite_q(-1, n) == (-1) ** n
     with pytest.raises(ValueError):
         composite_q(0, 0)
+    # past [-1, 1] the power would not even have a float value
+    with pytest.raises(ValueError, match="outside"):
+        composite_q(3, 30)
 
 
 def test_compositeness_overlap():
@@ -214,7 +219,62 @@ def test_conservation_input_validation():
 
 
 def test_inner_numeric_matches_polynomial_oracle():
-    from quonlib.qfock import q_inner_product
     q = Fraction(1, 3)
     for u, v in (((0, 1), (1, 0)), ((0, 0), (0, 0)), ((0, 1, 1), (1, 0, 1))):
         assert q_inner_product(u, v, q) == q_inner_product(u, v)(q)
+
+
+def _all_pairs_elements(momenta, max_particles, q):
+    """Oracle of _matrix_elements: the inner product of every test state
+    with both images of every test state, matching labels or not."""
+    states = _conservation_test_states(momenta, max_particles)
+    k, l, p, r = momenta
+    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
+    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
+    one = q ** 0
+
+    def element(phi, image):
+        total = 0 * one
+        for word, c in image.items():
+            inner = q_inner_product(phi, word, q)
+            if inner:
+                total = total + c * inner
+        return total
+
+    out = []
+    for psi in states:
+        ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
+        ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
+        out.append((psi, [(element(phi, ab), element(phi, ba))
+                          for phi in states]))
+    return out
+
+
+@pytest.mark.parametrize("q", [QPoly.q(), Fraction(-1, 2), Fraction(-1)],
+                         ids=["symbolic", "-1/2", "-1"])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_label_matched_elements_equal_all_pairs(cap, q):
+    fast = _matrix_elements((1, 2, 5, 9), cap, q)
+    assert fast == _all_pairs_elements((1, 2, 5, 9), cap, q)
+    # every skipped pair is an exact zero of the scalar ring of q
+    zero = 0 * q ** 0
+    assert all(type(a) is type(zero) and type(b) is type(zero)
+               for _, pairs in fast for a, b in pairs)
+
+
+def test_label_matched_elements_with_coinciding_modes():
+    # p = l+r: three modes, and an image can hold a mode twice
+    momenta = (1, 2, 11, 9)
+    for q in (QPoly.q(), Fraction(1, 3)):
+        assert _matrix_elements(momenta, 3, q) == \
+            _all_pairs_elements(momenta, 3, q)
+
+
+def test_conservation_state_limit_is_a_typed_error_before_any_work():
+    # four modes: 1364 states at five particles, 5460 at six
+    assert len(_conservation_test_states((1, 2, 5, 9), 5)) == STATE_LIMIT
+    message = "exceeds the limit of 1364 test states"
+    with pytest.raises(ValueError, match=message):
+        conservation_sweep(max_particles=6)
+    with pytest.raises(ValueError, match=message):
+        conservation_residual_check(Fraction(-1, 2), max_particles=10 ** 9)

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib.resources
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quonlib import cli, speicher, verify
+from quonlib import cli, parastat, speicher, verify
 
 # two criteria that take milliseconds, standing in for the full suite
 CHEAP_CRITERIA = [verify.bound_propagation, verify.composite_rule]
@@ -264,11 +267,58 @@ def test_cli_import_leaves_heavy_modules_out():
     # every quon command is a fresh interpreter, which pays for each import
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, quonlib.cli; "
-            "print(sorted({'scipy', 'sympy', 'jsonschema'} & set(sys.modules)))")
+    code = ("import sys, quonlib.cli; print(sorted("
+            "{'numpy', 'scipy', 'sympy', 'jsonschema'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# the subcommands whose exact arithmetic never needs numpy
+NUMPY_FREE_COMMANDS = (
+    ["vev", "--word", "a1 a2 c1 c2"],
+    ["observables", "--modes", "3", "--cap", "3"],
+    ["bounds", "convert", "--vf", "17/1000000000000000000000000000"],
+    ["bounds", "propagate", "--qe=-1/2"],
+    ["bounds", "composite", "--q=-1", "--n", "2"],
+    ["bounds", "conservation", "--qe=-1/2"],
+)
+
+
+def test_exact_subcommands_run_without_numpy(schema):
+    # numpy blocked: importing it anywhere raises ImportError
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from quonlib import cli\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = cli.run(['--stable-output', *argv])\n"
+            "    out.append([code, json.loads(buf.getvalue())])\n"
+            "print(json.dumps(out))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(NUMPY_FREE_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(NUMPY_FREE_COMMANDS)
+    for argv, (code, rep) in zip(NUMPY_FREE_COMMANDS, runs):
+        assert (code, rep["status"]) == (0, "pass"), argv
+        validate(rep, schema)
+
+
+def test_para_past_the_byte_budget_is_a_typed_error(capsys, schema):
+    # dimension 4096 is within --limit-dim; its 16 dense matrices are 2 GiB
+    code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "3",
+                        "--modes", "4")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith("DimensionBudgetError: ")
+    assert rep["parameters"]["limit_dim"] == parastat.DIM_BUDGET
+    validate(rep, schema)
 
 
 def test_bounds_convert_and_propagate(capsys, schema):
@@ -287,6 +337,31 @@ def test_bounds_convert_division_by_zero(capsys, schema):
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"] == "ZeroDivisionError: Fraction(1, 0)"
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "convert"],
+    ["bounds", "convert", "--vf", "1/2", "--vb", "1/2"],
+    ["gram", "--n", "2", "--at", "nan"],
+    ["bounds", "overlap", "--la", "inf", "--lb", "0"],
+])
+def test_missing_clashing_or_non_finite_options_are_usage_errors(capsys,
+                                                                 argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_float_overflow_in_results_is_a_typed_error(capsys, schema):
+    # the n = 3 Gram matrix holds q^3, inf at q = 1e300: no JSON form
+    code, rep = run_cli(capsys, "--stable-output", "gram", "--n", "3",
+                        "--at", "1e300")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith(
+        "ValueError: Out of range float values are not JSON compliant")
     validate(rep, schema)
 
 
@@ -366,3 +441,94 @@ def test_gram_n6_at_a_point(capsys, schema):
     matrix = rep["results"]["matrix_at_q"]
     assert len(matrix) == 720 and all(len(row) == 720 for row in matrix)
     validate(rep, schema)
+
+
+# -- fuzz: every argv ends in one report or an argparse usage error -------
+
+MALFORMED = st.sampled_from(["", "x", "1/0", "0/0", "1/", "nan", "inf",
+                             "-inf", "1e3", "0x10", "1.5.", "--", "½"])
+INTS = st.one_of(st.integers(-2, 4).map(str), MALFORMED)
+SMALL = st.one_of(st.integers(-1, 3).map(str), MALFORMED)
+FLOATS = st.one_of(st.floats(-2, 2).map(repr),
+                   st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   MALFORMED)
+RATIONALS = st.one_of(
+    st.fractions(-2, 2, max_denominator=12).map(str),
+    st.integers(-2, 2).map(str),
+    st.floats(-2, 2).map(repr),
+    MALFORMED)
+SYMBOLS = st.tuples(st.sampled_from("ac"), st.integers(0, 3)).map(
+    lambda s: f"{s[0]}{s[1]}")
+WORDS = st.one_of(st.lists(SYMBOLS, max_size=6).map(" ".join),
+                  st.sampled_from(["z9", "a", "c-1", "a1  c1", "c1a1"]))
+
+
+def _options(**values):
+    """Each option given or left out, in a drawn order, as an argv tail."""
+    drawn = [st.one_of(st.none(), value.map(
+                 lambda v, f="--" + name.replace("_", "-"): [f, v]))
+             for name, value in values.items()]
+    return st.tuples(*drawn).map(lambda t: [o for o in t if o]).flatmap(
+        st.permutations).map(lambda t: sum(t, []))
+
+
+def _command(*head, **options):
+    return _options(**options).map(lambda tail: [*head, *tail])
+
+
+CHEAP_ARGVS = st.one_of(
+    _command("vev", word=WORDS,
+             method=st.sampled_from(["rewrite", "wick", "both", "x"])),
+    _command("gram", n=INTS, at=FLOATS, limit_n=INTS),
+    _command("gram", "--exact", n=INTS, at=FLOATS),
+    _command("zagier", n=INTS),
+    _command("positivity", n=st.sampled_from(["-1", "1", "2", "3", "x"]),
+             samples=INTS, lo=FLOATS, hi=FLOATS),
+    _command("observables", modes=SMALL, cap=SMALL, depth=INTS,
+             check=st.sampled_from(["commutator", "locality",
+                                    "hamiltonian", "x"])),
+    _command("para", kind=st.sampled_from(["bose", "fermi", "x"]),
+             p=st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
+             modes=st.sampled_from(["0", "1", "2", "x"]), cap=INTS,
+             check=st.sampled_from(["trilinear", "vacuum", "occupancy"])),
+    _command("gentile", nmax=INTS, theta=FLOATS),
+    _command("speicher", word=WORDS, q=FLOATS, N=INTS, samples=INTS,
+             seed=INTS),
+    _command("bounds", "convert", vf=RATIONALS, vb=RATIONALS, q=RATIONALS),
+    _command("bounds", "propagate", qe=RATIONALS),
+    _command("bounds", "composite", q=RATIONALS, n=INTS),
+    _command("bounds", "overlap", la=FLOATS, lb=FLOATS),
+    _command("bounds", "conservation", qe=RATIONALS,
+             momenta=st.one_of(
+                 st.lists(st.integers(-2, 9), max_size=5).map(
+                     lambda m: ",".join(map(str, m))),
+                 MALFORMED),
+             cap=st.sampled_from(["-1", "0", "1", "2", "x"])),
+)
+GLOBALS = _options(seed=INTS, limit_dim=INTS).map(
+    lambda t: t + ["--stable-output"])
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    decoder = json.JSONDecoder(parse_constant=reject)
+    report, end = decoder.raw_decode(text)
+    assert end == len(text.rstrip()), "more than one document on stdout"
+    return report
+
+
+@settings(max_examples=1000, deadline=None)
+@given(GLOBALS, CHEAP_ARGVS)
+def test_fuzz_argv_ends_in_one_report_or_a_usage_error(schema, globs, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(globs + argv)
+        except SystemExit as exc:
+            assert exc.code == 2, err.getvalue()
+            assert out.getvalue() == ""
+            return
+    report = _strict_json(out.getvalue())
+    validate(report, schema)
+    assert code == (0 if report["status"] == "pass" else 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,24 @@ def test_build_validation():
         build_green("parabose", 2, 2)  # missing cap
     with pytest.raises(DimensionBudgetError):
         build_green("parafermi", 4, 4)  # 2^16 sites worth of dimension
+
+
+def test_byte_budget_refuses_before_allocating():
+    # dimension 4096 is within DIM_BUDGET, but 12 components and 4
+    # annihilators of 4096^2 float64 are 2 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionBudgetError,
+                           match="16 dense 4096x4096 matrices take "
+                                 "2147483648 bytes"):
+            build_green("parafermi", 3, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    # the dimension budget still reads as before
+    with pytest.raises(DimensionBudgetError, match="dimension 16 exceeds"):
+        build_green("parafermi", 2, 2, limit=8)
 
 
 def test_parafermi_p1_is_fermi():
