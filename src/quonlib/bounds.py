@@ -1,10 +1,9 @@
 """Statistics-violation parameter algebra and bound propagation.
 
-Covers the v <-> q affine maps, the exchange-symmetry decomposition of a
-two-particle density matrix, conservation of statistics (q_b = q_f^2)
-checked through exact residual polynomials on the q-Fock
-representation, the composite rule q_composite = q_constituent^(n^2), and
-the compositeness apparent-violation overlap.
+Covers the v <-> q affine maps, conservation of statistics (q_b = q_f^2)
+checked through exact residual polynomials on the q-Fock representation,
+the composite rule q_composite = q_constituent^(n^2), and the
+compositeness apparent-violation overlap.
 
 Everything that can be exact rational is: a fermionic bound
 v_F <= 1.7e-26 propagates to q_e = -1 + 3.4e-26 and (to leading order)
@@ -87,21 +86,6 @@ def propagate_statistics(q_f):
     )
 
 
-def relative_q(q_b):
-    """Parameter of the relative fermion-boson commutation relation:
-    q_rel^2 = q_b, taking the root near +1.
-
-    Returns (float value, first-order rational expansion 1 - delta/2 for
-    q_b = 1 - delta); the expansion is what survives when delta is below
-    float resolution.
-    """
-    q_b = _as_fraction(q_b)
-    if q_b < 0:
-        raise ValueError("no real root for negative q_b")
-    delta = 1 - q_b
-    return math.sqrt(float(q_b)), 1 - delta / 2
-
-
 def composite_q(q_constituent, n):
     """Bound state of n constituents: q_composite = q_constituent^(n^2)."""
     if n < 1:
@@ -123,63 +107,6 @@ def compositeness_overlap(lambda_a, lambda_b):
     exact = (math.sqrt(1 - la * la) * lb - la * math.sqrt(1 - lb * lb)) ** 2
     approx = (la - lb) ** 2
     return exact, approx
-
-
-# -- two-particle density matrix decomposition -----------------------------
-
-
-# numpy is imported here only: no other path of this module needs it, and
-# the quon bounds commands start without it
-
-
-def _swap_matrix(d):
-    import numpy as np
-
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
-
-
-def decompose_density_matrix(rho, flavor, psd_tol=1e-10, trace_tol=1e-12):
-    """Split a two-particle density matrix into exchange-symmetry sectors.
-
-    v is the trace weight of the anomalous sector (symmetric for
-    fermionic flavor, antisymmetric for bosonic).  Off-block coherences
-    are reported separately rather than folded into v.
-    """
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=complex)
-    dsq = rho.shape[0]
-    d = int(round(math.sqrt(dsq)))
-    if rho.shape != (dsq, dsq) or d * d != dsq:
-        raise ValueError("density matrix must be d^2 x d^2")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        raise ValueError("density matrix must have unit trace")
-    if np.abs(rho - rho.conj().T).max() > psd_tol:
-        raise ValueError("density matrix must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -psd_tol:
-        raise ValueError("density matrix must be positive semidefinite")
-
-    swap = _swap_matrix(d)
-    p_sym = (np.eye(dsq) + swap) / 2
-    p_anti = (np.eye(dsq) - swap) / 2
-    anomalous = p_sym if flavor == FERMIONIC else p_anti
-    normal = p_anti if flavor == FERMIONIC else p_sym
-    if flavor not in (FERMIONIC, BOSONIC):
-        raise ValueError(f"unknown flavor {flavor!r}")
-
-    rho_anom = anomalous @ rho @ anomalous
-    rho_norm = normal @ rho @ normal
-    v = float(np.trace(rho_anom).real)
-    coherence = float(np.abs(normal @ rho @ anomalous).max())
-    parts = {}
-    for name, block, weight in (("anomalous", rho_anom, v),
-                                ("normal", rho_norm, 1.0 - v)):
-        parts[name] = block / weight if weight > trace_tol else block
-    return v, parts["normal"], parts["anomalous"], coherence
 
 
 # -- conservation-of-statistics residual ------------------------------------
@@ -330,8 +257,9 @@ def _fermi_limit_facts(elements, q_b):
     """
     nonzero = [r for r in (a - q_b * b for a, b in elements) if r]
     zero = all(r(-1) == 0 for r in nonzero)
+    # where some R(-1) != 0 the least multiplicity is 0, with no division
     multiplicity = min((_root_multiplicity(r, -1) for r in nonzero),
-                       default=None)
+                       default=None) if zero else 0
     slopes = sorted({Fraction(_derivative_at(a - b, -1), b(-1))
                      for a, b in elements if b(-1)})
     offset = Fraction(max((abs(b(-1)) for _, b in elements), default=0))

@@ -161,7 +161,7 @@ def _cmd_para(args):
 
 def _cmd_gentile(args):
     from . import parastat
-    rep = parastat.gentile_demo(args.theta, n_max=args.nmax)
+    rep = parastat.gentile_demo(args.theta)
     ok = rep["parafermi_sector_vanishes"]
     return rep, ok
 
@@ -310,7 +310,6 @@ def build_parser():
     s.set_defaults(fn=_cmd_para)
 
     s = sub.add_parser("gentile", help="occupancy-cap basis-dependence demo")
-    s.add_argument("--nmax", type=int, default=2)
     s.add_argument("--theta", type=_finite, default=0.7853981633974483)
     s.set_defaults(fn=_cmd_gentile)
 

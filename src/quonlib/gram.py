@@ -129,14 +129,8 @@ def zagier_determinant(n):
     """Expand the closed-form product for det M_n(q) exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
     out = QPoly.one()
-    for k in range(1, n):
-        e, rem = divmod((n - k) * fact, k * (k + 1))
-        assert rem == 0
-        base = QPoly.one() - QPoly.monomial(k * (k + 1))
+    for base, e in zagier_factors(n):
         out = out * base ** e
     return out
 
@@ -155,7 +149,9 @@ def zagier_eval_float(n, x):
 
 
 def zagier_factors(n):
-    """The (base, exponent) list of the product form, without expanding."""
+    """The (base, exponent) list of the product form, without expanding:
+    (1 - q^(k(k+1)), (n-k) n!/(k(k+1))) for k = 1..n-1, each exponent an
+    integer."""
     fact = 1
     for i in range(2, n + 1):
         fact *= i
@@ -233,21 +229,17 @@ def _interpolate_newton(points, values):
 
 
 def det_exact(entries):
-    """Exact determinant of a square matrix of QPoly entries."""
-    m = len(entries)
-    if any(len(row) != m for row in entries):
-        raise ValueError("matrix is not square")
-    return _det_interpolate(entries)
-
-
-def _det_interpolate(entries):
-    """Determinant by evaluation at integer points and interpolation.
+    """Exact determinant of a square matrix of QPoly entries, by evaluation
+    at integer points and interpolation.
 
     Each row is first scaled by the lcm of its coefficients' denominators,
     so every value at an integer point is an integer and each point costs
     one fraction-free integer Bareiss; the interpolated polynomial is then
     divided by the product of the row scales.
     """
+    m = len(entries)
+    if any(len(row) != m for row in entries):
+        raise ValueError("matrix is not square")
     scales = [_denominator_lcm(c for e in row for c in e.coeffs)
               for row in entries]
     scaled = [[e * s for e in row] for row, s in zip(entries, scales)]

@@ -26,15 +26,6 @@ from .qfock import (ANNIHILATOR, CREATOR, TruncationError,  # noqa: F401
                     apply_symbol, apply_terms)
 
 
-class NonzeroQError(ValueError):
-    """This module only implements the q = 0 series."""
-
-
-def require_q_zero(q):
-    if q != 0:
-        raise NonzeroQError("transition-operator series is implemented for q=0 only")
-
-
 @dataclass(frozen=True)
 class TruncatedFockSpace:
     modes: tuple
@@ -55,10 +46,10 @@ class TruncatedFockSpace:
         return [w for w in self.basis if len(w) < self.cap]
 
 
-def transition_operator(k, l, depth, modes, q=0):
-    """Truncated n_kl series as a list of (word, 1) terms over a finite
-    mode set; depth-d terms carry d+1 creators and d+1 annihilators."""
-    require_q_zero(q)
+def transition_operator(k, l, depth, modes):
+    """Truncated q = 0 n_kl series as a list of (word, 1) terms over a
+    finite mode set; depth-d terms carry d+1 creators and d+1
+    annihilators."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     terms = []
@@ -110,9 +101,8 @@ def check_transition_commutator(space, k, l, m, depth):
             "failing_states": sorted(res)}
 
 
-def free_hamiltonian_terms(space, energies, depth=None, q=0):
-    """H = sum_k eps_k n_k as explicit series terms."""
-    require_q_zero(q)
+def free_hamiltonian_terms(space, energies, depth=None):
+    """H = sum_k eps_k n_k as explicit q = 0 series terms."""
     if depth is None:
         depth = space.cap - 1
     missing = [k for k in space.modes if k not in energies]
@@ -150,18 +140,3 @@ def locality_check_discrete(space, x, y, w, depth=None):
     return {"commutator": rep, "annihilates_vacuum": vac_ok,
             "exact": rep["exact"] and vac_ok}
 
-
-def adjoint_pair_check(space, k, l, depth=None):
-    """n_kl and n_lk are mutual adjoints in the q=0 inner product (Fock
-    words orthonormal)."""
-    if depth is None:
-        depth = space.cap - 1
-    nkl = transition_operator(k, l, depth, space.modes)
-    nlk = transition_operator(l, k, depth, space.modes)
-    for u in space.basis:
-        a = apply_terms(nkl, {u: 1}, 0, space.cap)
-        for v in space.basis:
-            b = apply_terms(nlk, {v: 1}, 0, space.cap)
-            if a.get(v, 0) != b.get(u, 0):
-                return False
-    return True

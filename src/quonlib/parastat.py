@@ -79,13 +79,18 @@ def build_green(kind, p, modes, cap=None, limit=DIM_BUDGET):
     string): the earlier modes of the same component for parafermi (same
     component anticommutes, distinct components commute), every site of
     the earlier components for parabose (distinct components
-    anticommute, the same component stays Bose).
+    anticommute, the same component stays Bose).  A parafermi site holds
+    at most one quantum, so its cap is 1: None or 1 is accepted, any other
+    cap raises ValueError.
     """
     if kind not in ("parabose", "parafermi"):
         raise ValueError(f"kind must be parabose or parafermi, got {kind!r}")
     if p < 1 or modes < 1:
         raise ValueError("order and mode count must be >= 1")
     if kind == "parafermi":
+        if cap not in (None, 1):
+            raise ValueError(f"parafermi occupancy is at most 1 per site; "
+                             f"cap={cap} is not accepted")
         cap = 1
     elif cap is None or cap < 1:
         raise ValueError("parabose realizations need a positive cap")
@@ -208,18 +213,16 @@ def max_occupancy(r, word, symmetric=True, creators=None):
     return float(v @ v)
 
 
-def gentile_demo(theta, n_max=2):
+def gentile_demo(theta):
     """Occupancy-capped (Gentile) statistics is basis dependent; the
     parafermi p=2 exclusion is not.
 
-    In the two-mode, three-particle Bose sector with occupancy bound
-    n_max=2, the state with all three quanta in one rotated mode has
-    nonzero projection onto the allowed occupancy patterns unless the
-    rotation is trivial.  By contrast the symmetric three-particle sector
-    of a parafermi p=2 realization is annihilated in every basis.
+    In the two-mode, three-particle Bose sector with occupancy bound 2,
+    the state with all three quanta in one rotated mode has nonzero
+    projection onto the allowed occupancy patterns unless the rotation is
+    trivial.  By contrast the symmetric three-particle sector of a
+    parafermi p=2 realization is annihilated in every basis.
     """
-    if n_max != 2:
-        raise ValueError("demo is stated for occupancy bound 2")
     c, s = math.cos(theta), math.sin(theta)
     # product basis of three distinguishable-slot copies of C^2
     u = np.array([c, s])

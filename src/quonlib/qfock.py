@@ -1,4 +1,4 @@
-"""Normal-ordering engine and free Fock-space action for the quon algebra.
+"""Vacuum expectations and the free Fock-space action of the quon algebra.
 
 The single defining relation is
 
@@ -28,15 +28,7 @@ ANNIHILATOR = "a"
 
 # OperatorWord: tuple[tuple[str, int], ...]
 # FockWord: tuple[int, ...]
-# OperatorSum / State: dict mapping word -> QPoly, no zero values stored.
-
-
-def creator(mode):
-    return (CREATOR, int(mode))
-
-
-def annihilator(mode):
-    return (ANNIHILATOR, int(mode))
+# State: dict mapping Fock word -> scalar, no zero values stored.
 
 
 def parse_word(text):
@@ -53,19 +45,6 @@ def parse_word(text):
     return tuple(symbols)
 
 
-def format_word(word):
-    return " ".join(f"{kind}{mode}" for kind, mode in word)
-
-
-def _add_term(acc, word, coeff):
-    cur = acc.get(word)
-    new = coeff if cur is None else cur + coeff
-    if new.is_zero():
-        acc.pop(word, None)
-    else:
-        acc[word] = new
-
-
 def _first_ac_adjacency(word):
     for i in range(len(word) - 1):
         if word[i][0] == ANNIHILATOR and word[i + 1][0] == CREATOR:
@@ -73,36 +52,14 @@ def _first_ac_adjacency(word):
     return -1
 
 
-def normal_order(word):
-    """Rewrite a word so every creator stands left of every annihilator.
-
-    Returns an OperatorSum exactly equal to the input modulo the defining
-    relation.  Terminates because each rewrite strictly reduces the number
-    of (annihilator, creator) inversions.
-    """
-    q = QPoly.q()
-    one = QPoly.one()
-    pending = {tuple(word): one}
-    done = {}
-    while pending:
-        w, c = pending.popitem()
-        i = _first_ac_adjacency(w)
-        if i < 0:
-            _add_term(done, w, c)
-            continue
-        (_, k), (_, l) = w[i], w[i + 1]
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        _add_term(pending, swapped, c * q)
-        if k == l:
-            _add_term(pending, w[:i] + w[i + 2:], c)
-    return done
-
-
 def vacuum_expectation(word, _memo=None):
     """<0| word |0> as an exact polynomial in q.
 
-    Computed by the same rewriting as normal_order, keeping only branches
-    that can still reach the empty word.
+    Rewrites the leftmost adjacent pair a_k a†_l by the defining relation,
+    q a†_l a_k plus the empty word when k = l, and keeps only branches that
+    can still reach the empty word: one that starts with a creator or ends
+    with an annihilator has expectation zero.  Each rewrite removes one
+    (annihilator, creator) inversion, so the recursion ends.
     """
     word = tuple(word)
     if _memo is None:
@@ -203,8 +160,3 @@ def q_inner_product(u, v, q=QPoly.q()):
             return state[()]
     return 0 * one
 
-
-def vev_word_for_inner_product(u, v):
-    """The operator word whose vacuum expectation equals <u, v>."""
-    return tuple((ANNIHILATOR, m) for m in reversed(tuple(u))) + \
-        tuple((CREATOR, m) for m in v)

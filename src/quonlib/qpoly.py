@@ -51,10 +51,6 @@ class QPoly:
             return _ZERO
         return cls([0] * power + [coeff])
 
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
     # -- ring structure ------------------------------------------------
 
     @property
@@ -154,7 +150,7 @@ class QPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    # -- evaluation / serialization ------------------------------------
+    # -- evaluation / printing ----------------------------------------
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction x, IEEE for float x."""
@@ -162,14 +158,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def to_json(self):
-        """JSON form: array of coefficient strings, constant term first."""
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, arr):
-        return cls([Fraction(s) for s in arr])
 
     def __str__(self):
         if not self.coeffs:

@@ -17,8 +17,10 @@ carries one shared batch label, and each diagram is contracted once per
 block along a path planned once per mc_estimate call.  B is chosen so the
 stack fits _BLOCK_BYTES.  Every sample draws from its own SeedSequence
 child, and float64 sums of ±1 products are exact below 2^53, so the
-estimate does not depend on B.  Exact values (expectation_given_signs) run
-the same contraction on a batch of one object-dtype integer matrix.
+estimate does not depend on B.  A single draw (sample_sign_matrix) is a
+plain symmetric N x N int64 array with +1 on the diagonal; its exact value
+(expectation_given_signs) runs the same contraction on a batch of one
+object-dtype copy.
 
 A crossing graph with more edges than einsum takes operands, or more than
 51 chords (einsum names axes by 52 letters and the batch takes one),
@@ -38,18 +40,6 @@ from math import prod
 import numpy as np
 
 from .wick import chords_cross, enumerate_contractions
-
-
-@dataclass(frozen=True)
-class SignMatrix:
-    n_components: int
-    signs: np.ndarray    # symmetric ±1 matrix, diagonal fixed to +1
-
-    def __post_init__(self):
-        s = self.signs
-        if s.shape != (self.n_components, self.n_components):
-            raise ValueError("sign matrix shape mismatch")
-        _check_symmetric(s)
 
 
 @dataclass(frozen=True)
@@ -232,7 +222,8 @@ def _draw_signs(stack, uniforms, rngs, q, positions):
 
 
 def sample_sign_matrix(n_components, q, rng):
-    """Independent ±1 per unordered pair, prob(+1) = (1+q)/2."""
+    """An N x N int64 sign matrix: symmetric, diagonal +1, an independent
+    ±1 per unordered pair with prob(+1) = (1+q)/2."""
     _check_q(q)
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
@@ -240,19 +231,23 @@ def sample_sign_matrix(n_components, q, rng):
     stack = np.ones((1, n, n))
     _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q,
                 _pair_indices(n))
-    return SignMatrix(n_components=n, signs=stack[0].astype(np.int64))
+    return stack[0].astype(np.int64)
 
 
-def expectation_given_signs(word, sign_matrix, exact=True):
-    """Exact finite-N vacuum expectation of a word for fixed signs."""
-    n = sign_matrix.n_components
-    # a batch of one, in exact big-int arithmetic
-    signs = sign_matrix.signs.astype(object)[None]
+def expectation_given_signs(word, signs):
+    """Exact finite-N vacuum expectation of a word for a fixed N x N sign
+    matrix, as a Fraction."""
+    if signs.ndim != 2 or signs.shape[0] != signs.shape[1]:
+        raise ValueError(f"sign matrix must be square, got shape "
+                         f"{signs.shape}")
+    n = signs.shape[0]
+    _check_symmetric(signs)
     plans, _ = _plan_word(word, n, 1, 1)
-    total = sum(int(_assignment_sum(plan, signs, n)[0]) for plan in plans)
+    # a batch of one, in exact big-int arithmetic
+    batch = signs.astype(object)[None]
+    total = sum(int(_assignment_sum(plan, batch, n)[0]) for plan in plans)
     # a word without contractions has expectation zero for any N
-    value = Fraction(total, n ** (len(word) // 2))
-    return value if exact else float(value)
+    return Fraction(total, n ** (len(word) // 2))
 
 
 def expected_over_signs(word, q, n_components):

@@ -64,14 +64,6 @@ def chords_cross(p, q):
     return (a1 < a2 < c1 < c2) or (a2 < a1 < c2 < c1)
 
 
-def crossing_number(pairs):
-    """Interleaving chord pairs, counted pair by pair: the reference for
-    the count enumerate_contractions keeps while it builds a matching."""
-    pairs = list(pairs)
-    return sum(chords_cross(pairs[i], pairs[j])
-               for i in range(len(pairs)) for j in range(i + 1, len(pairs)))
-
-
 def enumerate_contractions(word):
     """All label-respecting perfect matchings of a word, with crossing counts.
 

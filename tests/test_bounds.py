@@ -1,16 +1,15 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quonlib import bounds
 from quonlib.bounds import (BOSONIC, FERMIONIC, STATE_LIMIT,
                             _conservation_test_states, _fermi_limit_facts,
                             _matrix_elements, composite_q,
                             compositeness_overlap, conservation_residual,
                             conservation_residual_check, conservation_sweep,
-                            decompose_density_matrix, propagate_statistics,
-                            q_from_v, relative_q, v_from_q)
+                            propagate_statistics, q_from_v, v_from_q)
 from quonlib.qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
 from quonlib.qpoly import QPoly
 
@@ -61,17 +60,6 @@ def test_propagation_of_tiny_bound():
     assert prop.v_bosonic_exact == 2 * eps - 2 * eps ** 2
 
 
-def test_relative_q():
-    val, first = relative_q(Fraction(1, 4))
-    assert val == pytest.approx(0.5)
-    assert first == 1 - Fraction(3, 8)
-    delta = Fraction(1, 10 ** 30)
-    _, first = relative_q(1 - delta)
-    assert first == 1 - delta / 2
-    with pytest.raises(ValueError):
-        relative_q(-1)
-
-
 def test_composite_rule():
     assert composite_q(Fraction(1, 2), 2) == Fraction(1, 16)
     assert composite_q(-1, 3) == -1
@@ -93,34 +81,6 @@ def test_compositeness_overlap():
     assert compositeness_overlap(0.2, 0.2) == (pytest.approx(0.0), 0.0)
     with pytest.raises(ValueError):
         compositeness_overlap(1.0, 0.0)
-
-
-def test_density_matrix_decomposition():
-    # pure antisymmetric two-fermion state: v = 0
-    d = 2
-    anti = np.zeros(d * d)
-    anti[1] = 1 / np.sqrt(2)
-    anti[2] = -1 / np.sqrt(2)
-    rho = np.outer(anti, anti)
-    v, normal, anomalous, coh = decompose_density_matrix(rho, FERMIONIC)
-    assert v == pytest.approx(0.0, abs=1e-12)
-    assert coh == pytest.approx(0.0, abs=1e-12)
-    # symmetric contamination shows up as v
-    sym = np.zeros(d * d)
-    sym[1] = sym[2] = 1 / np.sqrt(2)
-    rho = 0.9 * np.outer(anti, anti) + 0.1 * np.outer(sym, sym)
-    v, _, _, _ = decompose_density_matrix(rho, FERMIONIC)
-    assert v == pytest.approx(0.1)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        decompose_density_matrix(np.eye(4), FERMIONIC)  # trace 4
-    with pytest.raises(ValueError):
-        decompose_density_matrix(np.eye(3) / 3, FERMIONIC)  # not d^2
-    bad = np.diag([1.5, -0.5, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        decompose_density_matrix(bad, BOSONIC)  # not PSD
 
 
 def test_conservation_zero_at_fermi_point():
@@ -186,7 +146,7 @@ def test_polynomial_elements_give_the_fraction_residual_at_three_particles():
             conservation_residual(q_e, (1, 2, 5, 9))
 
 
-def test_conservation_gate_accepts_qb_one_at_fermi_limit_only():
+def test_conservation_gate_accepts_qb_one_at_fermi_limit_only(monkeypatch):
     q = QPoly.q()
     elements = [(a, b) for _, pairs in _matrix_elements((1, 2, 5, 9), 3, q)
                 for a, b in pairs if a or b]
@@ -196,9 +156,12 @@ def test_conservation_gate_accepts_qb_one_at_fermi_limit_only():
         assert facts["zero_at_fermi_limit"]
         assert facts["root_multiplicity"] == 1
         assert facts["passed"]
+    # a control fails at q_e = -1 already, so no root is divided out
+    monkeypatch.setattr(bounds, "_root_multiplicity", None)
     for q_b in (q, Fraction(999, 1000)):
         facts = _fermi_limit_facts(elements, q_b)
         assert not facts["zero_at_fermi_limit"]
+        assert facts["root_multiplicity"] == 0
         assert not facts["passed"]
 
 

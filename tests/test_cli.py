@@ -310,6 +310,22 @@ def test_exact_subcommands_run_without_numpy(schema):
         validate(rep, schema)
 
 
+@pytest.mark.parametrize("cap", ["0", "5"])
+def test_para_fermi_rejects_a_cap_it_cannot_use(capsys, schema, cap):
+    # a parafermi site holds at most one quantum: a cap other than 1 would
+    # be named in the parameters without playing any part in the result
+    code, rep = run_cli(capsys, "--stable-output", "para", "--kind", "fermi",
+                        "--p", "2", "--cap", cap, "--check", "vacuum")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"].startswith("ValueError: ")
+    assert f"cap={cap}" in rep["results"]["error"]
+    validate(rep, schema)
+    code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "2",
+                        "--cap", "1", "--check", "vacuum")
+    assert code == 0
+
+
 def test_para_past_the_byte_budget_is_a_typed_error(capsys, schema):
     # dimension 4096 is within --limit-dim; its 16 dense matrices are 2 GiB
     code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "3",
@@ -491,7 +507,7 @@ CHEAP_ARGVS = st.one_of(
              p=st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
              modes=st.sampled_from(["0", "1", "2", "x"]), cap=INTS,
              check=st.sampled_from(["trilinear", "vacuum", "occupancy"])),
-    _command("gentile", nmax=INTS, theta=FLOATS),
+    _command("gentile", theta=FLOATS),
     _command("speicher", word=WORDS, q=FLOATS, N=INTS, samples=INTS,
              seed=INTS),
     _command("bounds", "convert", vf=RATIONALS, vb=RATIONALS, q=RATIONALS),

@@ -154,11 +154,13 @@ def test_zagier_formula_small():
     assert gram.zagier_determinant(1) == ONE
     assert gram.zagier_determinant(2) == ONE - Q ** 2
     assert gram.zagier_determinant(3) == (ONE - Q ** 2) ** 6 * (ONE - Q ** 6)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gram.zagier_determinant(0)
 
 
 def test_det_exact_small_matrices():
     assert gram.det_exact([]) == ONE
-    assert gram.det_exact([[QPoly.const(2), ONE], [ONE, ONE]]) == ONE
+    assert gram.det_exact([[QPoly([2]), ONE], [ONE, ONE]]) == ONE
     assert gram.det_exact([[ONE, QPoly.zero()], [QPoly.zero(), ONE]]) == ONE
     assert gram.det_exact(gram.gram_matrix(2).entries) == ONE - Q ** 2
 
@@ -275,8 +277,9 @@ def square_poly_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(square_poly_matrices())
 def test_both_det_exact_paths_agree(entries):
+    # interpolation (det_exact) against the polynomial Bareiss oracle
     reference = det_bareiss_poly([list(row) for row in entries])
-    assert gram._det_interpolate(entries) == reference
+    assert gram.det_exact(entries) == reference
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)

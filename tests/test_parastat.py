@@ -146,6 +146,9 @@ def test_build_validation():
         build_green("parabose", 2, 2)  # missing cap
     with pytest.raises(DimensionBudgetError):
         build_green("parafermi", 4, 4)  # 2^16 sites worth of dimension
+    assert build_green("parafermi", 2, 2, cap=1).cap == 1
+    with pytest.raises(ValueError, match="cap=2"):
+        build_green("parafermi", 2, 2, cap=2)  # a site holds one quantum
 
 
 def test_byte_budget_refuses_before_allocating():

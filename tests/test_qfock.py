@@ -1,22 +1,61 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib import qfock
-from quonlib.qfock import (apply_symbol, normal_order, parse_word,
-                           q_inner_product, vacuum_expectation,
-                           vev_word_for_inner_product)
+from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, parse_word,
+                           q_inner_product, vacuum_expectation)
 from quonlib.qpoly import QPoly
 
 Q = QPoly.q()
 ONE = QPoly.one()
 
 
+def _add_term(acc, word, coeff):
+    cur = acc.get(word)
+    new = coeff if cur is None else cur + coeff
+    if new.is_zero():
+        acc.pop(word, None)
+    else:
+        acc[word] = new
+
+
+def normal_order(word):
+    """Reference: rewrite a word so every creator stands left of every
+    annihilator, as a dict {normal-ordered word: QPoly}.
+
+    Equal to the input modulo the defining relation.  Terminates because
+    each rewrite strictly reduces the number of (annihilator, creator)
+    inversions.
+    """
+    pending = {tuple(word): ONE}
+    done = {}
+    while pending:
+        w, c = pending.popitem()
+        i = next((i for i in range(len(w) - 1)
+                  if w[i][0] == ANNIHILATOR and w[i + 1][0] == CREATOR), -1)
+        if i < 0:
+            _add_term(done, w, c)
+            continue
+        (_, k), (_, l) = w[i], w[i + 1]
+        _add_term(pending, w[:i] + (w[i + 1], w[i]) + w[i + 2:], c * Q)
+        if k == l:
+            _add_term(pending, w[:i] + w[i + 2:], c)
+    return done
+
+
+def vev_word_for_inner_product(u, v):
+    """The operator word whose vacuum expectation equals <u, v>."""
+    return tuple((ANNIHILATOR, m) for m in reversed(tuple(u))) + \
+        tuple((CREATOR, m) for m in v)
+
+
 def test_parse_and_format():
     w = parse_word("a1 a2 c2 c1")
     assert w == (("a", 1), ("a", 2), ("c", 2), ("c", 1))
-    assert qfock.format_word(w) == "a1 a2 c2 c1"
+    # the tokens, formatted back, are the text
+    assert " ".join(f"{kind}{mode}" for kind, mode in w) == "a1 a2 c2 c1"
     with pytest.raises(ValueError):
         parse_word("x3")
     with pytest.raises(ValueError):
@@ -47,6 +86,16 @@ def test_normal_order_constant_term():
     # a_k a_l a†_k a†_l with k != l: constant term is q (one crossing)
     out = normal_order(parse_word("a0 a1 c0 c1"))
     assert out.get(()) == Q
+
+
+def test_vacuum_expectation_is_the_constant_term_of_normal_order():
+    # only the empty word of a normal-ordered sum survives between vacua
+    rng = random.Random(11)
+    for _ in range(200):
+        word = tuple((rng.choice((ANNIHILATOR, CREATOR)), rng.randint(0, 2))
+                     for _ in range(rng.randint(0, 8)))
+        assert vacuum_expectation(word) == \
+            normal_order(word).get((), QPoly.zero())
 
 
 def test_vacuum_expectation_examples():
@@ -153,7 +202,7 @@ fock_states = st.dictionaries(
 def test_action_is_the_same_over_every_scalar_ring(state, kind, mode, q):
     # exact Fraction q agrees with the QPoly action evaluated at q
     symbol = (kind, mode)
-    poly = apply_symbol(symbol, {w: QPoly.const(c) for w, c in state.items()})
+    poly = apply_symbol(symbol, {w: QPoly([c]) for w, c in state.items()})
     at_q = {w: c(q) for w, c in poly.items() if c(q) != 0}
     assert apply_symbol(symbol, state, q) == at_q
     # q = 0: an annihilator keeps only a leftmost match

@@ -55,12 +55,6 @@ def test_evaluation_exact_and_float():
     assert p(0) == 1
 
 
-def test_json_round_trip():
-    p = QPoly([1, Fraction(-3, 2), 0, 7])
-    assert QPoly.from_json(p.to_json()) == p
-    assert p.to_json() == ["1", "-3/2", "0", "7"]
-
-
 def test_str():
     assert str(QPoly.zero()) == "0"
     assert str(QPoly([1, 1])) == "1 + q"

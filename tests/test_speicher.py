@@ -15,18 +15,19 @@ from quonlib.wick import (chords_cross, enumerate_contractions,
 
 
 def test_sign_matrix_properties():
-    sm = sample_sign_matrix(20, 0.3, np.random.default_rng(0))
-    assert np.array_equal(sm.signs, sm.signs.T)
-    assert np.all(np.diag(sm.signs) == 1)
-    assert set(np.unique(sm.signs)) <= {-1, 1}
+    signs = sample_sign_matrix(20, 0.3, np.random.default_rng(0))
+    assert signs.shape == (20, 20) and signs.dtype == np.int64
+    assert np.array_equal(signs, signs.T)
+    assert np.all(np.diag(signs) == 1)
+    assert set(np.unique(signs)) <= {-1, 1}
 
 
 def test_sign_matrix_extremes():
     plus = sample_sign_matrix(8, 1.0, np.random.default_rng(1))
-    assert np.all(plus.signs == 1)
+    assert np.all(plus == 1)
     minus = sample_sign_matrix(8, -1.0, np.random.default_rng(1))
     off = ~np.eye(8, dtype=bool)
-    assert np.all(minus.signs[off] == -1)
+    assert np.all(minus[off] == -1)
 
 
 def test_sign_matrix_rejects_bad_q():
@@ -53,9 +54,18 @@ def test_expectation_given_signs_exact_value():
     # N=2 crossing diagram: (N + sum of off-diagonal signs pairings)/N^2
     word = parse_word("a1 a2 c1 c2")
     signs = np.array([[1, -1], [-1, 1]], dtype=np.int64)
-    sm = speicher.SignMatrix(n_components=2, signs=signs)
     # assignments: (0,0),(1,1) give +1 each; (0,1),(1,0) give -1 each
-    assert expectation_given_signs(word, sm) == Fraction(0)
+    assert expectation_given_signs(word, signs) == Fraction(0)
+
+
+def test_expectation_given_signs_rejects_bad_sign_matrices():
+    word = parse_word("a1 a2 c1 c2")
+    with pytest.raises(ValueError, match="square"):
+        expectation_given_signs(word, np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="square"):
+        expectation_given_signs(word, np.ones(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="symmetric"):
+        expectation_given_signs(word, np.array([[1, 1], [-1, 1]]))
 
 
 def test_expected_over_signs_matches_brute_force():
@@ -67,9 +77,8 @@ def test_expected_over_signs_matches_brute_force():
     total = Fraction(0)
     for s01 in (1, -1):
         signs = np.array([[1, s01], [s01, 1]], dtype=np.int64)
-        sm = speicher.SignMatrix(n_components=n, signs=signs)
         p = prob_plus if s01 == 1 else 1 - prob_plus
-        total += p * expectation_given_signs(word, sm)
+        total += p * expectation_given_signs(word, signs)
     assert expected_over_signs(word, q, n) == total
 
 
@@ -81,9 +90,8 @@ def test_expected_over_signs_three_chords():
     total = Fraction(0)
     for s01 in (1, -1):
         signs = np.array([[1, s01], [s01, 1]], dtype=np.int64)
-        sm = speicher.SignMatrix(n_components=n, signs=signs)
         p = prob_plus if s01 == 1 else 1 - prob_plus
-        total += p * expectation_given_signs(word, sm)
+        total += p * expectation_given_signs(word, signs)
     assert expected_over_signs(word, q, n) == total
 
 
@@ -197,7 +205,7 @@ def test_float_contraction_matches_exact(word, n, q, seed, data):
     assume(diagrams)
     pairs, _ = data.draw(st.sampled_from(diagrams))
     plan = speicher._plan_contraction(pairs, n, 1)
-    signs = sample_sign_matrix(n, q, seed).signs[None]
+    signs = sample_sign_matrix(n, q, seed)[None]
     exact = speicher._assignment_sum(plan, signs.astype(object), n)
     assert speicher._assignment_sum(plan, signs.astype(float), n) == exact
 
@@ -276,7 +284,7 @@ def mc_estimate_per_sample(word, q, n, samples, seed):
         draws = (rng.random(n * (n - 1) // 2) < (1.0 + q) / 2.0) * 2.0 - 1.0
         signs[upper] = draws
         signs.T[upper] = draws
-        speicher.SignMatrix(n_components=n, signs=signs)
+        speicher._check_symmetric(signs)
         total = 0
         for sublists, path, free in diagrams:
             if not sublists:
