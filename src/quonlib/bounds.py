@@ -142,47 +142,47 @@ def _conservation_test_states(momenta, max_particles):
     return states
 
 
-def _matrix_elements(momenta, max_particles, q):
-    """(A, B) = (<phi, b1 b2 psi>, <phi, b2 b1 psi>) for every pair of test
-    states, with b1 = b†(p) b(k+p) and b2 = b†(l+r) b(r).
+def _matrix_elements(momenta, max_particles):
+    """(A, B) = (<phi, b1 b2 psi>, <phi, b2 b1 psi>) as exact polynomials
+    in q over the test states, with b1 = b†(p) b(k+p) and b2 = b†(l+r) b(r).
 
-    The values lie in the scalar ring of q: QPoly for QPoly.q(), exact
-    numbers for a Fraction.  Returns [(psi, [(A, B) for each phi])] in the
-    order of the test states.  The inner product of two words vanishes
-    unless they carry the same labels, so only the phi with the label
-    multiset of a word of psi's image (r -> l+r, k+p -> p) are computed;
-    every other pair is an exact zero.
+    Returns [(psi, [(A, B) for each phi with A or B nonzero])] in the order
+    of the test states, each list in the order of phi.  The inner product
+    of two words vanishes unless they carry the same labels, so only the
+    phi with the label multiset of a word of psi's image (r -> l+r,
+    k+p -> p) are computed; every other pair is an exact zero.
     """
     states = _conservation_test_states(momenta, max_particles)
     k, l, p, r = momenta
     b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
     b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
-    one = q ** 0
-    zero = (0 * one, 0 * one)
+    one = QPoly.one()
     by_labels = defaultdict(list)
     for i, phi in enumerate(states):
         by_labels[tuple(sorted(phi))].append(i)
     memo = {}
 
     def element(phi, image):
-        total = 0 * one
+        total = QPoly.zero()
         for word, c in image.items():
             key = (phi, word)
             inner = memo.get(key)
             if inner is None:
-                inner = memo[key] = q_inner_product(phi, word, q)
+                inner = memo[key] = q_inner_product(phi, word)
             if inner:
                 total = total + c * inner
         return total
 
     out = []
     for psi in states:
-        ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
-        ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
-        pairs = [zero] * len(states)
-        for labels in {tuple(sorted(word)) for word in (*ab, *ba)}:
-            for i in by_labels.get(labels, ()):
-                pairs[i] = (element(states[i], ab), element(states[i], ba))
+        ab = apply_terms(((b1 + b2, 1),), {psi: one})
+        ba = apply_terms(((b2 + b1, 1),), {psi: one})
+        labels = {tuple(sorted(word)) for word in (*ab, *ba)}
+        pairs = []
+        for i in sorted(i for key in labels for i in by_labels.get(key, ())):
+            a, b = element(states[i], ab), element(states[i], ba)
+            if a or b:
+                pairs.append((a, b))
         out.append((psi, pairs))
     return out
 
@@ -193,19 +193,20 @@ def conservation_residual(q_e, momenta, q_b=None, max_particles=3):
     R = [b†(p) b(k+p)][b†(l+r) b(r)] - q_b [b†(l+r) b(r)][b†(p) b(k+p)]
     applied to every test state, with q_b defaulting to q_e^2.  The
     residual per state is the largest matrix element |<phi, R psi>| =
-    |A - q_b B| in the q_e-deformed inner product, over all test states
-    phi.  The deformed inner product degenerates at q_e = -1, which is
-    exactly right: the operator-level mismatch of R psi there is a null
-    vector, invisible to every matrix element, so the residual is exactly
-    zero.  Exact rational throughout.
+    |A(q_e) - q_b B(q_e)| in the q_e-deformed inner product, over all test
+    states phi, read from the exact polynomials of _matrix_elements.  The
+    deformed inner product degenerates at q_e = -1, which is exactly
+    right: the operator-level mismatch of R psi there is a null vector,
+    invisible to every matrix element, so the residual is exactly zero.
+    Exact rational throughout.
 
     Returns a list of (state, residual Fraction).
     """
     q_e = _as_fraction(q_e)
     q_b = q_e * q_e if q_b is None else _as_fraction(q_b)
-    return [(psi, max((abs(a - q_b * b) for a, b in pairs if a or b),
+    return [(psi, max((abs(a(q_e) - q_b * b(q_e)) for a, b in pairs),
                       default=Fraction(0)))
-            for psi, pairs in _matrix_elements(momenta, max_particles, q_e)]
+            for psi, pairs in _matrix_elements(momenta, max_particles)]
 
 
 def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
@@ -229,7 +230,8 @@ def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
 _Q = QPoly.q()
 
 # q_b(q_e) choices the check must reject: both are off 1 at q_e = -1
-CONSERVATION_CONTROLS = (("q_e", _Q), ("999/1000", Fraction(999, 1000)))
+CONSERVATION_CONTROLS = (("q_e", _Q),
+                         ("999/1000", QPoly([Fraction(999, 1000)])))
 
 
 def _root_multiplicity(poly, root):
@@ -246,52 +248,62 @@ def _derivative_at(poly, x):
     return sum(i * c * x ** (i - 1) for i, c in enumerate(poly.coeffs) if i)
 
 
-def _fermi_limit_facts(elements, q_b):
-    """Exact facts at q_e = -1 about R = A - q_b(q_e) B over the (A, B)
-    QPoly elements, q_b a QPoly in q_e or a constant.
+def _fermi_gate(elements, values, q_b):
+    """(zero_at_fermi_limit, root_multiplicity) of R = A - q_b(q_e) B over
+    the (A, B) QPoly elements, q_b a QPoly in q_e.
 
-    `passed` asks that every R vanish at q_e = -1, the least multiplicity
-    of that root being 1, and that the family see an offset of q_b from 1
-    at all: where A(-1) = B(-1), a constant q_b leaves exactly
-    |1 - q_b| * offset_residual at q_e = -1.
+    `values` holds (A(-1), B(-1), A'(-1), B'(-1)) for each element, so
+    R(-1) and R'(-1) need no polynomial arithmetic.  Where some R(-1) != 0
+    the least multiplicity of the root -1 is 0; where some R'(-1) != 0 it
+    is 1.  Only when every R has at least a double root are the roots
+    divided out, over the nonzero R (None if there is none).
     """
-    nonzero = [r for r in (a - q_b * b for a, b in elements) if r]
-    zero = all(r(-1) == 0 for r in nonzero)
-    # where some R(-1) != 0 the least multiplicity is 0, with no division
-    multiplicity = min((_root_multiplicity(r, -1) for r in nonzero),
-                       default=None) if zero else 0
-    slopes = sorted({Fraction(_derivative_at(a - b, -1), b(-1))
-                     for a, b in elements if b(-1)})
-    offset = Fraction(max((abs(b(-1)) for _, b in elements), default=0))
-    return {"zero_at_fermi_limit": zero,
-            "root_multiplicity": multiplicity,
-            "first_order_slopes": slopes,
-            "offset_residual": offset,
-            "passed": zero and multiplicity == 1 and offset > 0}
+    c0, c1 = q_b(-1), _derivative_at(q_b, -1)
+    if any(a0 != c0 * b0 for a0, b0, _, _ in values):
+        return False, 0
+    if any(a1 != c1 * b0 + c0 * b1 for _, b0, a1, b1 in values):
+        return True, 1
+    residuals = [r for r in (a - q_b * b for a, b in elements) if r]
+    return True, min((_root_multiplicity(r, -1) for r in residuals),
+                     default=None)
 
 
 def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
     """Conservation of statistics near the Fermi limit, from one exact pass.
 
     Every matrix element <phi, R psi> is A(q_e) - q_b B(q_e) for exact
-    polynomials A, B, computed once at q = QPoly.q() over the same test
-    states as conservation_residual.  With q_b = q_e^2 this reports
+    polynomials A, B, computed once at symbolic q over the same test
+    states as conservation_residual, and every fact below is read from
+    A(-1), B(-1), A'(-1) and B'(-1).  With q_b = q_e^2 this reports
     whether every R vanishes at q_e = -1, the least multiplicity of that
     root, the set of first-order slopes (A' - B')/B at -1 over elements
-    with B(-1) != 0, and offset_residual = max |B(-1)|.  `passed` also
-    asks that every q_b in CONSERVATION_CONTROLS fail the same gate.
+    with B(-1) != 0, and offset_residual = max |B(-1)|: where A(-1) =
+    B(-1), a constant q_b leaves exactly |1 - q_b| * offset_residual at
+    q_e = -1.  The gate asks for a zero, a least multiplicity of 1 and a
+    positive offset; `passed` also asks that every q_b in
+    CONSERVATION_CONTROLS fail that gate.
 
     The gate holds for any q_b with q_b(-1) = 1 and a simple root there
     (1, -q_e and q_e^4 as well as q_e^2): it establishes q_b -> 1 to first
     order, not q_b = q_e^2 itself.
     """
-    per_state = _matrix_elements(momenta, max_particles, _Q)
-    elements = [(a, b) for _, pairs in per_state for a, b in pairs if a or b]
-    facts = _fermi_limit_facts(elements, _Q * _Q)
-    facts["controls_rejected"] = {
-        name: not _fermi_limit_facts(elements, q_b)["passed"]
-        for name, q_b in CONSERVATION_CONTROLS}
-    facts["passed"] = facts["passed"] and all(
-        facts["controls_rejected"].values())
-    facts["n_states"] = len(per_state)
-    return facts
+    per_state = _matrix_elements(momenta, max_particles)
+    elements = [ab for _, pairs in per_state for ab in pairs]
+    values = [(a(-1), b(-1), _derivative_at(a, -1), _derivative_at(b, -1))
+              for a, b in elements]
+    offset = Fraction(max((abs(b0) for _, b0, _, _ in values), default=0))
+
+    def passes(zero, multiplicity):
+        return zero and multiplicity == 1 and offset > 0
+
+    zero, multiplicity = _fermi_gate(elements, values, _Q * _Q)
+    rejected = {name: not passes(*_fermi_gate(elements, values, q_b))
+                for name, q_b in CONSERVATION_CONTROLS}
+    return {"zero_at_fermi_limit": zero,
+            "root_multiplicity": multiplicity,
+            "first_order_slopes": sorted({Fraction(a1 - b1, b0)
+                                          for _, b0, a1, b1 in values if b0}),
+            "offset_residual": offset,
+            "controls_rejected": rejected,
+            "passed": passes(zero, multiplicity) and all(rejected.values()),
+            "n_states": len(per_state)}

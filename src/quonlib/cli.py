@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .qfock import TruncationError, parse_word, vacuum_expectation
+from .qfock import parse_word, vacuum_expectation
 from .qpoly import QPoly
 from .wick import wick_expectation
 
@@ -67,9 +67,7 @@ def _cmd_vev(args):
 
 def _cmd_gram(args):
     from . import gram
-    if args.limit_n is None:
-        args.limit_n = gram.BUILD_LIMIT
-    g = gram.gram_matrix(args.n, limit=args.limit_n)
+    g = gram.gram_matrix(args.n)
     results = {"n": args.n, "dim": g.dim}
     ok = True
     if args.exact:
@@ -138,11 +136,15 @@ def _cmd_observables(args):
 
 def _cmd_para(args):
     from . import parastat
-    if args.limit_dim is None:
-        args.limit_dim = parastat.DIM_BUDGET
     kind = "parabose" if args.kind == "bose" else "parafermi"
-    r = parastat.build_green(kind, args.p, args.modes, cap=args.cap,
-                             limit=args.limit_dim)
+    # occupancy: at most p quanta in the symmetric same-mode word for
+    # parafermi, in its dual, the antisymmetric distinct-mode word, for
+    # parabose; p + 1 distinct modes take p + 1 modes
+    sym = kind == "parafermi"
+    if args.check == "occupancy" and not sym and args.modes <= args.p:
+        raise ValueError(f"the parabose occupancy check needs p + 1 = "
+                         f"{args.p + 1} modes, got {args.modes}")
+    r = parastat.build_green(kind, args.p, args.modes, cap=args.cap)
     if args.check == "trilinear":
         rep = parastat.check_trilinear(r)
         return rep, rep["exact"]
@@ -151,11 +153,13 @@ def _cmd_para(args):
         return rep, rep["pass"]
     norms = {}
     for n in range(1, args.p + 2):
-        norms[f"same_mode_n{n}"] = parastat.max_occupancy(r, (0,) * n)
-    sym = kind == "parafermi"
-    expected = all(
-        (norms[f"same_mode_n{n}"] > 1e-10) == (n <= args.p)
-        for n in range(1, args.p + 2)) if sym else True
+        if sym:
+            norms[f"same_mode_n{n}"] = parastat.max_occupancy(r, (0,) * n)
+        else:
+            norms[f"distinct_modes_n{n}"] = parastat.max_occupancy(
+                r, tuple(range(n)), symmetric=False)
+    expected = all((norm > 1e-10) == (n <= args.p)
+                   for n, norm in enumerate(norms.values(), 1))
     return {"kind": kind, "p": args.p, "norms": norms}, expected
 
 
@@ -246,20 +250,10 @@ def _finite(text):
     return value
 
 
-# the one subcommand that reads each global setting; the others' reports
-# leave it out of their parameters
-_GLOBAL_READERS = {"seed": "speicher", "limit_dim": "para"}
-
-
 def build_parser():
     p = argparse.ArgumentParser(
         prog="quon",
         description="Exact quon-algebra computations and verification checks")
-    p.add_argument("--seed", type=int, default=0,
-                   help="global RNG seed for stochastic subcommands")
-    # default: parastat.DIM_BUDGET, filled in when para runs
-    p.add_argument("--limit-dim", type=int, default=None,
-                   help="matrix dimension budget for realizations")
     p.add_argument("--stable-output", action="store_true",
                    help="zero every elapsed field so identical invocations "
                         "produce byte-identical output")
@@ -277,8 +271,6 @@ def build_parser():
                    help="compute the exact determinant and compare")
     s.add_argument("--at", type=_finite, default=None,
                    help="evaluate the matrix at this q")
-    # default: gram.BUILD_LIMIT, filled in when gram runs
-    s.add_argument("--limit-n", type=int, default=None)
     s.set_defaults(fn=_cmd_gram)
 
     s = sub.add_parser("zagier", help="closed-form Gram determinant")
@@ -318,8 +310,7 @@ def build_parser():
     s.add_argument("--q", type=_finite, required=True)
     s.add_argument("--N", type=int, default=100)
     s.add_argument("--samples", type=int, default=2000)
-    # also accepted after the subcommand; without it the global --seed holds
-    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_speicher)
 
     s = sub.add_parser("bounds", help="violation-parameter arithmetic")
@@ -359,13 +350,10 @@ def run(argv=None):
     try:
         results, ok = args.fn(args)
         status = "pass" if ok else "fail"
-    except (ValueError, ZeroDivisionError, TruncationError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         results = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"
-    # after the command, which fills in the defaults its module defines
-    params = {k: v for k, v in vars(args).items()
-              if k != "fn"
-              and _GLOBAL_READERS.get(k, args.subcommand) == args.subcommand}
+    params = {k: v for k, v in vars(args).items() if k != "fn"}
     elapsed = 0.0 if args.stable_output else round(time.perf_counter() - t0, 3)
     report = {"subcommand": args.subcommand,
               "parameters": _jsonable(params),

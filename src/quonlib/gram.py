@@ -95,15 +95,16 @@ def inversions(perm):
                for i in range(len(perm)) for j in range(i + 1, len(perm)))
 
 
-def gram_matrix(n, limit=BUILD_LIMIT):
+def gram_matrix(n):
     """Inner products of all orderings of n distinct-mode creators.
 
     The row <id, w> is computed through the free-Fock annihilator action,
     not from the inversion-count shortcut, so the matrix doubles as an
     oracle for that closed form; entry (i, j) is that row at u_i^-1 u_j.
     """
-    if not 1 <= n <= limit:
-        raise GramLimitError(f"n={n} outside supported range 1..{limit}")
+    if not 1 <= n <= BUILD_LIMIT:
+        raise GramLimitError(
+            f"n={n} outside supported range 1..{BUILD_LIMIT}")
     perms = tuple(itertools.permutations(range(n)))
     row = []
     for w in perms:

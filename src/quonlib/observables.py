@@ -12,7 +12,11 @@ Truncated to depth D on a particle-capped space, the defining commutator
     [n_kl, a†_m] = delta_lm a†_k
 
 holds exactly on every state at least one particle below the cap,
-provided D >= cap - 1.  All arithmetic is exact integers.
+provided D >= cap - 1.  Every term of the series has as many creators as
+annihilators, and its annihilators act first, so no term lengthens a
+word; a bare creator only ever acts on states below the cap.  No state
+leaves the capped space, and the Fock action needs no cap of its own.
+All arithmetic is exact: integers, and Fractions for the energies.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# TruncationError is re-exported: callers catch observables.TruncationError
-from .qfock import (ANNIHILATOR, CREATOR, TruncationError,  # noqa: F401
-                    apply_symbol, apply_terms)
+from .qfock import ANNIHILATOR, CREATOR, apply_symbol, apply_terms
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,12 @@ def commutator_residual(space, k, l, m, depth):
     res = {}
     for w in space.states_below_cap():
         psi = {w: 1}
-        up = apply_symbol((CREATOR, m), psi, 0, space.cap)
+        up = apply_symbol((CREATOR, m), psi, 0)
         lhs = _state_sub(
-            apply_terms(nkl, up, 0, space.cap),
+            apply_terms(nkl, up, 0),
             apply_symbol((CREATOR, m),
-                         apply_terms(nkl, psi, 0, space.cap), 0, space.cap))
-        rhs = apply_symbol((CREATOR, k), psi, 0, space.cap) if l == m else {}
+                         apply_terms(nkl, psi, 0), 0))
+        rhs = apply_symbol((CREATOR, k), psi, 0) if l == m else {}
         diff = _state_sub(lhs, rhs)
         if diff:
             res[w] = diff
@@ -121,7 +123,7 @@ def check_free_hamiltonian(space, energies, depth=None):
     terms = free_hamiltonian_terms(space, energies, depth)
     failures = []
     for w in space.basis:
-        got = apply_terms(terms, {w: 1}, 0, space.cap)
+        got = apply_terms(terms, {w: 1}, 0)
         want_e = sum(Fraction(energies[m]) for m in w)
         want = {w: want_e} if want_e != 0 else {}
         if _state_sub(got, want):
@@ -136,7 +138,7 @@ def locality_check_discrete(space, x, y, w, depth=None):
         depth = space.cap - 1
     rep = check_transition_commutator(space, x, y, w, depth)
     nxy = transition_operator(x, y, depth, space.modes)
-    vac_ok = not apply_terms(nxy, {(): 1}, 0, space.cap)
+    vac_ok = not apply_terms(nxy, {(): 1}, 0)
     return {"commutator": rep, "annihilates_vacuum": vac_ok,
             "exact": rep["exact"] and vac_ok}
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .gram import inversions
 
-DIM_BUDGET = 4096
 # bytes of the dense float64 components and annihilators of a realization
 BYTE_BUDGET = 2 ** 27
 
@@ -69,7 +68,7 @@ class GreenRealization:
         return np.flatnonzero(self.protected_mask(headroom=2))
 
 
-def build_green(kind, p, modes, cap=None, limit=DIM_BUDGET):
+def build_green(kind, p, modes, cap=None):
     """Explicit Green-ansatz matrices on the component tensor space.
 
     Site alpha * modes + k holds component alpha of mode k and is digit
@@ -97,8 +96,6 @@ def build_green(kind, p, modes, cap=None, limit=DIM_BUDGET):
     levels = cap + 1
     nsites = p * modes
     dim = levels ** nsites
-    if dim > limit:
-        raise DimensionBudgetError(f"dimension {dim} exceeds budget {limit}")
     matrices = (p + 1) * modes
     nbytes = matrices * dim * dim * 8
     if nbytes > BYTE_BUDGET:

@@ -6,8 +6,9 @@ The single defining relation is
 
 with no relation at all between two creators or two annihilators.
 Everything here is exact: coefficients live in the polynomial ring QPoly,
-or, where the free Fock action is taken at a fixed exact q, in the ring of
-that q.  The action itself is written once, in apply_symbol.
+or, where the free Fock action is taken at q = 0 (the observables), in
+the integers and Fractions of the state it acts on.  The action itself is
+written once, in apply_symbol.
 
 Conventions
 -----------
@@ -87,25 +88,16 @@ def vacuum_expectation(word, _memo=None):
 # -- free Fock-space action ------------------------------------------------
 
 
-class TruncationError(RuntimeError):
-    """An intermediate state exceeded the particle cap; deepen the truncation."""
-
-
-def apply_symbol(symbol, state, q=QPoly.q(), cap=None):
+def apply_symbol(symbol, state, q=QPoly.q()):
     """One operator symbol acting on a state dict {Fock word: scalar}.
 
     a†_k prepends k; a_k removes a letter k at position i with weight q^i.
     The scalar ring follows from q: the default QPoly q gives polynomial
-    coefficients, an exact Fraction gives exact numbers, and q = 0 keeps
-    only the leftmost match.  A creator that would take a word past `cap`
-    letters raises TruncationError.  The state stores no zero coefficient,
-    and neither does the result.
+    coefficients, and q = 0 keeps only the leftmost match.  The state
+    stores no zero coefficient, and neither does the result.
     """
     kind, mode = symbol
     if kind == CREATOR:
-        if cap is not None and max(map(len, state), default=0) >= cap:
-            raise TruncationError(f"creator on a {max(map(len, state))}"
-                                  f"-particle word exceeds cap {cap}")
         # prepending one mode to distinct words cannot make two words collide
         return {(mode,) + w: c for w, c in state.items()}
     out = {}
@@ -126,14 +118,14 @@ def apply_symbol(symbol, state, q=QPoly.q(), cap=None):
     return {w: c for w, c in out.items() if c}
 
 
-def apply_terms(terms, state, q=QPoly.q(), cap=None):
+def apply_terms(terms, state, q=QPoly.q()):
     """Apply a sum of (operator word, scalar coefficient) terms to a state;
     the rightmost symbol of each word acts first."""
     out = {}
     for word, coeff in terms:
         cur = state
         for symbol in reversed(word):
-            cur = apply_symbol(symbol, cur, q, cap)
+            cur = apply_symbol(symbol, cur, q)
             if not cur:
                 break
         for w, c in cur.items():
@@ -143,20 +135,18 @@ def apply_terms(terms, state, q=QPoly.q(), cap=None):
     return {w: c for w, c in out.items() if c}
 
 
-def q_inner_product(u, v, q=QPoly.q()):
-    """<u, v> for Fock words, via the annihilator action on |v>.
+def q_inner_product(u, v):
+    """<u, v> for Fock words as a QPoly, via the annihilator action on |v>.
 
     Equals the vacuum expectation of a_{u_n} ... a_{u_1} a†_{v_1} ... a†_{v_n};
-    zero whenever the label multisets differ.  The result lies in the
-    scalar ring of q (QPoly for the default).
+    zero whenever the label multisets differ.
     """
     u, v = tuple(u), tuple(v)
-    one = q ** 0          # the 1 of the scalar ring of q
     if len(u) == len(v) and sorted(u) == sorted(v):
-        state = {v: one}
+        state = {v: QPoly.one()}
         for m in u:
-            state = apply_symbol((ANNIHILATOR, m), state, q)
+            state = apply_symbol((ANNIHILATOR, m), state)
         if state:
             return state[()]
-    return 0 * one
+    return QPoly.zero()
 

@@ -5,13 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from quonlib import bounds
 from quonlib.bounds import (BOSONIC, FERMIONIC, STATE_LIMIT,
-                            _conservation_test_states, _fermi_limit_facts,
-                            _matrix_elements, composite_q,
+                            _conservation_test_states, _derivative_at,
+                            _fermi_gate, _matrix_elements, composite_q,
                             compositeness_overlap, conservation_residual,
                             conservation_residual_check, conservation_sweep,
                             propagate_statistics, q_from_v, v_from_q)
-from quonlib.qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
+from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, apply_terms,
+                           q_inner_product)
 from quonlib.qpoly import QPoly
+
+Q = QPoly.q()
+MOMENTA = ((1, 2, 5, 9), (1, 2, 11, 9))   # four modes; three, p = l+r
 
 
 def test_v_q_conversions_exact():
@@ -126,43 +130,140 @@ def test_conservation_sweep_slope():
     assert rep["root_multiplicity"] is None and not rep["passed"]
 
 
-def _residual_from_polynomials(per_state, q_e):
-    return [(psi, max(abs(a(q_e) - q_e * q_e * b(q_e)) for a, b in pairs))
-            for psi, pairs in per_state]
+# -- oracles: the Fock action in the ring of an exact q, every pair formed --
+
+
+def _inner_at(u, v, q):
+    """<u, v> in the ring of q (a QPoly or an exact number), from the
+    annihilator action on |v>."""
+    zero = 0 * q ** 0
+    if sorted(u) != sorted(v):
+        return zero
+    state = {tuple(v): q ** 0}
+    for m in u:
+        state = apply_symbol((ANNIHILATOR, m), state, q)
+    return state.get((), zero)
+
+
+def _all_pairs_elements(momenta, max_particles, q):
+    """Oracle of _matrix_elements in the ring of q: the inner product of
+    every test state with both images of every test state, matching labels
+    or not, zero pairs kept."""
+    states = _conservation_test_states(momenta, max_particles)
+    k, l, p, r = momenta
+    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
+    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
+    one = q ** 0
+
+    def element(phi, image):
+        return sum((c * _inner_at(phi, word, q) for word, c in image.items()),
+                   0 * one)
+
+    out = []
+    for psi in states:
+        ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
+        ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
+        out.append((psi, [(element(phi, ab), element(phi, ba))
+                          for phi in states]))
+    return out
+
+
+def _fraction_residual(q_e, momenta, max_particles):
+    """conservation_residual from the Fraction-ring elements at q_e."""
+    return [(psi, max(abs(a - q_e * q_e * b) for a, b in pairs))
+            for psi, pairs in _all_pairs_elements(momenta, max_particles, q_e)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.fractions(min_value=-1, max_value=1, max_denominator=1000))
 def test_polynomial_elements_give_the_fraction_residual(q_e):
-    per_state = _matrix_elements((1, 2, 5, 9), 2, QPoly.q())
-    assert _residual_from_polynomials(per_state, q_e) == \
-        conservation_residual(q_e, (1, 2, 5, 9), max_particles=2)
+    assert conservation_residual(q_e, (1, 2, 5, 9), max_particles=2) == \
+        _fraction_residual(q_e, (1, 2, 5, 9), 2)
 
 
 def test_polynomial_elements_give_the_fraction_residual_at_three_particles():
-    per_state = _matrix_elements((1, 2, 5, 9), 3, QPoly.q())
-    for q_e in (Fraction(-1, 2), Fraction(-999, 1000), Fraction(-1)):
-        assert _residual_from_polynomials(per_state, q_e) == \
-            conservation_residual(q_e, (1, 2, 5, 9))
+    for momenta in MOMENTA:
+        for q_e in (Fraction(-1), Fraction(-1, 2), Fraction(-999, 1000),
+                    Fraction(1, 3)):
+            assert conservation_residual(q_e, momenta) == \
+                _fraction_residual(q_e, momenta, 3)
+
+
+def _full_division_facts(elements, q_b):
+    """Oracle of the sweep's Fermi-limit facts: every residual polynomial
+    R = A - q_b B formed, and the full multiplicity of its root -1
+    divided out."""
+    nonzero = [r for r in (a - q_b * b for a, b in elements) if r]
+    zero = all(r(-1) == 0 for r in nonzero)
+    multiplicity = min((bounds._root_multiplicity(r, -1) for r in nonzero),
+                       default=None) if zero else 0
+    slopes = sorted({Fraction(_derivative_at(a - b, -1), b(-1))
+                     for a, b in elements if b(-1)})
+    offset = Fraction(max((abs(b(-1)) for _, b in elements), default=0))
+    return {"zero_at_fermi_limit": zero,
+            "root_multiplicity": multiplicity,
+            "first_order_slopes": slopes,
+            "offset_residual": offset}
+
+
+def _gate(elements, q_b):
+    values = [(a(-1), b(-1), _derivative_at(a, -1), _derivative_at(b, -1))
+              for a, b in elements]
+    return _fermi_gate(elements, values, q_b)
+
+
+def _elements(momenta, cap):
+    return [ab for _, pairs in _matrix_elements(momenta, cap) for ab in pairs]
+
+
+QB_CHOICES = {"q^2": Q * Q, "1": QPoly.one(), "-q": -Q, "q^4": Q ** 4,
+              "q": Q, "999/1000": QPoly([Fraction(999, 1000)])}
+
+
+@pytest.mark.parametrize("momenta", MOMENTA, ids=["four-modes", "p=l+r"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_fermi_gate_matches_full_division(cap, momenta):
+    elements = _elements(momenta, cap)
+    for name, q_b in QB_CHOICES.items():
+        want = _full_division_facts(elements, q_b)
+        assert _gate(elements, q_b) == (want["zero_at_fermi_limit"],
+                                        want["root_multiplicity"]), name
+    rep = conservation_sweep(momenta, cap)
+    want = _full_division_facts(elements, Q * Q)
+    assert {key: rep[key] for key in want} == want
 
 
 def test_conservation_gate_accepts_qb_one_at_fermi_limit_only(monkeypatch):
-    q = QPoly.q()
-    elements = [(a, b) for _, pairs in _matrix_elements((1, 2, 5, 9), 3, q)
-                for a, b in pairs if a or b]
-    # every q_b with q_b(-1) = 1 passes alike: q_e^2 is not singled out
-    for q_b in (q * q, 1, -q, q ** 4):
-        facts = _fermi_limit_facts(elements, q_b)
-        assert facts["zero_at_fermi_limit"]
-        assert facts["root_multiplicity"] == 1
-        assert facts["passed"]
-    # a control fails at q_e = -1 already, so no root is divided out
+    elements = _elements((1, 2, 5, 9), 3)
+    # a simple root shows in R'(-1) != 0, so no root is divided out
     monkeypatch.setattr(bounds, "_root_multiplicity", None)
-    for q_b in (q, Fraction(999, 1000)):
-        facts = _fermi_limit_facts(elements, q_b)
-        assert not facts["zero_at_fermi_limit"]
-        assert facts["root_multiplicity"] == 0
-        assert not facts["passed"]
+    # every q_b with q_b(-1) = 1 passes alike: q_e^2 is not singled out
+    for name in ("q^2", "1", "-q", "q^4"):
+        assert _gate(elements, QB_CHOICES[name]) == (True, 1), name
+    # a control fails at q_e = -1 already
+    for name in ("q", "999/1000"):
+        assert _gate(elements, QB_CHOICES[name]) == (False, 0), name
+
+
+def test_fermi_gate_divides_out_roots_only_without_a_simple_one(monkeypatch):
+    # R = (1 + q)^2 and (1 + q)^3: every R'(-1) = 0, so the least
+    # multiplicity comes from exact division
+    calls = []
+    real = bounds._root_multiplicity
+    monkeypatch.setattr(bounds, "_root_multiplicity",
+                        lambda poly, root: calls.append(poly) or
+                        real(poly, root))
+    double, triple = (1 + Q) ** 2, (1 + Q) ** 3
+    elements = [(double, QPoly.zero()), (triple, QPoly.zero())]
+    assert _gate(elements, Q * Q) == (True, 2)
+    assert calls == [double, triple]
+    monkeypatch.setattr(bounds, "_matrix_elements",
+                        lambda momenta, cap: [((5,), elements)])
+    rep = conservation_sweep()
+    assert (rep["zero_at_fermi_limit"], rep["root_multiplicity"]) == (True, 2)
+    assert not rep["passed"]
+    # no nonzero residual at all: no multiplicity
+    assert _gate([(Q * Q, QPoly.one())], Q * Q) == (True, None)
 
 
 def test_conservation_offset_residual_at_fermi_limit():
@@ -183,54 +284,40 @@ def test_conservation_input_validation():
 
 def test_inner_numeric_matches_polynomial_oracle():
     q = Fraction(1, 3)
-    for u, v in (((0, 1), (1, 0)), ((0, 0), (0, 0)), ((0, 1, 1), (1, 0, 1))):
-        assert q_inner_product(u, v, q) == q_inner_product(u, v)(q)
+    for u, v in (((0, 1), (1, 0)), ((0, 0), (0, 0)), ((0, 1, 1), (1, 0, 1)),
+                 ((0, 1), (0, 2))):
+        assert _inner_at(u, v, q) == q_inner_product(u, v)(q)
+        assert _inner_at(u, v, Q) == q_inner_product(u, v)
 
 
-def _all_pairs_elements(momenta, max_particles, q):
-    """Oracle of _matrix_elements: the inner product of every test state
-    with both images of every test state, matching labels or not."""
-    states = _conservation_test_states(momenta, max_particles)
-    k, l, p, r = momenta
-    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
-    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
-    one = q ** 0
-
-    def element(phi, image):
-        total = 0 * one
-        for word, c in image.items():
-            inner = q_inner_product(phi, word, q)
-            if inner:
-                total = total + c * inner
-        return total
-
-    out = []
-    for psi in states:
-        ab = apply_terms(((b1 + b2, 1),), {psi: one}, q)
-        ba = apply_terms(((b2 + b1, 1),), {psi: one}, q)
-        out.append((psi, [(element(phi, ab), element(phi, ba))
-                          for phi in states]))
-    return out
+def _label_matched_agree(momenta, cap, q):
+    """_matrix_elements against the all-pairs oracle in the ring of q:
+    symbolic, the nonzero pairs alike; at an exact q, the values that do
+    not vanish there."""
+    fast = _matrix_elements(momenta, cap)
+    assert all(isinstance(a, QPoly) and isinstance(b, QPoly) and (a or b)
+               for _, pairs in fast for a, b in pairs)
+    if not isinstance(q, QPoly):
+        fast = [(psi, [(a(q), b(q)) for a, b in pairs])
+                for psi, pairs in fast]
+    nonzero = [(psi, [(a, b) for a, b in pairs if a or b])
+               for psi, pairs in fast]
+    oracle = [(psi, [(a, b) for a, b in pairs if a or b])
+              for psi, pairs in _all_pairs_elements(momenta, cap, q)]
+    assert nonzero == oracle
 
 
-@pytest.mark.parametrize("q", [QPoly.q(), Fraction(-1, 2), Fraction(-1)],
+@pytest.mark.parametrize("q", [Q, Fraction(-1, 2), Fraction(-1)],
                          ids=["symbolic", "-1/2", "-1"])
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_label_matched_elements_equal_all_pairs(cap, q):
-    fast = _matrix_elements((1, 2, 5, 9), cap, q)
-    assert fast == _all_pairs_elements((1, 2, 5, 9), cap, q)
-    # every skipped pair is an exact zero of the scalar ring of q
-    zero = 0 * q ** 0
-    assert all(type(a) is type(zero) and type(b) is type(zero)
-               for _, pairs in fast for a, b in pairs)
+    _label_matched_agree((1, 2, 5, 9), cap, q)
 
 
 def test_label_matched_elements_with_coinciding_modes():
     # p = l+r: three modes, and an image can hold a mode twice
-    momenta = (1, 2, 11, 9)
-    for q in (QPoly.q(), Fraction(1, 3)):
-        assert _matrix_elements(momenta, 3, q) == \
-            _all_pairs_elements(momenta, 3, q)
+    for q in (Q, Fraction(1, 3)):
+        _label_matched_agree((1, 2, 11, 9), 3, q)
 
 
 def test_conservation_state_limit_is_a_typed_error_before_any_work():

@@ -77,8 +77,9 @@ def test_gram_limit_error(capsys, schema):
 
 
 def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
-    # --exact honours EXACT_LIMIT: the interpolated determinant of the full
-    # 120 x 120 matrix at n = 5 would run for hours without a word
+    # --exact honours EXACT_LIMIT, though det_gram_exact(5, limit=5) takes
+    # about 0.13 s: past it there is no exact determinant the closed form
+    # is compared with
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -228,39 +229,54 @@ def test_speicher_work_budget_error(schema):
     validate(rep, schema)
 
 
-def test_speicher_takes_the_global_seed(capsys, schema):
-    argv = ("speicher", "--word", "a1 c1", "--q", "0.5", "--N", "10",
-            "--samples", "20")
-    _, rep = run_cli(capsys, "--seed", "5", *argv)
-    assert rep["parameters"]["seed"] == 5
-    validate(rep, schema)
-    _, rep = run_cli(capsys, *argv)
-    assert rep["parameters"]["seed"] == 0
-
-
-def test_para_respects_limit_dim(capsys, schema):
-    # parafermi p=2 on 2 modes has dimension 16
-    code, rep = run_cli(capsys, "--limit-dim", "8", "para", "--kind",
-                        "fermi", "--p", "2")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert "16" in rep["results"]["error"]
-    validate(rep, schema)
-
-
 def test_parameters_name_only_settings_the_subcommand_reads(capsys, schema):
     _, rep = run_cli(capsys, "bounds", "convert", "--vf", "1/2")
     assert "seed" not in rep["parameters"]
-    assert "limit_dim" not in rep["parameters"]
     validate(rep, schema)
     _, rep = run_cli(capsys, "speicher", "--word", "a1 c1", "--q", "0.5",
                      "--N", "10", "--samples", "20")
     assert rep["parameters"]["seed"] == 0
-    assert "limit_dim" not in rep["parameters"]
-    _, rep = run_cli(capsys, "--limit-dim", "64", "para", "--kind", "fermi",
-                     "--p", "2")
-    assert rep["parameters"]["limit_dim"] == 64
-    assert "seed" not in rep["parameters"]
+    _, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "2")
+    assert set(rep["parameters"]) == {"cap", "check", "kind", "modes", "p",
+                                      "stable_output", "subcommand"}
+    _, rep = run_cli(capsys, "gram", "--n", "2")
+    assert set(rep["parameters"]) == {"at", "exact", "n", "stable_output",
+                                      "subcommand"}
+
+
+def test_gram_build_limit_cannot_be_raised(capsys):
+    # BUILD_LIMIT is gram's one memory guard, and no option raises it:
+    # n = 8 would be a 40320^2 intp matrix, 13 GB
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["gram", "--n", "7", "--limit-n", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_para_bose_occupancy_checks_the_antisymmetric_dual(capsys, schema):
+    code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
+                        "--modes", "3", "--cap", "2", "--check", "occupancy")
+    assert code == 0
+    assert rep["results"]["norms"] == pytest.approx(
+        {"distinct_modes_n1": 2.0, "distinct_modes_n2": 2.0,
+         "distinct_modes_n3": 0.0})
+    validate(rep, schema)
+    # p + 1 distinct modes need p + 1 modes
+    code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
+                        "--modes", "2", "--cap", "2", "--check", "occupancy")
+    assert code == 1
+    assert rep["results"]["error"].startswith("ValueError: ")
+    validate(rep, schema)
+
+
+def test_para_bose_occupancy_can_fail(capsys, monkeypatch, schema):
+    # a realization that fits p + 1 quanta must not pass
+    monkeypatch.setattr(parastat, "max_occupancy", lambda *a, **k: 1.0)
+    code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "1",
+                        "--modes", "2", "--cap", "2", "--check", "occupancy")
+    assert code == 1
+    assert rep["status"] == "fail"
+    validate(rep, schema)
 
 
 def test_cli_import_leaves_heavy_modules_out():
@@ -327,13 +343,12 @@ def test_para_fermi_rejects_a_cap_it_cannot_use(capsys, schema, cap):
 
 
 def test_para_past_the_byte_budget_is_a_typed_error(capsys, schema):
-    # dimension 4096 is within --limit-dim; its 16 dense matrices are 2 GiB
+    # dimension 4096: its 16 dense matrices are 2 GiB
     code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "3",
                         "--modes", "4")
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"].startswith("DimensionBudgetError: ")
-    assert rep["parameters"]["limit_dim"] == parastat.DIM_BUDGET
     validate(rep, schema)
 
 
@@ -495,7 +510,7 @@ def _command(*head, **options):
 CHEAP_ARGVS = st.one_of(
     _command("vev", word=WORDS,
              method=st.sampled_from(["rewrite", "wick", "both", "x"])),
-    _command("gram", n=INTS, at=FLOATS, limit_n=INTS),
+    _command("gram", n=INTS, at=FLOATS),
     _command("gram", "--exact", n=INTS, at=FLOATS),
     _command("zagier", n=INTS),
     _command("positivity", n=st.sampled_from(["-1", "1", "2", "3", "x"]),
@@ -521,8 +536,7 @@ CHEAP_ARGVS = st.one_of(
                  MALFORMED),
              cap=st.sampled_from(["-1", "0", "1", "2", "x"])),
 )
-GLOBALS = _options(seed=INTS, limit_dim=INTS).map(
-    lambda t: t + ["--stable-output"])
+GLOBALS = st.just(["--stable-output"])
 
 
 def _strict_json(text):

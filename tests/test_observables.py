@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quonlib import observables as obs
-from quonlib.observables import (TruncatedFockSpace, TruncationError,
-                                 transition_operator)
+from quonlib.observables import TruncatedFockSpace, transition_operator
 from quonlib.qfock import apply_symbol, apply_terms
+from quonlib.qpoly import QPoly
 
 
 @pytest.fixture
@@ -35,21 +36,35 @@ def test_depth_one_word_shape():
 
 def test_apply_terms_examples(space):
     n01 = transition_operator(0, 1, 2, space.modes)
-    assert apply_terms(n01, {(1,): 1}, 0, space.cap) == {(0,): 1}
-    assert apply_terms(n01, {(): 1}, 0, space.cap) == {}
+    assert apply_terms(n01, {(1,): 1}, 0) == {(0,): 1}
+    assert apply_terms(n01, {(): 1}, 0) == {}
     # the deep terms repair the leftmost-only annihilator action
-    assert apply_terms(n01, {(2, 1): 1}, 0, space.cap) == {(2, 0): 1}
+    assert apply_terms(n01, {(2, 1): 1}, 0) == {(2, 0): 1}
 
 
 def test_annihilator_leftmost_only():
-    out = apply_symbol(("a", 1), {(1, 1): 1}, 0, 3)
+    out = apply_symbol(("a", 1), {(1, 1): 1}, 0)
     assert out == {(1,): 1}
-    assert apply_symbol(("a", 1), {(2, 1): 1}, 0, 3) == {}
+    assert apply_symbol(("a", 1), {(2, 1): 1}, 0) == {}
 
 
-def test_creator_respects_cap():
-    with pytest.raises(TruncationError):
-        apply_symbol(("c", 0), {(0, 0): 1}, 0, 2)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.just(tuple(range(m))),
+    st.integers(0, m - 1), st.integers(0, m - 1), st.integers(0, 3),
+    st.lists(st.integers(0, m - 1), max_size=4).map(tuple))))
+def test_series_terms_keep_the_word_length(drawn):
+    # as many creators as annihilators, the annihilators acting first: no
+    # term takes a word past its length, so the action needs no cap
+    modes, k, l, depth, word = drawn
+    space = TruncatedFockSpace(modes=modes, cap=max(depth + 1, len(word)))
+    energies = {m: Fraction(m + 1, 2) for m in modes}
+    terms = (transition_operator(k, l, depth, modes)
+             + obs.free_hamiltonian_terms(space, energies, depth))
+    for q in (0, QPoly.q()):
+        for term in terms:
+            out = apply_terms([term], {word: q ** 0}, q)
+            assert all(len(w) == len(word) for w in out), term
 
 
 def test_commutator_exact_at_sufficient_depth(space):
@@ -100,7 +115,7 @@ def test_adjoint_pairs(space):
         nkl = transition_operator(k, l, space.cap - 1, space.modes)
         nlk = transition_operator(l, k, space.cap - 1, space.modes)
         for u in space.basis:
-            a = apply_terms(nkl, {u: 1}, 0, space.cap)
+            a = apply_terms(nkl, {u: 1}, 0)
             for v in space.basis:
-                b = apply_terms(nlk, {v: 1}, 0, space.cap)
+                b = apply_terms(nlk, {v: 1}, 0)
                 assert a.get(v, 0) == b.get(u, 0), (k, l, u, v)
