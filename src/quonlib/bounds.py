@@ -25,17 +25,12 @@ FERMIONIC = "fermionic"
 BOSONIC = "bosonic"
 
 
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(str(x)) \
-        if isinstance(x, str) else Fraction(x)
-
-
 # -- v <-> q conversions ---------------------------------------------------
 
 
 def q_from_v(v, flavor):
     """q = 2 v_F - 1 (fermionic) or q = 1 - 2 v_B (bosonic); exact."""
-    v = _as_fraction(v)
+    v = Fraction(v)
     if not 0 <= v <= 1:
         raise ValueError(f"violation parameter {v} outside [0, 1]")
     if flavor == FERMIONIC:
@@ -46,7 +41,7 @@ def q_from_v(v, flavor):
 
 
 def v_from_q(q, flavor):
-    q = _as_fraction(q)
+    q = Fraction(q)
     if not -1 <= q <= 1:
         raise ValueError(f"q={q} outside [-1, 1]")
     if flavor == FERMIONIC:
@@ -72,7 +67,7 @@ def propagate_statistics(q_f):
     """A fermion-like field of parameter q_f couples to a boson-like field
     of parameter q_b = q_f^2; both the exact map and the small-violation
     leading order are reported."""
-    q_f = _as_fraction(q_f)
+    q_f = Fraction(q_f)
     if not -1 <= q_f <= 1:
         raise ValueError(f"q={q_f} outside [-1, 1]")
     eps = (q_f + 1) / 2          # fermionic violation parameter
@@ -90,7 +85,7 @@ def composite_q(q_constituent, n):
     """Bound state of n constituents: q_composite = q_constituent^(n^2)."""
     if n < 1:
         raise ValueError("constituent count must be >= 1")
-    q = _as_fraction(q_constituent)
+    q = Fraction(q_constituent)
     if not -1 <= q <= 1:
         raise ValueError(f"q={q} outside [-1, 1]")
     return q ** (n * n)
@@ -187,43 +182,46 @@ def _matrix_elements(momenta, max_particles):
     return out
 
 
-def conservation_residual(q_e, momenta, q_b=None, max_particles=3):
+def _conservation_residual(per_state, q_e, q_b):
     """Residual of the bilinear-replacement commutation check.
 
     R = [b†(p) b(k+p)][b†(l+r) b(r)] - q_b [b†(l+r) b(r)][b†(p) b(k+p)]
-    applied to every test state, with q_b defaulting to q_e^2.  The
-    residual per state is the largest matrix element |<phi, R psi>| =
-    |A(q_e) - q_b B(q_e)| in the q_e-deformed inner product, over all test
-    states phi, read from the exact polynomials of _matrix_elements.  The
-    deformed inner product degenerates at q_e = -1, which is exactly
-    right: the operator-level mismatch of R psi there is a null vector,
-    invisible to every matrix element, so the residual is exactly zero.
-    Exact rational throughout.
+    applied to every test state.  The residual per state is the largest
+    matrix element |<phi, R psi>| = |A(q_e) - q_b B(q_e)| in the
+    q_e-deformed inner product, over all test states phi, read from the
+    exact polynomials of `per_state`, a _matrix_elements list; each
+    distinct polynomial is evaluated once.  The deformed inner product
+    degenerates at q_e = -1, which is exactly right: the operator-level
+    mismatch of R psi there is a null vector, invisible to every matrix
+    element, so the residual is exactly zero.  Exact rational throughout.
 
     Returns a list of (state, residual Fraction).
     """
-    q_e = _as_fraction(q_e)
-    q_b = q_e * q_e if q_b is None else _as_fraction(q_b)
-    return [(psi, max((abs(a(q_e) - q_b * b(q_e)) for a, b in pairs),
+    polys = {poly for _, pairs in per_state for ab in pairs for poly in ab}
+    at = {poly: poly(q_e) for poly in polys}
+    return [(psi, max((abs(at[a] - q_b * at[b]) for a, b in pairs),
                       default=Fraction(0)))
-            for psi, pairs in _matrix_elements(momenta, max_particles)]
+            for psi, pairs in per_state]
 
 
 def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
                                 max_particles=3):
-    """Summary report: per-state residuals plus the aggregate."""
-    per_state = conservation_residual(q_e, momenta, q_b, max_particles)
-    q_e = _as_fraction(q_e)
+    """Residual report at q_e, with conservation_sweep's under `sweep`."""
+    q_e = Fraction(q_e)
+    q_b = q_e * q_e if q_b is None else Fraction(q_b)
+    elements = _matrix_elements(momenta, max_particles)
+    per_state = _conservation_residual(elements, q_e, q_b)
     worst_state, worst = max(per_state, key=lambda sv: sv[1])
     return {
         "q_e": float(q_e),
-        "q_b": float(q_e * q_e if q_b is None else _as_fraction(q_b)),
+        "q_b": float(q_b),
         "momenta": tuple(momenta),
         "max_residual": float(worst),
         "max_residual_exact": worst,
         "worst_state": worst_state,
         "all_zero": all(v == 0 for _, v in per_state),
         "n_states": len(per_state),
+        "sweep": _sweep(elements),
     }
 
 
@@ -273,8 +271,8 @@ def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
 
     Every matrix element <phi, R psi> is A(q_e) - q_b B(q_e) for exact
     polynomials A, B, computed once at symbolic q over the same test
-    states as conservation_residual, and every fact below is read from
-    A(-1), B(-1), A'(-1) and B'(-1).  With q_b = q_e^2 this reports
+    states as conservation_residual_check, and every fact below is read
+    from A(-1), B(-1), A'(-1) and B'(-1).  With q_b = q_e^2 this reports
     whether every R vanishes at q_e = -1, the least multiplicity of that
     root, the set of first-order slopes (A' - B')/B at -1 over elements
     with B(-1) != 0, and offset_residual = max |B(-1)|: where A(-1) =
@@ -287,7 +285,11 @@ def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
     (1, -q_e and q_e^4 as well as q_e^2): it establishes q_b -> 1 to first
     order, not q_b = q_e^2 itself.
     """
-    per_state = _matrix_elements(momenta, max_particles)
+    return _sweep(_matrix_elements(momenta, max_particles))
+
+
+def _sweep(per_state):
+    """conservation_sweep over a _matrix_elements list."""
     elements = [ab for _, pairs in per_state for ab in pairs]
     values = [(a(-1), b(-1), _derivative_at(a, -1), _derivative_at(b, -1))
               for a, b in elements]

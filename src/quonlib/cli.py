@@ -137,30 +137,14 @@ def _cmd_observables(args):
 def _cmd_para(args):
     from . import parastat
     kind = "parabose" if args.kind == "bose" else "parafermi"
-    # occupancy: at most p quanta in the symmetric same-mode word for
-    # parafermi, in its dual, the antisymmetric distinct-mode word, for
-    # parabose; p + 1 distinct modes take p + 1 modes
-    sym = kind == "parafermi"
-    if args.check == "occupancy" and not sym and args.modes <= args.p:
-        raise ValueError(f"the parabose occupancy check needs p + 1 = "
-                         f"{args.p + 1} modes, got {args.modes}")
+    if args.check == "occupancy":
+        return parastat.check_occupancy(kind, args.p, args.modes, args.cap)
     r = parastat.build_green(kind, args.p, args.modes, cap=args.cap)
     if args.check == "trilinear":
         rep = parastat.check_trilinear(r)
         return rep, rep["exact"]
-    if args.check == "vacuum":
-        rep = parastat.check_vacuum_conditions(r)
-        return rep, rep["pass"]
-    norms = {}
-    for n in range(1, args.p + 2):
-        if sym:
-            norms[f"same_mode_n{n}"] = parastat.max_occupancy(r, (0,) * n)
-        else:
-            norms[f"distinct_modes_n{n}"] = parastat.max_occupancy(
-                r, tuple(range(n)), symmetric=False)
-    expected = all((norm > 1e-10) == (n <= args.p)
-                   for n, norm in enumerate(norms.values(), 1))
-    return {"kind": kind, "p": args.p, "norms": norms}, expected
+    rep = parastat.check_vacuum_conditions(r)
+    return rep, rep["pass"]
 
 
 def _cmd_gentile(args):
@@ -221,7 +205,6 @@ def _cmd_bounds(args):
     momenta = tuple(int(x) for x in args.momenta.split(","))
     rep = bounds.conservation_residual_check(
         Fraction(args.qe), momenta, max_particles=args.cap)
-    rep["sweep"] = bounds.conservation_sweep(momenta, args.cap)
     return rep, rep["sweep"]["passed"]
 
 

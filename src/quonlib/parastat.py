@@ -31,8 +31,11 @@ import numpy as np
 
 from .gram import inversions
 
-# bytes of the dense float64 components and annihilators of a realization
+# bytes of the dense float64 annihilators and check_trilinear scratch
 BYTE_BUDGET = 2 ** 27
+# check_trilinear's peak: an inner bracket, the last residual, and the two
+# products of a new residual with their difference
+CHECK_SCRATCH = 5
 
 
 class DimensionBudgetError(ValueError):
@@ -47,29 +50,23 @@ class GreenRealization:
     cap: int                # per-site occupancy cap (1 for parafermi)
     dim: int
     annihilators: dict = field(repr=False)   # mode -> matrix of a_k
-    components: dict = field(repr=False)     # (alpha, mode) -> matrix
     occupancy: np.ndarray = field(repr=False)  # basis state x site -> count
     vacuum: np.ndarray = field(repr=False)
 
     def creator(self, k):
         return self.annihilators[k].conj().T
 
-    def protected_mask(self, headroom):
-        """Basis states whose every site occupancy is at least `headroom`
-        below the cap (immune to truncation over `headroom` creations)."""
-        return (self.occupancy <= self.cap - headroom).all(axis=1)
-
     def protected_columns(self):
         """Indices of the basis states the relation checks assert on: all
-        of them for parafermi, those two creations cannot push past the
-        cap for parabose."""
+        of them for parafermi, for parabose those with every site at least
+        2 below the cap, which two creations cannot push past it."""
         if self.kind == "parafermi":
             return np.arange(self.dim)
-        return np.flatnonzero(self.protected_mask(headroom=2))
+        return np.flatnonzero((self.occupancy <= self.cap - 2).all(axis=1))
 
 
 def build_green(kind, p, modes, cap=None):
-    """Explicit Green-ansatz matrices on the component tensor space.
+    """Explicit Green-ansatz annihilators a_k on the component tensor space.
 
     Site alpha * modes + k holds component alpha of mode k and is digit
     number site (most significant first) of a basis index in base cap + 1.
@@ -78,9 +75,10 @@ def build_green(kind, p, modes, cap=None):
     string): the earlier modes of the same component for parafermi (same
     component anticommutes, distinct components commute), every site of
     the earlier components for parabose (distinct components
-    anticommute, the same component stays Bose).  A parafermi site holds
-    at most one quantum, so its cap is 1: None or 1 is accepted, any other
-    cap raises ValueError.
+    anticommute, the same component stays Bose).  It is written straight
+    into a_k, where no other component of mode k writes.  A parafermi
+    site holds at most one quantum, so its cap is 1: None or 1 is
+    accepted, any other cap raises ValueError.
     """
     if kind not in ("parabose", "parafermi"):
         raise ValueError(f"kind must be parabose or parafermi, got {kind!r}")
@@ -96,34 +94,30 @@ def build_green(kind, p, modes, cap=None):
     levels = cap + 1
     nsites = p * modes
     dim = levels ** nsites
-    matrices = (p + 1) * modes
-    nbytes = matrices * dim * dim * 8
+    nbytes = (modes + CHECK_SCRATCH) * dim * dim * 8
     if nbytes > BYTE_BUDGET:
         raise DimensionBudgetError(
-            f"{matrices} dense {dim}x{dim} matrices take {nbytes} bytes, "
-            f"above the budget of {BYTE_BUDGET}")
+            f"{modes} annihilators and {CHECK_SCRATCH} check_trilinear "
+            f"scratch matrices, dense float64 {dim}x{dim}, take {nbytes} "
+            f"bytes, above the budget of {BYTE_BUDGET}")
 
     strides = levels ** np.arange(nsites - 1, -1, -1)
     occ = (np.arange(dim)[:, None] // strides) % levels
-    components = {}
-    for alpha in range(p):
-        for k in range(modes):
+    annihilators = {}
+    for k in range(modes):
+        op = annihilators[k] = np.zeros((dim, dim))
+        for alpha in range(p):
             site = alpha * modes + k
             string = slice(alpha * modes, site) if kind == "parafermi" \
                 else slice(0, alpha * modes)
             sign = (-1.0) ** occ[:, string].sum(axis=1)
             j = np.flatnonzero(occ[:, site])
-            op = np.zeros((dim, dim))
             op[j - strides[site], j] = sign[j] * np.sqrt(occ[j, site])
-            components[(alpha, k)] = op
-
-    annihilators = {k: sum(components[(alpha, k)] for alpha in range(p))
-                    for k in range(modes)}
     vacuum = np.zeros(dim)
     vacuum[0] = 1.0
     return GreenRealization(kind=kind, order=p, modes=modes, cap=cap, dim=dim,
-                            annihilators=annihilators, components=components,
-                            occupancy=occ, vacuum=vacuum)
+                            annihilators=annihilators, occupancy=occ,
+                            vacuum=vacuum)
 
 
 def check_trilinear(r, tol=1e-10):
@@ -200,14 +194,30 @@ def _projected_state(r, word, symmetric, creators=None):
 
 
 def max_occupancy(r, word, symmetric=True, creators=None):
-    """Squared norm of the (anti)symmetrized creator word on the vacuum.
-
-    For parafermions the symmetric norm must vanish once more than p
-    particles share a symmetric state; parabosons are the antisymmetric
-    dual.
-    """
+    """Squared norm of the (anti)symmetrized creator word on the vacuum;
+    check_occupancy holds the rule it is judged by."""
     v = _projected_state(r, tuple(word), symmetric, creators)
     return float(v @ v)
+
+
+def check_occupancy(kind, p, modes, cap=None):
+    """(report, passed): at most p quanta fit, so the norms of the
+    symmetrized same-mode word (parafermi), or of its dual, the
+    antisymmetrized distinct-mode word (parabose), are nonzero for n <= p
+    and zero at n = p + 1.  The dual takes p + 1 modes: fewer raise
+    ValueError before anything is built."""
+    if kind == "parabose" and modes <= p:
+        raise ValueError(f"the parabose occupancy check needs p + 1 = "
+                         f"{p + 1} modes, got {modes}")
+    r = build_green(kind, p, modes, cap=cap)
+    sym = kind == "parafermi"
+    name = "same_mode" if sym else "distinct_modes"
+    norms = {f"{name}_n{n}":
+             max_occupancy(r, (0,) * n if sym else tuple(range(n)), sym)
+             for n in range(1, p + 2)}
+    passed = all((norm > 1e-10) == (n <= p)
+                 for n, norm in enumerate(norms.values(), 1))
+    return {"kind": kind, "p": p, "norms": norms}, passed
 
 
 def gentile_demo(theta):

@@ -148,28 +148,28 @@ def _canonical_relations_exact(r, tol=1e-10):
 
 
 @_criterion(6, "Green parastatistics: trilinear relation and occupancy")
-def parastatistics(tol=1e-10):
+def parastatistics():
+    # each occupancy check builds and frees its own realization first
+    occ, occ_ok = parastat.check_occupancy("parafermi", 2, 2)
+    anti, anti_ok = parastat.check_occupancy("parabose", 2, 3, cap=2)
     pf2 = parastat.build_green("parafermi", 2, 2)
     tri_ok = parastat.check_trilinear(pf2)["exact"]
-    occ2 = parastat.max_occupancy(pf2, (0, 0))
-    occ3 = parastat.max_occupancy(pf2, (0, 0, 0))
     pb2 = parastat.build_green("parabose", 2, 3, cap=2)
     tri_pb2 = parastat.check_trilinear(pb2)
     tri_b = tri_pb2["exact"]
-    anti2 = parastat.max_occupancy(pb2, (0, 1), symmetric=False)
-    anti3 = parastat.max_occupancy(pb2, (0, 1, 2), symmetric=False)
     p1_ok = (_canonical_relations_exact(parastat.build_green("parafermi", 1, 2))
              and _canonical_relations_exact(
                  parastat.build_green("parabose", 1, 2, cap=4)))
-    passed = (tri_ok and tri_b and occ2 > tol and abs(occ3) <= tol
-              and anti2 > tol and abs(anti3) <= tol and p1_ok)
+    passed = tri_ok and tri_b and occ_ok and anti_ok and p1_ok
     return {"passed": passed, "trilinear_parafermi": tri_ok,
             "trilinear_parabose": tri_b,
             "trilinear_parabose_columns": {
                 "dim": tri_pb2["dim"],
                 "protected_states": tri_pb2["protected_states"]},
-            "same_mode_norms": {"n2": occ2, "n3": occ3},
-            "antisym_norms": {"n2": anti2, "n3": anti3},
+            "same_mode_norms": {f"n{n}": occ["norms"][f"same_mode_n{n}"]
+                                for n in (2, 3)},
+            "antisym_norms": {f"n{n}": anti["norms"][f"distinct_modes_n{n}"]
+                              for n in (2, 3)},
             "p1_canonical": p1_ok}
 
 

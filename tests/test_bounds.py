@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from quonlib import bounds
 from quonlib.bounds import (BOSONIC, FERMIONIC, STATE_LIMIT,
-                            _conservation_test_states, _derivative_at,
-                            _fermi_gate, _matrix_elements, composite_q,
-                            compositeness_overlap, conservation_residual,
+                            _conservation_residual, _conservation_test_states,
+                            _derivative_at, _fermi_gate, _matrix_elements,
+                            composite_q, compositeness_overlap,
                             conservation_residual_check, conservation_sweep,
                             propagate_statistics, q_from_v, v_from_q)
 from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, apply_terms,
@@ -169,7 +169,7 @@ def _all_pairs_elements(momenta, max_particles, q):
 
 
 def _fraction_residual(q_e, momenta, max_particles):
-    """conservation_residual from the Fraction-ring elements at q_e."""
+    """_conservation_residual from the Fraction-ring elements at q_e."""
     return [(psi, max(abs(a - q_e * q_e * b) for a, b in pairs))
             for psi, pairs in _all_pairs_elements(momenta, max_particles, q_e)]
 
@@ -177,15 +177,17 @@ def _fraction_residual(q_e, momenta, max_particles):
 @settings(max_examples=25, deadline=None)
 @given(st.fractions(min_value=-1, max_value=1, max_denominator=1000))
 def test_polynomial_elements_give_the_fraction_residual(q_e):
-    assert conservation_residual(q_e, (1, 2, 5, 9), max_particles=2) == \
+    elements = _matrix_elements((1, 2, 5, 9), 2)
+    assert _conservation_residual(elements, q_e, q_e * q_e) == \
         _fraction_residual(q_e, (1, 2, 5, 9), 2)
 
 
 def test_polynomial_elements_give_the_fraction_residual_at_three_particles():
     for momenta in MOMENTA:
+        elements = _matrix_elements(momenta, 3)
         for q_e in (Fraction(-1), Fraction(-1, 2), Fraction(-999, 1000),
                     Fraction(1, 3)):
-            assert conservation_residual(q_e, momenta) == \
+            assert _conservation_residual(elements, q_e, q_e * q_e) == \
                 _fraction_residual(q_e, momenta, 3)
 
 

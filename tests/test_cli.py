@@ -267,6 +267,11 @@ def test_para_bose_occupancy_checks_the_antisymmetric_dual(capsys, schema):
     assert code == 1
     assert rep["results"]["error"].startswith("ValueError: ")
     validate(rep, schema)
+    # refused before the realization is built, so before its missing cap
+    _, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
+                     "--check", "occupancy")
+    assert rep["results"]["error"] == ("ValueError: the parabose occupancy "
+                                       "check needs p + 1 = 3 modes, got 2")
 
 
 def test_para_bose_occupancy_can_fail(capsys, monkeypatch, schema):
@@ -412,6 +417,18 @@ def test_bounds_conservation(capsys, schema):
     assert rep["results"]["sweep"]["n_states"] == rep["results"]["n_states"]
     assert rep["results"]["sweep"]["passed"] is True
     validate(rep, schema)
+
+
+def test_bounds_conservation_builds_its_elements_once(capsys, monkeypatch):
+    from quonlib import bounds
+    calls = []
+    real = bounds._matrix_elements
+    monkeypatch.setattr(bounds, "_matrix_elements",
+                        lambda *a: calls.append(a) or real(*a))
+    code, rep = run_cli(capsys, "bounds", "conservation", "--qe=-1/2",
+                        "--cap", "2")
+    assert code == 0
+    assert calls == [((1, 2, 5, 9), 2)]
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -10,6 +10,7 @@ in the tests.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -91,3 +92,15 @@ def recursive(n):
     # bench files reach nothing by a bare name
     assert ("mod", "helper") not in _references_in(ast.parse(source))
     assert ("cli", "main") in _references()
+
+
+def test_every_traced_name_resolves():
+    # bench/run.py --trace 1 wraps these library names; a deleted or
+    # renamed one fails here
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pairs = tracer.Tracer()._replacements()
+    assert all(callable(orig) and callable(wrapper)
+               for orig, wrapper in pairs)

@@ -73,12 +73,51 @@ BUILD_GRID = ([("parafermi", p, m, None) for p in (1, 2, 3) for m in (1, 2, 3)]
 def test_index_build_equals_kron_reference(kind, p, modes, cap):
     r = build_green(kind, p, modes, cap=cap)
     ref = kron_green_components(kind, p, modes, cap)
-    assert r.components.keys() == ref.keys()
-    for key, op in ref.items():
-        assert np.array_equal(r.components[key], op), key
+    assert r.annihilators.keys() == set(range(modes))
     for k in range(modes):
-        assert np.array_equal(r.annihilators[k],
-                              sum(ref[(alpha, k)] for alpha in range(p)))
+        parts = [ref[(alpha, k)] for alpha in range(p)]
+        # the components of one mode touch disjoint entries, so a_k pins
+        # every one of them
+        assert sum(part != 0 for part in parts).max() <= 1
+        for alpha, part in enumerate(parts):
+            assert np.array_equal(
+                np.where(part != 0, r.annihilators[k], 0.0), part), (alpha, k)
+        assert np.array_equal(r.annihilators[k], sum(parts))
+
+
+def test_build_holds_only_the_annihilators():
+    # parabose p = 2 on 3 modes with cap 2, criterion 6's case: 6
+    # components summed into 3 annihilators of 729^2
+    tracemalloc.start()
+    try:
+        r = build_green("parabose", 2, 3, cap=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(r, "components")
+    assert peak < 3.25 * r.dim ** 2 * 8
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", [
+    ("parafermi", 2, 4, None), ("parafermi", 3, 3, None),
+    ("parafermi", 8, 1, None), ("parabose", 1, 1, 300),
+    ("parabose", 1, 2, 20), ("parabose", 2, 3, 2)])
+def test_byte_budget_counts_the_peak_of_build_and_check(kind, p, modes, cap):
+    # the budget counts the annihilators and check_trilinear's scratch;
+    # for parafermi, every column dense, the count is the peak.  A first
+    # call pays the one-time costs outside the trace.
+    check_trilinear(build_green(kind, 1, 1, cap=None if cap is None else 2))
+    tracemalloc.start()
+    try:
+        r = build_green(kind, p, modes, cap=cap)
+        check_trilinear(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counted = (modes + parastat.CHECK_SCRATCH) * r.dim ** 2 * 8
+    assert peak <= 1.02 * counted
+    if kind == "parafermi" and modes > 1:
+        assert peak >= counted
 
 
 CHECK_GRID = [("parafermi", 1, 2, None), ("parafermi", 2, 2, None),
@@ -118,13 +157,13 @@ def test_check_catches_a_wrong_sign_string(kind, p, modes, cap, broken):
     # drop the Klein string of one component: its relations to the other
     # components flip between commuting and anticommuting
     r = build_green(kind, p, modes, cap=cap)
-    components = dict(r.components)
-    components[broken] = np.abs(components[broken])
-    assert not np.array_equal(components[broken], r.components[broken])
+    components = kron_green_components(kind, p, modes, cap)
+    signed = components[broken]
+    components[broken] = np.abs(signed)
+    assert not np.array_equal(components[broken], signed)
     annihilators = {k: sum(components[(alpha, k)] for alpha in range(p))
                     for k in range(modes)}
-    bad = dataclasses.replace(r, components=components,
-                              annihilators=annihilators)
+    bad = dataclasses.replace(r, annihilators=annihilators)
     rep = check_trilinear(bad)
     assert not rep["exact"]
     assert rep["max_residual"] >= 1.0
@@ -133,8 +172,9 @@ def test_check_catches_a_wrong_sign_string(kind, p, modes, cap, broken):
 def test_protected_columns():
     r = build_green("parabose", 2, 2, cap=3)
     cols = r.protected_columns()
-    assert np.array_equal(cols, np.flatnonzero(r.protected_mask(2)))
-    assert (r.occupancy[cols] <= 1).all()
+    # two creations from a protected state stay within the cap of 3
+    assert cols.tolist() == [i for i, sites in enumerate(r.occupancy)
+                             if max(sites) <= 1]
     assert np.array_equal(build_green("parafermi", 2, 2).protected_columns(),
                           np.arange(16))
 
@@ -152,12 +192,13 @@ def test_build_validation():
 
 
 def test_byte_budget_refuses_before_allocating():
-    # 12 components and 4 annihilators of 4096^2 float64 are 2 GiB
+    # 4 annihilators and 5 scratch matrices of 4096^2 float64 are 1.125 GiB
     tracemalloc.start()
     try:
         with pytest.raises(DimensionBudgetError,
-                           match="16 dense 4096x4096 matrices take "
-                                 "2147483648 bytes"):
+                           match="4 annihilators and 5 check_trilinear "
+                                 "scratch matrices, dense float64 "
+                                 "4096x4096, take 1207959552 bytes"):
             build_green("parafermi", 3, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -179,19 +220,17 @@ def test_parabose_p1_is_bose_below_cap():
     r = build_green("parabose", 1, 1, cap=4)
     a = r.annihilators[0]
     comm = a @ r.creator(0) - r.creator(0) @ a
-    mask = r.protected_mask(headroom=2)
-    assert np.allclose((comm - np.eye(r.dim))[:, mask], 0)
+    cols = r.protected_columns()
+    assert np.allclose((comm - np.eye(r.dim))[:, cols], 0)
 
 
 def test_cross_component_relations():
     # parafermi: distinct components commute; parabose: anticommute
-    rf = build_green("parafermi", 2, 1)
-    b0 = rf.components[(0, 0)]
-    b1 = rf.components[(1, 0)]
+    rf = kron_green_components("parafermi", 2, 1)
+    b0, b1 = rf[(0, 0)], rf[(1, 0)]
     assert np.allclose(b0 @ b1 - b1 @ b0, 0)
-    rb = build_green("parabose", 2, 1, cap=2)
-    c0 = rb.components[(0, 0)]
-    c1 = rb.components[(1, 0)]
+    rb = kron_green_components("parabose", 2, 1, cap=2)
+    c0, c1 = rb[(0, 0)], rb[(1, 0)]
     assert np.allclose(c0 @ c1 + c1 @ c0, 0)
 
 
