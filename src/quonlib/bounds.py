@@ -81,13 +81,31 @@ def propagate_statistics(q_f):
     )
 
 
+# most bits composite_q lets the exact q^(n^2) take; the power is refused
+# before it is taken past this
+COMPOSITE_BIT_BUDGET = 1 << 20
+
+
 def composite_q(q_constituent, n):
-    """Bound state of n constituents: q_composite = q_constituent^(n^2)."""
+    """Bound state of n constituents: q_composite = q_constituent^(n^2).
+
+    Its numerator and denominator are those of q to the power n^2, so
+    together they take at least n^2 (floor(log2 |numerator|) +
+    floor(log2 denominator)) bits; past COMPOSITE_BIT_BUDGET this raises
+    ValueError without taking the power.  The floors make q = 0 and +-1,
+    whose powers fit one bit, pass for every n.
+    """
     if n < 1:
         raise ValueError("constituent count must be >= 1")
     q = Fraction(q_constituent)
     if not -1 <= q <= 1:
         raise ValueError(f"q={q} outside [-1, 1]")
+    bits = n * n * (abs(q.numerator).bit_length()
+                    + q.denominator.bit_length() - 2)
+    if bits > COMPOSITE_BIT_BUDGET:
+        raise ValueError(
+            f"q^(n^2) for q={q}, n={n} takes at least {bits} bits, past "
+            f"the budget of {COMPOSITE_BIT_BUDGET}")
     return q ** (n * n)
 
 

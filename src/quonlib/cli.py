@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -43,6 +44,22 @@ def _key(k):
     if isinstance(k, tuple):
         return ",".join(str(x) for x in k)
     return str(k)
+
+
+# largest |exponent| of a decimal literal a rational option takes, far past
+# the bounds quoted (1.7e-26); Fraction would build 10^|exponent| first
+EXPONENT_LIMIT = 4000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(text):
+    """A rational option's value as a Fraction, refusing a decimal exponent
+    past EXPONENT_LIMIT before Fraction builds its power of ten."""
+    match = _EXPONENT.search(text)
+    if match and abs(int(match.group(1))) > EXPONENT_LIMIT:
+        raise ValueError(f"exponent of {text!r} is past the limit of "
+                         f"{EXPONENT_LIMIT}")
+    return Fraction(text)
 
 
 # -- subcommand implementations (each returns (results, passed)) -----------
@@ -174,21 +191,21 @@ def _cmd_bounds(args):
     from . import bounds
     if args.bounds_cmd == "convert":
         if args.vf is not None:
-            v = Fraction(args.vf)
+            v = _rational(args.vf)
             q = bounds.q_from_v(v, bounds.FERMIONIC)
             res = {"v_f": str(v), "q": str(q), "q_float": float(q)}
         elif args.vb is not None:
-            v = Fraction(args.vb)
+            v = _rational(args.vb)
             q = bounds.q_from_v(v, bounds.BOSONIC)
             res = {"v_b": str(v), "q": str(q), "q_float": float(q)}
         else:
-            q = Fraction(args.q)
+            q = _rational(args.q)
             res = {"q": str(q),
                    "v_f": str(bounds.v_from_q(q, bounds.FERMIONIC)),
                    "v_b": str(bounds.v_from_q(q, bounds.BOSONIC))}
         return res, True
     if args.bounds_cmd == "propagate":
-        prop = bounds.propagate_statistics(Fraction(args.qe))
+        prop = bounds.propagate_statistics(_rational(args.qe))
         return {"q_e": str(prop.q_fermionic),
                 "q_gamma": float(prop.q_bosonic_exact),
                 "q_gamma_exact": str(prop.q_bosonic_exact),
@@ -196,15 +213,16 @@ def _cmd_bounds(args):
                 "v_gamma_exact": str(prop.v_bosonic_exact),
                 "v_gamma_leading": str(prop.v_bosonic_leading)}, True
     if args.bounds_cmd == "composite":
-        qc = bounds.composite_q(Fraction(args.q), args.n)
-        return {"q_constituent": str(Fraction(args.q)), "n": args.n,
+        q = _rational(args.q)
+        qc = bounds.composite_q(q, args.n)
+        return {"q_constituent": str(q), "n": args.n,
                 "q_composite": str(qc), "q_composite_float": float(qc)}, True
     if args.bounds_cmd == "overlap":
         exact, approx = bounds.compositeness_overlap(args.la, args.lb)
         return {"exact_norm_sq": exact, "approx_norm_sq": approx}, True
     momenta = tuple(int(x) for x in args.momenta.split(","))
     rep = bounds.conservation_residual_check(
-        Fraction(args.qe), momenta, max_particles=args.cap)
+        _rational(args.qe), momenta, max_particles=args.cap)
     return rep, rep["sweep"]["passed"]
 
 

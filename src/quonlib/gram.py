@@ -210,13 +210,29 @@ def _det_bareiss_int(rows):
 
 
 def _interpolate_newton(points, values):
-    """Exact Newton interpolation through (points[i], values[i])."""
+    """The integer polynomial through (points[i], values[i]), by Newton's
+    divided differences, for distinct integer points and integer values.
+
+    Each divided difference of an integer polynomial at integer points is
+    an integer: that of q^m over x_0..x_k is the complete homogeneous
+    symmetric polynomial h_(m-k)(x_0, ..., x_k) of the points, and divided
+    differences are linear in the values.  So every division is exact
+    integer division; a nonzero remainder means no integer polynomial
+    takes these values, and raises ValueError rather than give a wrong
+    polynomial.
+    """
     n = len(points)
-    coeffs = [Fraction(v) for v in values]  # divided differences, in place
+    coeffs = list(values)  # divided differences, in place
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (
-                points[i] - points[i - level])
+            quotient, remainder = divmod(coeffs[i] - coeffs[i - 1],
+                                         points[i] - points[i - level])
+            if remainder:
+                raise ValueError(
+                    f"no integer polynomial takes these values: divided "
+                    f"difference {level} at point {points[i]} is not an "
+                    f"integer")
+            coeffs[i] = quotient
     # expand the Newton form into monomial coefficients by Horner's rule,
     # poly <- poly * (q - x) + c, on a plain coefficient list
     poly = []
@@ -234,9 +250,12 @@ def det_exact(entries):
     at integer points and interpolation.
 
     Each row is first scaled by the lcm of its coefficients' denominators,
-    so every value at an integer point is an integer and each point costs
-    one fraction-free integer Bareiss; the interpolated polynomial is then
-    divided by the product of the row scales.
+    so the scaled determinant is a polynomial with integer coefficients and
+    its value at an integer point is an integer, from one fraction-free
+    integer Bareiss.  Its divided differences at the integer points are
+    then integers too (see _interpolate_newton), so the interpolation runs
+    on ints alone; the polynomial is then divided by the product of the
+    row scales.
     """
     m = len(entries)
     if any(len(row) != m for row in entries):

@@ -3,6 +3,14 @@
 This is the scalar ring of the whole package.  Coefficients are exact
 Python integers (or Fractions where a division has occurred); evaluation
 at a Fraction is exact, at a float it is ordinary IEEE arithmetic.
+
+The coefficient list is dense, but products skip the work that is zero by
+construction: a product pairs only the nonzero terms of its operands, so
+its cost is the product of their term counts, not of their lengths.  A
+power of a polynomial with at most two terms, (c0 q^s + c1 q^t)^e, is
+written down by the binomial theorem with no multiplication of
+polynomials; Zagier's factors (1 - q^d)^e are of this form.  Both give
+the coefficients the dense schoolbook loop gives, exactly.
 """
 
 from __future__ import annotations
@@ -90,10 +98,11 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
+        terms = [(j, cb) for j, cb in enumerate(b) if cb]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in terms:
                     out[i + j] += ca * cb
         return QPoly(out)
 
@@ -102,9 +111,9 @@ class QPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        if self.coeffs and not any(self.coeffs[:-1]):
-            # a monomial c q^d: c^n q^(dn) needs no multiplication
-            return QPoly.monomial(self.degree * n, self.coeffs[-1] ** n)
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if c]
+        if 1 <= len(terms) <= 2:
+            return _binomial_power(terms, n)
         result = _ONE
         base = self
         while n:
@@ -181,6 +190,26 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({list(self.coeffs)!r})"
+
+
+def _binomial_power(terms, n):
+    """(c0 q^s + c1 q^t)^n for the one or two (power, coefficient) terms,
+    s < t: sum_k C(n, k) c0^(n-k) c1^k q^(s n + (t - s) k)."""
+    s, c0 = terms[0]
+    if len(terms) == 1:
+        return QPoly.monomial(s * n, c0 ** n)
+    t, c1 = terms[1]
+    # c0^(n-k) for k = 0..n, from c0^0 upwards
+    c0_powers = [1]
+    for _ in range(n):
+        c0_powers.append(c0_powers[-1] * c0)
+    out = [0] * (t * n + 1)
+    binom, c1_power = 1, 1
+    for k in range(n + 1):
+        out[s * n + (t - s) * k] = binom * c0_powers[n - k] * c1_power
+        binom = binom * (n - k) // (k + 1)
+        c1_power *= c1
+    return QPoly(out)
 
 
 def _coerce(x):

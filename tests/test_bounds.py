@@ -78,6 +78,19 @@ def test_composite_rule():
         composite_q(3, 30)
 
 
+def test_composite_refuses_a_power_past_the_bit_budget():
+    # (1/2)^(n^2) has n^2 + 1 bits: the largest n within the budget is 1024
+    assert composite_q(Fraction(1, 2), 1024) == Fraction(1, 2 ** (1024 ** 2))
+    with pytest.raises(ValueError, match="past the budget of 1048576"):
+        composite_q(Fraction(1, 2), 1025)
+    with pytest.raises(ValueError, match="10000000000 bits"):
+        composite_q(Fraction(1, 2), 100000)
+    # powers of 0 and +-1 fit one bit, whatever n
+    assert composite_q(-1, 10 ** 6) == 1
+    assert composite_q(0, 10 ** 6) == 0
+    assert composite_q(1, 10 ** 6) == 1
+
+
 def test_compositeness_overlap():
     exact, approx = compositeness_overlap(0.01, 0.03)
     assert approx == pytest.approx(4e-4)

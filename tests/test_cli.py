@@ -408,6 +408,47 @@ def test_bounds_composite(capsys, schema):
     validate(rep, schema)
 
 
+def test_bounds_composite_past_the_bit_budget_is_a_typed_error(capsys,
+                                                             schema):
+    # without the budget (1/2)^(1025^2) is built, and only printing it
+    # fails, on Python's digit limit
+    code, rep = run_cli(capsys, "bounds", "composite", "--q", "1/2",
+                        "--n", "1025")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        "ValueError: q^(n^2) for q=1/2, n=1025 takes at least 1050625 bits, "
+        "past the budget of 1048576")
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("argv, literal", [
+    (["convert", "--vf"], "1e-999999999"),
+    (["convert", "--vb"], "1E+4001"),
+    (["convert", "--q"], "-1e-1_000_000"),
+    (["propagate", "--qe"], "-.5e99999999999999999999"),
+    (["composite", "--n", "1", "--q"], "1e-5000"),
+    (["conservation", "--qe"], "1e-4001"),
+])
+def test_bounds_decimal_exponent_past_the_limit_is_a_typed_error(
+        capsys, schema, argv, literal):
+    *head, flag = argv
+    code, rep = run_cli(capsys, "bounds", *head, f"{flag}={literal}")
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        f"ValueError: exponent of {literal!r} is past the limit of "
+        f"{cli.EXPONENT_LIMIT}")
+    validate(rep, schema)
+
+
+def test_bounds_decimal_exponent_at_the_limit_is_taken(capsys, schema):
+    code, rep = run_cli(capsys, "bounds", "convert", "--vf", "1e-4000")
+    assert code == 0
+    assert rep["results"]["v_f"] == "1/1" + "0" * 4000
+    validate(rep, schema)
+
+
 def test_bounds_conservation(capsys, schema):
     code, rep = run_cli(capsys, "bounds", "conservation", "--qe=-1",
                         "--cap", "2")
@@ -471,6 +512,93 @@ def test_stable_output_verify_all_byte_identical(capsys, monkeypatch):
     assert [c["elapsed"] for c in rep["results"]["criteria"]] == [0.0] * 3
 
 
+# the exact reports of two exact subcommands, which every change to the
+# polynomial kernels must leave byte for byte as they are
+ZAGIER_N4_REPORT = (
+    '{\n'
+    '  "elapsed": 0.0,\n'
+    '  "parameters": {\n'
+    '    "n": 4,\n'
+    '    "stable_output": true,\n'
+    '    "subcommand": "zagier"\n'
+    '  },\n'
+    '  "results": {\n'
+    '    "det_poly": "1 - 36*q^2 + 630*q^4 - 7148*q^6 + 59193*q^8 - '
+    '382032*q^10 + 2004938*q^12 - 8819856*q^14 + 33292656*q^16 - '
+    '109911296*q^18 + 322501266*q^20 - 852715008*q^22 + 2055752147*q^24 - '
+    '4563680868*q^26 + 9404597538*q^28 - 18107068172*q^30 + 32737836213*q^32 '
+    '- 55804850136*q^34 + 89956581256*q^36 - 137430862056*q^38 + '
+    '199259540514*q^40 - 274319614896*q^42 + 358419693312*q^44 - '
+    '443688451632*q^46 + 518556849207*q^48 - 568577821788*q^50 + '
+    '578190891582*q^52 - 533315029844*q^54 + 424388975229*q^56 - '
+    '249262978824*q^58 + 15252221518*q^60 + 260279850024*q^62 - '
+    '551213090397*q^64 + 825851631356*q^66 - 1051544297736*q^68 + '
+    '1199910712212*q^70 - 1251646818134*q^72 + 1199910712212*q^74 - '
+    '1051544297736*q^76 + 825851631356*q^78 - 551213090397*q^80 + '
+    '260279850024*q^82 + 15252221518*q^84 - 249262978824*q^86 + '
+    '424388975229*q^88 - 533315029844*q^90 + 578190891582*q^92 - '
+    '568577821788*q^94 + 518556849207*q^96 - 443688451632*q^98 + '
+    '358419693312*q^100 - 274319614896*q^102 + 199259540514*q^104 - '
+    '137430862056*q^106 + 89956581256*q^108 - 55804850136*q^110 + '
+    '32737836213*q^112 - 18107068172*q^114 + 9404597538*q^116 - '
+    '4563680868*q^118 + 2055752147*q^120 - 852715008*q^122 + 322501266*q^124 '
+    '- 109911296*q^126 + 33292656*q^128 - 8819856*q^130 + 2004938*q^132 - '
+    '382032*q^134 + 59193*q^136 - 7148*q^138 + 630*q^140 - 36*q^142 + '
+    'q^144",\n'
+    '    "factors": [\n'
+    '      [\n'
+    '        "1 - q^2",\n'
+    '        36\n'
+    '      ],\n'
+    '      [\n'
+    '        "1 - q^6",\n'
+    '        8\n'
+    '      ],\n'
+    '      [\n'
+    '        "1 - q^12",\n'
+    '        2\n'
+    '      ]\n'
+    '    ],\n'
+    '    "match": true,\n'
+    '    "n": 4\n'
+    '  },\n'
+    '  "status": "pass",\n'
+    '  "subcommand": "zagier"\n'
+    '}\n'
+)
+
+GRAM_N3_EXACT_REPORT = (
+    '{\n'
+    '  "elapsed": 0.0,\n'
+    '  "parameters": {\n'
+    '    "at": null,\n'
+    '    "exact": true,\n'
+    '    "n": 3,\n'
+    '    "stable_output": true,\n'
+    '    "subcommand": "gram"\n'
+    '  },\n'
+    '  "results": {\n'
+    '    "det_poly": "1 - 6*q^2 + 15*q^4 - 21*q^6 + 21*q^8 - 21*q^10 + '
+    '21*q^12 - 15*q^14 + 6*q^16 - q^18",\n'
+    '    "dim": 6,\n'
+    '    "match": true,\n'
+    '    "n": 3\n'
+    '  },\n'
+    '  "status": "pass",\n'
+    '  "subcommand": "gram"\n'
+    '}\n'
+)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["zagier", "--n", "4"], ZAGIER_N4_REPORT),
+    (["gram", "--n", "3", "--exact"], GRAM_N3_EXACT_REPORT),
+])
+def test_stable_output_of_exact_reports_is_unchanged(capsys, argv, expected):
+    assert cli.run(["--stable-output", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_report_shape_all_subcommands(capsys, schema):
     for argv in (["vev", "--word", "a1 c1"],
                  ["zagier", "--n", "3"],
@@ -500,10 +628,14 @@ SMALL = st.one_of(st.integers(-1, 3).map(str), MALFORMED)
 FLOATS = st.one_of(st.floats(-2, 2).map(repr),
                    st.floats(allow_nan=False, allow_infinity=False).map(repr),
                    MALFORMED)
+# decimal literals whose power of ten Fraction would build at once
+HUGE_EXPONENTS = st.sampled_from(["1e-999999999", "1E+999999999",
+                                  "-1e-1_000_000", "2.5e-4001"])
 RATIONALS = st.one_of(
     st.fractions(-2, 2, max_denominator=12).map(str),
     st.integers(-2, 2).map(str),
     st.floats(-2, 2).map(repr),
+    HUGE_EXPONENTS,
     MALFORMED)
 SYMBOLS = st.tuples(st.sampled_from("ac"), st.integers(0, 3)).map(
     lambda s: f"{s[0]}{s[1]}")

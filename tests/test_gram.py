@@ -375,3 +375,31 @@ def test_interpolation_helper_roundtrip():
     points = list(range(-2, 3))
     values = [p(x) for x in points]
     assert gram._interpolate_newton(points, values) == p
+
+
+def test_interpolation_refuses_values_of_no_integer_polynomial():
+    # q(q - 1)/2 is an integer at every integer q, yet not an integer
+    # polynomial: its second divided difference is 1/2
+    with pytest.raises(ValueError, match="no integer polynomial"):
+        gram._interpolate_newton([0, 1, -1], [0, 0, 1])
+    with pytest.raises(ValueError, match="no integer polynomial"):
+        gram._interpolate_newton([0, 2], [0, 1])
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7))
+def test_interpolation_raises_exactly_off_the_integer_polynomials(values):
+    points = [0, 1, -1, 2, -2, 3, -3][:len(values)]
+    # the Fraction interpolant through the same values, by Lagrange
+    rational = QPoly.zero()
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        term = QPoly([yi])
+        for j, xj in enumerate(points):
+            if j != i:
+                term = term * QPoly([Fraction(-xj, xi - xj),
+                                     Fraction(1, xi - xj)])
+        rational = rational + term
+    if all(type(c) is int for c in rational.coeffs):
+        assert gram._interpolate_newton(points, values) == rational
+    else:
+        with pytest.raises(ValueError, match="no integer polynomial"):
+            gram._interpolate_newton(points, values)

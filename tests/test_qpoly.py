@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quonlib.qpoly import QPoly
 
@@ -76,3 +77,84 @@ def test_multiply_then_divide(a, b):
     if pb.is_zero():
         return
     assert (pa * pb).exact_div(pb) == pa
+
+
+# -- sparse kernels against dense oracles ---------------------------------
+
+
+def dense_product(a, b):
+    """Reference product: the schoolbook loop over every coefficient pair
+    of two coefficient lists, zeros included."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def dense_power(a, e):
+    """Reference power: e - 1 dense products of a with itself."""
+    out = [1]
+    for _ in range(e):
+        out = dense_product(out, a)
+    return out
+
+
+def exact_coeffs(p):
+    """The coefficients with their types: equal QPolys must agree in both."""
+    return [(type(c), c) for c in p.coeffs]
+
+
+small_fractions = st.fractions(-5, 5, max_denominator=7)
+# mostly zeros, so that long zero runs sit between the nonzero terms
+sparse_coeffs = st.lists(
+    st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9),
+              small_fractions),
+    max_size=40)
+
+
+@given(sparse_coeffs, sparse_coeffs)
+def test_sparse_product_equals_dense_schoolbook(a, b):
+    product = QPoly(a) * QPoly(b)
+    assert exact_coeffs(product) == exact_coeffs(QPoly(dense_product(a, b)))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.just(0), st.integers(-4, 4), small_fractions),
+       st.one_of(st.integers(-4, 4).filter(bool),
+                 small_fractions.filter(bool)),
+       st.integers(0, 3), st.integers(1, 4),
+       st.one_of(st.integers(0, 3), st.integers(20, 40)))
+def test_two_term_power_equals_repeated_multiplication(c0, c, shift, gap, e):
+    coeffs = [0] * shift + [c0] + [0] * (gap - 1) + [c]
+    power = QPoly(coeffs) ** e
+    assert exact_coeffs(power) == exact_coeffs(QPoly(dense_power(coeffs, e)))
+
+
+def test_two_term_power_edge_cases():
+    one_minus_q2 = QPoly([1, 0, -1])
+    assert one_minus_q2 ** 0 == QPoly.one()
+    assert one_minus_q2 ** 1 == one_minus_q2
+    assert one_minus_q2 ** 2 == QPoly([1, 0, -2, 0, 1])
+    assert exact_coeffs(one_minus_q2 ** 300) == exact_coeffs(
+        QPoly(dense_power([1, 0, -1], 300)))
+    half = QPoly([Fraction(1, 2), Fraction(-3, 2)])
+    assert exact_coeffs(half ** 7) == exact_coeffs(
+        QPoly(dense_power(list(half.coeffs), 7)))
+    assert QPoly.zero() ** 0 == QPoly.one()
+    assert QPoly.zero() ** 3 == QPoly.zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zagier_determinant_equals_factor_by_factor_dense_expansion(n):
+    from quonlib.gram import zagier_determinant
+    fact = math.factorial(n)
+    expanded = [1]
+    for k in range(1, n):
+        d = k * (k + 1)
+        factor = dense_power([1] + [0] * (d - 1) + [-1], (n - k) * fact // d)
+        expanded = dense_product(expanded, factor)
+    assert exact_coeffs(zagier_determinant(n)) == exact_coeffs(
+        QPoly(expanded))
