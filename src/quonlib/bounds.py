@@ -222,11 +222,11 @@ def _conservation_residual(per_state, q_e, q_b):
             for psi, pairs in per_state]
 
 
-def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), q_b=None,
-                                max_particles=3):
-    """Residual report at q_e, with conservation_sweep's under `sweep`."""
+def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), max_particles=3):
+    """Residual report at q_e with q_b = q_e^2, with conservation_sweep's
+    under `sweep`."""
     q_e = Fraction(q_e)
-    q_b = q_e * q_e if q_b is None else Fraction(q_b)
+    q_b = q_e * q_e
     elements = _matrix_elements(momenta, max_particles)
     per_state = _conservation_residual(elements, q_e, q_b)
     worst_state, worst = max(per_state, key=lambda sv: sv[1])
@@ -284,8 +284,9 @@ def _fermi_gate(elements, values, q_b):
                      default=None)
 
 
-def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
-    """Conservation of statistics near the Fermi limit, from one exact pass.
+def conservation_sweep():
+    """Conservation of statistics near the Fermi limit, from one exact pass
+    over the test states of up to three particles at momenta (1, 2, 5, 9).
 
     Every matrix element <phi, R psi> is A(q_e) - q_b B(q_e) for exact
     polynomials A, B, computed once at symbolic q over the same test
@@ -303,7 +304,7 @@ def conservation_sweep(momenta=(1, 2, 5, 9), max_particles=3):
     (1, -q_e and q_e^4 as well as q_e^2): it establishes q_b -> 1 to first
     order, not q_b = q_e^2 itself.
     """
-    return _sweep(_matrix_elements(momenta, max_particles))
+    return _sweep(_matrix_elements((1, 2, 5, 9), 3))
 
 
 def _sweep(per_state):

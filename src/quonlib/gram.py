@@ -13,8 +13,8 @@ The inner product does not change when the modes are relabelled, so
 <u, v> = <id, u^-1 v>: gram_matrix takes the one row <id, w> from the
 free-Fock action and fills the rest from the multiplication table of S_n.
 Every entry is a monic monomial q^e, so the matrix is stored as its
-integer exponents; exact and float values at a point come from a table of
-powers.
+integer exponents; float values at a point come from a table of powers,
+and the integers +-1 at q = +-1 from an integer power of the sign.
 
 So M_n is a group matrix, M[u, v] = f(u^-1 v) with f(w) = q^row[w]: the
 sum of f(w) R(w) over the right regular representation R of S_n, which
@@ -72,21 +72,14 @@ class GramMatrix:
         return tuple(tuple(monomials[k] for k in row)
                      for row in self.exponents.tolist())
 
-    def _powers(self, x):
-        """[1, x, x^2, ...] up to the largest exponent, by repeated
+    def evaluate_float(self, x):
+        """Matrix at q = x from the powers [1, x, x^2, ...] by repeated
         multiplication: for a float x the values Horner's rule gives."""
-        powers = [x ** 0]
+        x = float(x)
+        powers = [1.0]
         for _ in range(int(self.exponents.max())):
             powers.append(powers[-1] * x)
-        return powers
-
-    def evaluate(self, x):
-        """Matrix at q = x as nested lists; exact for int or Fraction x."""
-        powers = self._powers(x)
-        return [[powers[k] for k in row] for row in self.exponents.tolist()]
-
-    def evaluate_float(self, x):
-        return np.array(self._powers(float(x)))[self.exponents]
+        return np.array(powers)[self.exponents]
 
 
 def inversions(perm):
@@ -372,17 +365,18 @@ def _representation(shape):
     return reps
 
 
-def det_gram_exact(n, limit=EXACT_LIMIT):
-    """det M_n(q) exactly, block by block over the irreducibles of S_n.
+def det_gram_exact(n):
+    """det M_n(q) exactly, block by block over the irreducibles of S_n,
+    for n up to EXACT_LIMIT.
 
     M_n is the group matrix M[i, j] = q^row[u_i^-1 u_j] of the row the
     Fock action gives, so det M_n is the product over partitions lambda of
     det(T_lambda)^f_lambda, with T_lambda = sum_w q^row[w] rho_lambda(w)
     and f_lambda = dim rho_lambda.
     """
-    if n > limit:
+    if n > EXACT_LIMIT:
         raise GramLimitError(
-            f"exact determinant limited to n <= {limit}, got n={n}")
+            f"exact determinant limited to n <= {EXACT_LIMIT}, got n={n}")
     g = gram_matrix(n)
     position = {w: k for k, w in enumerate(g.perms)}
     row = g.exponents[0].tolist()
@@ -406,6 +400,12 @@ def det_gram_exact(n, limit=EXACT_LIMIT):
 # -- numeric checks --------------------------------------------------------
 
 
+def all_positive(scan):
+    """Whether every minimum eigenvalue of a positivity_scan is above
+    1e-12, the pass rule of `quon positivity` and criterion 3."""
+    return all(e > 1e-12 for _, e in scan)
+
+
 def positivity_scan(n, q_samples):
     """Minimum eigenvalue of M_n(q) at each sampled q in (-1, 1).
 
@@ -423,25 +423,13 @@ def positivity_scan(n, q_samples):
     return out
 
 
-def _rank_exact(rows):
-    """Exact rank of a matrix of ints and Fractions.
-
-    Each row is scaled by the lcm of its denominators, which keeps the
-    rank, and the integer matrix goes through fraction-free elimination.
-    """
-    int_rows = []
-    for row in rows:
-        s = _denominator_lcm(row)
-        int_rows.append([int(x * s) for x in row])
-    return _bareiss(int_rows)[0]
-
-
 def rank_at_limit(n, sign):
-    """Exact rank of M_n(q) evaluated at q = +1 or q = -1."""
+    """Exact rank of M_n(q) evaluated at q = +1 or q = -1, whose entries
+    sign^exponent are the integers +-1."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g = gram_matrix(n)
-    return _rank_exact(g.evaluate(sign))
+    return _bareiss(np.power(sign, g.exponents, dtype=np.int64).tolist())[0]
 
 
 def limit_eigenvector_check(n, sign):

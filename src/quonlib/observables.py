@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qfock import ANNIHILATOR, CREATOR, apply_symbol, apply_terms
+from .qfock import ANNIHILATOR, CREATOR, apply_terms
 
 
 @dataclass(frozen=True)
@@ -64,37 +64,27 @@ def transition_operator(k, l, depth, modes):
     return terms
 
 
-def _state_sub(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        out[w] = out.get(w, 0) - c
-    return {w: c for w, c in out.items() if c != 0}
-
-
 def commutator_residual(space, k, l, m, depth):
     """[n_kl, a†_m] - delta_lm a†_k applied to every basis state below the
     cap.  Returns a dict state -> residual (as a state dict); exact."""
-    nkl = transition_operator(k, l, depth, space.modes)
+    c_m = (CREATOR, m)
+    terms = [t for word, c in transition_operator(k, l, depth, space.modes)
+             for t in ((word + (c_m,), c), ((c_m,) + word, -c))]
+    if l == m:
+        terms.append((((CREATOR, k),), -1))
     res = {}
     for w in space.states_below_cap():
-        psi = {w: 1}
-        up = apply_symbol((CREATOR, m), psi, 0)
-        lhs = _state_sub(
-            apply_terms(nkl, up, 0),
-            apply_symbol((CREATOR, m),
-                         apply_terms(nkl, psi, 0), 0))
-        rhs = apply_symbol((CREATOR, k), psi, 0) if l == m else {}
-        diff = _state_sub(lhs, rhs)
+        diff = apply_terms(terms, {w: 1}, 0)
         if diff:
             res[w] = diff
     return res
 
 
-def check_transition_commutator(space, k, l, m, depth):
-    """Report for the defining commutator; exact=True means zero residual
+def check_transition_commutator(space, k, l, m):
+    """Report for the defining commutator, with the series at depth
+    cap - 1, the least at which it holds; exact=True means zero residual
     on every state below the cap."""
-    if depth < space.cap - 1:
-        raise ValueError("series depth too shallow for the particle cap")
+    depth = space.cap - 1
     res = commutator_residual(space, k, l, m, depth)
     max_res = max((max(abs(c) for c in d.values()) for d in res.values()),
                   default=0)
@@ -103,41 +93,49 @@ def check_transition_commutator(space, k, l, m, depth):
             "failing_states": sorted(res)}
 
 
-def free_hamiltonian_terms(space, energies, depth=None):
-    """H = sum_k eps_k n_k as explicit q = 0 series terms."""
-    if depth is None:
-        depth = space.cap - 1
+def check_commutators(space):
+    """check_transition_commutator on every triple (k, l, m) of modes, for
+    `quon observables --check commutator` and criterion 5."""
+    reports = [check_transition_commutator(space, k, l, m)
+               for k, l, m in itertools.product(space.modes, repeat=3)]
+    exact = all(r["exact"] for r in reports)
+    return {"depth": space.cap - 1, "dim": space.dim,
+            "triples": len(reports), "all_exact": exact,
+            "failures": [r for r in reports if not r["exact"]]}
+
+
+def free_hamiltonian_terms(space, energies):
+    """H = sum_k eps_k n_k as explicit q = 0 series terms, at depth
+    cap - 1."""
     missing = [k for k in space.modes if k not in energies]
     if missing:
         raise ValueError(f"no energy given for modes {missing}")
     terms = []
     for k in space.modes:
         eps = Fraction(energies[k])
-        terms.extend((word, eps * c)
-                     for word, c in transition_operator(k, k, depth, space.modes))
+        terms.extend((word, eps * c) for word, c in
+                     transition_operator(k, k, space.cap - 1, space.modes))
     return terms
 
 
-def check_free_hamiltonian(space, energies, depth=None):
+def check_free_hamiltonian(space, energies):
     """H must act diagonally: H|w> = (sum of letter energies) |w>."""
-    terms = free_hamiltonian_terms(space, energies, depth)
+    terms = free_hamiltonian_terms(space, energies)
     failures = []
     for w in space.basis:
         got = apply_terms(terms, {w: 1}, 0)
         want_e = sum(Fraction(energies[m]) for m in w)
         want = {w: want_e} if want_e != 0 else {}
-        if _state_sub(got, want):
+        if got != want:
             failures.append(w)
     return {"exact": not failures, "failing_states": failures}
 
 
-def locality_check_discrete(space, x, y, w, depth=None):
+def locality_check_discrete(space, x, y, w):
     """Discrete-mode locality: [n_xy, a†_w] = delta_yw a†_x on the capped
     space, and n_xy|0> = 0."""
-    if depth is None:
-        depth = space.cap - 1
-    rep = check_transition_commutator(space, x, y, w, depth)
-    nxy = transition_operator(x, y, depth, space.modes)
+    rep = check_transition_commutator(space, x, y, w)
+    nxy = transition_operator(x, y, space.cap - 1, space.modes)
     vac_ok = not apply_terms(nxy, {(): 1}, 0)
     return {"commutator": rep, "annihilates_vacuum": vac_ok,
             "exact": rep["exact"] and vac_ok}

@@ -36,6 +36,9 @@ BYTE_BUDGET = 2 ** 27
 # check_trilinear's peak: an inner bracket, the last residual, and the two
 # products of a new residual with their difference
 CHECK_SCRATCH = 5
+# largest float64 residual or squared norm the dense checks, here and in
+# the verification suite, count as zero
+FLOAT_ZERO = 1e-10
 
 
 class DimensionBudgetError(ValueError):
@@ -120,7 +123,7 @@ def build_green(kind, p, modes, cap=None):
                             vacuum=vacuum)
 
 
-def check_trilinear(r, tol=1e-10):
+def check_trilinear(r):
     """Trilinear relation [[a†_k, a_l]_±, a†_m]_- = 2 delta_lm a†_k.
 
     Inner bracket: anticommutator for parabose, commutator for parafermi.
@@ -149,12 +152,12 @@ def check_trilinear(r, tol=1e-10):
                 t = t - 2 * c_k[:, cols]
             worst = max(worst, float(np.abs(t).max(initial=0.0)))
     return {"kind": r.kind, "p": r.order, "modes": r.modes,
-            "max_residual": worst, "exact": worst <= tol,
+            "max_residual": worst, "exact": worst <= FLOAT_ZERO,
             "protected_only": r.kind == "parabose",
             "dim": r.dim, "protected_states": len(cols)}
 
 
-def check_vacuum_conditions(r, tol=1e-10):
+def check_vacuum_conditions(r):
     """a_k|0> = 0 exactly, and measure c in a_k a†_l |0> = c delta_kl |0>.
 
     The Green ansatz gives c = p on the component tensor vacuum; the
@@ -172,10 +175,10 @@ def check_vacuum_conditions(r, tol=1e-10):
                 off = max(off, float(np.abs(v - consts[k] * r.vacuum).max()))
             else:
                 off = max(off, float(np.abs(v).max()))
-    return {"annihilates_vacuum": kill <= tol,
+    return {"annihilates_vacuum": kill <= FLOAT_ZERO,
             "one_particle_constant": consts,
             "off_diagonal_residual": off,
-            "pass": kill <= tol and off <= tol}
+            "pass": kill <= FLOAT_ZERO and off <= FLOAT_ZERO}
 
 
 def _projected_state(r, word, symmetric, creators=None):
@@ -215,7 +218,7 @@ def check_occupancy(kind, p, modes, cap=None):
     norms = {f"{name}_n{n}":
              max_occupancy(r, (0,) * n if sym else tuple(range(n)), sym)
              for n in range(1, p + 2)}
-    passed = all((norm > 1e-10) == (n <= p)
+    passed = all((norm > FLOAT_ZERO) == (n <= p)
                  for n, norm in enumerate(norms.values(), 1))
     return {"kind": kind, "p": p, "norms": norms}, passed
 
@@ -251,4 +254,4 @@ def gentile_demo(theta):
             "gentile_forbidden_norm_sq": float(forbidden),
             "parafermi_symmetric_norms": sym_norms,
             "parafermi_sector_vanishes":
-                max(sym_norms.values()) <= 1e-10}
+                max(sym_norms.values()) <= FLOAT_ZERO}

@@ -33,7 +33,7 @@ class QPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _normalize(coeffs))
 
     def __setattr__(self, *_):

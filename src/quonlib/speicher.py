@@ -39,7 +39,7 @@ from math import prod
 
 import numpy as np
 
-from .wick import chords_cross, enumerate_contractions
+from .wick import chords_cross, enumerate_contractions, wick_expectation
 
 
 @dataclass(frozen=True)
@@ -342,12 +342,15 @@ def bias_bound(diagrams, chords, n_components):
     return 2 * diagrams * (1 - Fraction(distinct, n ** chords))
 
 
-def tolerance(est, chords):
-    """Accepted distance of an estimate of a word with the given number of
-    chords from the quon value: three standard errors or the finite-N
-    bias bound, whichever is larger."""
-    return max(3 * est.stderr,
-               float(bias_bound(est.diagrams, chords, est.n_components)))
+def check_estimate(est, word, q):
+    """(quon value, tolerance, passed) of an mc_estimate of `word` at q,
+    for `quon speicher` and criterion 8: the mean passes when it lies
+    within the tolerance of the quon value, three standard errors or the
+    finite-N bias bound, whichever is larger."""
+    target = wick_expectation(word)(q)
+    tol = max(3 * est.stderr, float(bias_bound(est.diagrams, len(word) // 2,
+                                               est.n_components)))
+    return target, tol, abs(est.mean - target) <= tol
 
 
 def mc_estimate(word, q, n_components, samples, seed):

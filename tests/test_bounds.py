@@ -116,16 +116,22 @@ def test_conservation_momentum_validation():
         conservation_residual_check(Fraction(-1), momenta=(1, 2, 3, 2))
 
 
+def _max_residual(q_e, q_b, max_particles):
+    """The worst residual at any q_b, from the code beneath
+    conservation_residual_check, which takes q_b = q_e^2."""
+    elements = _matrix_elements((1, 2, 5, 9), max_particles)
+    return max(v for _, v in _conservation_residual(elements, q_e, q_b))
+
+
 def test_conservation_exactly_linear_in_qb_offset():
     # residual with q_b = q_e^2 +- delta is linear in the offset
     q_e = Fraction(-1, 2)
     base = q_e * q_e
     d1, d2 = Fraction(1, 100), Fraction(1, 200)
-    r1 = conservation_residual_check(q_e, q_b=base + d1, max_particles=2)
-    r2 = conservation_residual_check(q_e, q_b=base + d2, max_particles=2)
     r0 = conservation_residual_check(q_e, max_particles=2)
-    e1 = r1["max_residual_exact"] - r0["max_residual_exact"]
-    e2 = r2["max_residual_exact"] - r0["max_residual_exact"]
+    assert r0["max_residual_exact"] == _max_residual(q_e, base, 2)
+    e1 = _max_residual(q_e, base + d1, 2) - r0["max_residual_exact"]
+    e2 = _max_residual(q_e, base + d2, 2) - r0["max_residual_exact"]
     assert e1 == 2 * e2
 
 
@@ -139,7 +145,7 @@ def test_conservation_sweep_slope():
     assert rep["passed"]
     assert rep["n_states"] == 84
     # one-particle states see no matrix element at all: no verdict
-    rep = conservation_sweep(max_particles=1)
+    rep = bounds._sweep(_matrix_elements((1, 2, 5, 9), 1))
     assert rep["root_multiplicity"] is None and not rep["passed"]
 
 
@@ -243,7 +249,7 @@ def test_fermi_gate_matches_full_division(cap, momenta):
         want = _full_division_facts(elements, q_b)
         assert _gate(elements, q_b) == (want["zero_at_fermi_limit"],
                                         want["root_multiplicity"]), name
-    rep = conservation_sweep(momenta, cap)
+    rep = bounds._sweep(_matrix_elements(momenta, cap))
     want = _full_division_facts(elements, Q * Q)
     assert {key: rep[key] for key in want} == want
 
@@ -283,11 +289,10 @@ def test_fermi_gate_divides_out_roots_only_without_a_simple_one(monkeypatch):
 
 def test_conservation_offset_residual_at_fermi_limit():
     # A(-1) = B(-1), so a constant q_b leaves |1 - q_b| * max |B(-1)|
-    offset = conservation_sweep(max_particles=2)["offset_residual"]
+    offset = bounds._sweep(_matrix_elements((1, 2, 5, 9), 2))[
+        "offset_residual"]
     for d in (Fraction(1, 1000), Fraction(-3, 7)):
-        rep = conservation_residual_check(Fraction(-1), q_b=1 - d,
-                                          max_particles=2)
-        assert rep["max_residual_exact"] == abs(d) * offset
+        assert _max_residual(Fraction(-1), 1 - d, 2) == abs(d) * offset
 
 
 def test_conservation_input_validation():
@@ -340,6 +345,6 @@ def test_conservation_state_limit_is_a_typed_error_before_any_work():
     assert len(_conservation_test_states((1, 2, 5, 9), 5)) == STATE_LIMIT
     message = "exceeds the limit of 1364 test states"
     with pytest.raises(ValueError, match=message):
-        conservation_sweep(max_particles=6)
+        _matrix_elements((1, 2, 5, 9), 6)
     with pytest.raises(ValueError, match=message):
         conservation_residual_check(Fraction(-1, 2), max_particles=10 ** 9)

@@ -77,9 +77,9 @@ def test_gram_limit_error(capsys, schema):
 
 
 def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
-    # --exact honours EXACT_LIMIT, though det_gram_exact(5, limit=5) takes
-    # about 0.13 s: past it there is no exact determinant the closed form
-    # is compared with
+    # --exact honours EXACT_LIMIT, though det_gram_exact(5) with the limit
+    # raised takes about 0.13 s: past it there is no exact determinant the
+    # closed form is compared with
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -125,6 +125,18 @@ def test_observables_commutator(capsys, schema):
     assert code == 0
     assert rep["results"]["all_exact"] is True
     validate(rep, schema)
+
+
+def test_observables_depth_is_cap_minus_one_not_an_option(capsys):
+    # one term less misses states below the cap, and more changes no verdict
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["observables", "--depth", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, rep = run_cli(capsys, "observables", "--modes", "2", "--cap", "3")
+    assert code == 0
+    assert rep["results"]["depth"] == 2
+    assert "depth" not in rep["parameters"]
 
 
 def test_para_trilinear(capsys, schema):
@@ -442,6 +454,25 @@ def test_bounds_decimal_exponent_past_the_limit_is_a_typed_error(
     validate(rep, schema)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "conservation", "--qe=-1e-2000", "--cap", "3"],
+    ["bounds", "composite", "--q", "1/2", "--n", "200"],
+    ["bounds", "propagate", "--qe=-1e-3000"],
+], ids=["conservation", "composite", "propagate"])
+def test_a_result_past_the_printable_limit_is_a_typed_error(capsys, schema,
+                                                            argv):
+    # each result is exact and computed, but has an integer longer than
+    # Python prints; the report says so in its own terms
+    code, rep = run_cli(capsys, "--stable-output", *argv)
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        f"ResultSizeError: an exact result has an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, the printable-result limit "
+        f"of a report")
+    validate(rep, schema)
+
+
 def test_bounds_decimal_exponent_at_the_limit_is_taken(capsys, schema):
     code, rep = run_cli(capsys, "bounds", "convert", "--vf", "1e-4000")
     assert code == 0
@@ -636,6 +667,8 @@ RATIONALS = st.one_of(
     st.integers(-2, 2).map(str),
     st.floats(-2, 2).map(repr),
     HUGE_EXPONENTS,
+    # within the exponent limit, but its exact results can be too long to print
+    st.just("1e-2000"),
     MALFORMED)
 SYMBOLS = st.tuples(st.sampled_from("ac"), st.integers(0, 3)).map(
     lambda s: f"{s[0]}{s[1]}")
@@ -664,7 +697,7 @@ CHEAP_ARGVS = st.one_of(
     _command("zagier", n=INTS),
     _command("positivity", n=st.sampled_from(["-1", "1", "2", "3", "x"]),
              samples=INTS, lo=FLOATS, hi=FLOATS),
-    _command("observables", modes=SMALL, cap=SMALL, depth=INTS,
+    _command("observables", modes=SMALL, cap=SMALL,
              check=st.sampled_from(["commutator", "locality",
                                     "hamiltonian", "x"])),
     _command("para", kind=st.sampled_from(["bose", "fermi", "x"]),

@@ -97,8 +97,6 @@ def test_build_equals_all_pairs_oracle(n):
     oracle = all_pairs_gram(n)
     assert g.perms == tuple(itertools.permutations(range(n)))
     assert g.entries == oracle
-    x = Fraction(2, 3)
-    assert g.evaluate(x) == [[e(x) for e in row] for row in oracle]
 
 
 def test_build_rejects_a_row_entry_that_is_not_a_monic_monomial(monkeypatch):
@@ -109,11 +107,11 @@ def test_build_rejects_a_row_entry_that_is_not_a_monic_monomial(monkeypatch):
 
 def test_evaluate_exact_and_float():
     g = gram.gram_matrix(3)
-    assert g.evaluate(-1) == [[(-1) ** int(e) for e in row]
-                              for row in g.exponents]
-    assert all(type(v) is int for row in g.evaluate(1) for v in row)
-    assert all(type(v) is Fraction
-               for row in g.evaluate(Fraction(1, 2)) for v in row)
+    # the ranks at q = +-1 from the integer table, against sympy on the
+    # exact entries evaluated there
+    for sign in (1, -1):
+        exact = sympy.Matrix([[e(sign) for e in row] for row in g.entries])
+        assert gram.rank_at_limit(3, sign) == exact.rank() == 1
     # the float table is built as Horner's rule evaluates each monomial
     x = 0.37
     np.testing.assert_array_equal(
@@ -168,7 +166,12 @@ def test_det_exact_small_matrices():
 def test_det_matches_zagier():
     for n in (1, 2, 3, 4):
         assert gram.det_gram_exact(n) == gram.zagier_determinant(n)
-    assert gram.det_gram_exact(5, limit=5) == gram.zagier_determinant(5)
+
+
+def test_det_matches_zagier_past_the_exact_limit(monkeypatch):
+    # EXACT_LIMIT is read at each call; n = 5 takes about 0.3 s
+    monkeypatch.setattr(gram, "EXACT_LIMIT", 5)
+    assert gram.det_gram_exact(5) == gram.zagier_determinant(5)
 
 
 def dense(columns):
@@ -282,36 +285,34 @@ def test_both_det_exact_paths_agree(entries):
     assert gram.det_exact(entries) == reference
 
 
-small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_ints = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def rational_matrices(draw):
+def integer_matrices(draw):
     # products of an m x k and a k x c factor, so the rank is often below
     # min(m, c)
     m, k, c = (draw(st.integers(1, 5)), draw(st.integers(1, 4)),
                draw(st.integers(1, 5)))
-    a = [[draw(small_rationals) for _ in range(k)] for _ in range(m)]
-    b = [[draw(small_rationals) for _ in range(c)] for _ in range(k)]
-    product = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
-                for j in range(c)] for i in range(m)]
+    a = [[draw(small_ints) for _ in range(k)] for _ in range(m)]
+    b = [[draw(small_ints) for _ in range(c)] for _ in range(k)]
+    product = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(c)]
+               for i in range(m)]
     return draw(st.sampled_from([product, a]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices())
+@given(integer_matrices())
 def test_rank_exact_matches_sympy(rows):
-    expected = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row]
-         for row in rows]).rank()
-    assert gram._rank_exact(rows) == expected
+    expected = sympy.Matrix(rows).rank()
+    assert gram._bareiss([list(row) for row in rows])[0] == expected
 
 
 def test_rank_exact_examples():
-    assert gram._rank_exact([[1, 2], [2, 4]]) == 1
-    assert gram._rank_exact([[0, 0], [0, 0]]) == 0
-    assert gram._rank_exact([[Fraction(1, 2), 1], [1, 2], [0, 1]]) == 2
-    assert gram._rank_exact([[0, 1, 0], [0, 0, 1]]) == 2
+    assert gram._bareiss([[1, 2], [2, 4]])[0] == 1
+    assert gram._bareiss([[0, 0], [0, 0]])[0] == 0
+    assert gram._bareiss([[1, 2], [1, 2], [0, 1]])[0] == 2
+    assert gram._bareiss([[0, 1, 0], [0, 0, 1]])[0] == 2
 
 
 def test_det_exact_interpolation_path():

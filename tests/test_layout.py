@@ -7,6 +7,11 @@ its own module (outside its own definition), `from .mod import X` (or
 `from quonlib.mod import X`), or `mod.X`.  Console-script entry points in
 pyproject.toml count as references.  Code that only the tests use belongs
 in the tests.
+
+Likewise every defaulted parameter of a def in src/quonlib must be set by
+some call in src/quonlib or bench/, matched by the callee's name (an
+__init__ by its class's): by position, after self or cls, or by keyword,
+or through * or **.  A default no call sets is a constant.
 """
 
 import ast
@@ -92,6 +97,114 @@ def recursive(n):
     # bench files reach nothing by a bare name
     assert ("mod", "helper") not in _references_in(ast.parse(source))
     assert ("cli", "main") in _references()
+
+
+def _defaults_in(tree, module):
+    """(module, function, parameter, position) of every defaulted parameter
+    of a def in one parsed file.  The position counts from the first
+    argument after self or cls, and is None for a keyword-only one; an
+    __init__ is named by its class."""
+    owners = {id(item): node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(id(node))
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = int(bool(owner and positional
+                        and positional[0].arg in ("self", "cls")))
+        name = owner if owner and node.name == "__init__" else node.name
+        first = len(positional) - len(args.defaults)
+        out += [(module, name, arg.arg, i - skip)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(module, name, arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+    return out
+
+
+def _calls_in(tree):
+    """(callee name, call) of every call whose callee is a name or an
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+
+def _sets(call, param, position):
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_defaults(defaults, calls):
+    return sorted((mod, fn, param) for mod, fn, param, position in defaults
+                  if not any(name == fn and _sets(call, param, position)
+                             for name, call in calls))
+
+
+def test_every_default_is_set_by_a_caller():
+    defaults, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        defaults += _defaults_in(tree, path.stem)
+        calls += _calls_in(tree)
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        calls += _calls_in(_parse(path))
+    unset = _unset_defaults(defaults, calls)
+    assert not unset, (
+        "defaults no call in src/ or bench/ sets: "
+        + ", ".join(f"{mod}.{fn}({param})" for mod, fn, param in unset))
+
+
+def test_each_way_of_setting_a_default_counts():
+    source = """
+class Poly:
+    def __init__(self, coeffs=()):
+        pass
+
+    def scaled(self, by=1, *, exact=False):
+        pass
+
+def positional(r, tol=1e-10):
+    pass
+
+def keyword(r, cap=None):
+    pass
+
+def starred(r, seed=0):
+    pass
+
+def double_starred(r, depth=3):
+    pass
+
+def unset(r, limit=4):
+    pass
+
+def calls(*args, **kwargs):
+    Poly([1]).scaled(2)
+    positional(1, 0.5)
+    keyword(1, cap=2)
+    starred(*args)
+    double_starred(1, **kwargs)
+    unset(1)
+"""
+    tree = ast.parse(source)
+    defaults = _defaults_in(tree, "mod")
+    assert ("mod", "Poly", "coeffs", 0) in defaults
+    assert ("mod", "scaled", "exact", None) in defaults
+    assert _unset_defaults(defaults, list(_calls_in(tree))) == [
+        ("mod", "scaled", "exact"), ("mod", "unset", "limit")]
+    # with no call at all, every default is unset
+    assert len(_unset_defaults(defaults, [])) == len(defaults) == 8
 
 
 def test_every_traced_name_resolves():

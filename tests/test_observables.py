@@ -60,7 +60,7 @@ def test_series_terms_keep_the_word_length(drawn):
     space = TruncatedFockSpace(modes=modes, cap=max(depth + 1, len(word)))
     energies = {m: Fraction(m + 1, 2) for m in modes}
     terms = (transition_operator(k, l, depth, modes)
-             + obs.free_hamiltonian_terms(space, energies, depth))
+             + obs.free_hamiltonian_terms(space, energies))
     for q in (0, QPoly.q()):
         for term in terms:
             out = apply_terms([term], {word: q ** 0}, q)
@@ -71,15 +71,16 @@ def test_commutator_exact_at_sufficient_depth(space):
     for k in space.modes:
         for l in space.modes:
             for m in space.modes:
-                rep = obs.check_transition_commutator(space, k, l, m,
-                                                      depth=space.cap - 1)
+                rep = obs.check_transition_commutator(space, k, l, m)
                 assert rep["exact"], (k, l, m)
+                assert rep["depth"] == space.cap - 1
                 assert rep["max_residual"] == 0
 
 
 def test_shallow_depth_rejected(space):
-    with pytest.raises(ValueError):
-        obs.check_transition_commutator(space, 0, 1, 1, depth=1)
+    # one term short of cap - 1, the series misses a state below the cap:
+    # so the checks take depth cap - 1 and no other
+    assert obs.commutator_residual(space, 0, 1, 1, depth=space.cap - 2)
 
 
 def test_undeepened_series_fails():
