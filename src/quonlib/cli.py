@@ -251,6 +251,15 @@ def _finite(text):
     return value
 
 
+def _positive(text):
+    """A count option's value; a check over no modes, no particles or no
+    samples would pass over nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="quon",
@@ -280,14 +289,14 @@ def build_parser():
 
     s = sub.add_parser("positivity", help="Gram eigenvalue scan over q")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--samples", type=int, default=50)
+    s.add_argument("--samples", type=_positive, default=50)
     s.add_argument("--lo", type=_finite, default=-0.98)
     s.add_argument("--hi", type=_finite, default=0.98)
     s.set_defaults(fn=_cmd_positivity)
 
     s = sub.add_parser("observables", help="q=0 number-operator checks")
-    s.add_argument("--modes", type=int, default=3)
-    s.add_argument("--cap", type=int, default=3)
+    s.add_argument("--modes", type=_positive, default=3)
+    s.add_argument("--cap", type=_positive, default=3)
     s.add_argument("--check", choices=("commutator", "locality", "hamiltonian"),
                    default="commutator")
     s.set_defaults(fn=_cmd_observables)

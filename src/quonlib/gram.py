@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .qfock import q_inner_product
+from .qfock import inversions, q_inner_product
 from .qpoly import QPoly
 
 # largest n for which det_gram_exact computes the exact determinant
@@ -80,12 +80,6 @@ class GramMatrix:
         for _ in range(int(self.exponents.max())):
             powers.append(powers[-1] * x)
         return np.array(powers)[self.exponents]
-
-
-def inversions(perm):
-    perm = tuple(perm)
-    return sum(perm[i] > perm[j]
-               for i in range(len(perm)) for j in range(i + 1, len(perm)))
 
 
 def gram_matrix(n):

@@ -1,88 +1,122 @@
-"""Finite matrix realizations of order-p parastatistics.
+"""Order-p parastatistics by Green's ansatz, on an exact integer action.
 
-The para-operators are sums of p component operators,
-
-    a_k = sum_alpha b_k^(alpha),
-
-where same-component operators are ordinary Bose (parabose) or Fermi
-(parafermi) oscillators and distinct components anticommute (parabose)
-or commute (parafermi).  The anomalous cross relations are installed
-with diagonal sign chains (Klein construction) on a tensor-product
-component space, so everything is an explicit matrix.
-
-Parafermi realizations are exact integer matrices; parabose components
-are truncated oscillators, and checks only assert on "protected" states
-that cannot touch the cap.
-
-The matrices are dense but are built by index arithmetic on the basis
-(no Kronecker products), and the relation checks form only the protected
-columns of each residual.  A check reports the realization's `dim` and
-its `protected_states`: for parabose p = 2 on 3 modes with cap 2 that is
-1 column (the vacuum) of 729, for parafermi every column.
+a_k = sum_alpha b_k^(alpha) over Bose (parabose) or Fermi (parafermi)
+components that Klein sign strings make anticommute (parabose) or
+commute (parafermi).  A state is a dict {state code: int} in the basis
+|n> = (b†)^n |0> of each site (b|n> = n|n-1>, b†|n> = |n+1> below the
+cap, 1 for parafermi), a diagonal change of basis that commutes with the
+sign strings and keeps every weight an integer.  Parabose relations hold
+only on "protected" states, which two creations cannot push past the cap.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, partialmethod
 
-import numpy as np
+from .qfock import inversions
 
-from .gram import inversions
-
-# bytes of the dense float64 annihilators and check_trilinear scratch
-BYTE_BUDGET = 2 ** 27
-# check_trilinear's peak: an inner bracket, the last residual, and the two
-# products of a new residual with their difference
-CHECK_SCRATCH = 5
-# largest float64 residual or squared norm the dense checks, here and in
-# the verification suite, count as zero
+# term applications (one component on one code) a check may make
+WORK_LIMIT = 2 * 10 ** 7
+# protected states check_trilinear applies the relation to at once
+BATCH = 256
+# largest float squared norm gentile_demo counts as zero
 FLOAT_ZERO = 1e-10
 
 
-class DimensionBudgetError(ValueError):
-    pass
+class WorkLimitError(ValueError):
+    """A check whose estimated work passes WORK_LIMIT."""
+
+
+def _refuse_past_limit(what, log_work):
+    """The estimate is in logs, as it can be too large to form."""
+    if log_work > math.log(WORK_LIMIT):
+        raise WorkLimitError(
+            f"{what} takes about 10^{log_work / math.log(10):.1f} term "
+            f"applications, past the limit of {WORK_LIMIT}")
+
+
+def combine(*terms):
+    """Sum of (coefficient, state) pairs, with no zero stored."""
+    out = {}
+    for coeff, state in terms:
+        for code, c in state.items():
+            out[code] = out.get(code, 0) + coeff * c
+    return {code: c for code, c in out.items() if c}
 
 
 @dataclass(frozen=True)
 class GreenRealization:
+    """Site alpha * modes + k, component alpha of mode k, is the bit field
+    of width cap.bit_length() at offset site * width of a state code."""
     kind: str               # "parabose" | "parafermi"
     order: int              # p
     modes: int              # M
     cap: int                # per-site occupancy cap (1 for parafermi)
-    dim: int
-    annihilators: dict = field(repr=False)   # mode -> matrix of a_k
-    occupancy: np.ndarray = field(repr=False)  # basis state x site -> count
-    vacuum: np.ndarray = field(repr=False)
 
-    def creator(self, k):
-        return self.annihilators[k].conj().T
+    @property
+    def dim(self):
+        return (self.cap + 1) ** (self.order * self.modes)
 
-    def protected_columns(self):
-        """Indices of the basis states the relation checks assert on: all
-        of them for parafermi, for parabose those with every site at least
-        2 below the cap, which two creations cannot push past it."""
+    def klein_string(self, alpha, k):
+        """Sites signing component alpha of mode k: the earlier modes of
+        its component (parafermi), all earlier components (parabose)."""
         if self.kind == "parafermi":
-            return np.arange(self.dim)
-        return np.flatnonzero((self.occupancy <= self.cap - 2).all(axis=1))
+            return range(alpha * self.modes, alpha * self.modes + k)
+        return range(alpha * self.modes)
+
+    @cached_property
+    def _fields(self):
+        """(bit offset, Klein mask) of each site: the mask holds the lowest
+        bit, an occupation's parity, of each field on the string."""
+        width = self.cap.bit_length()
+        lows = [0]          # lows[s]: the lowest bits of fields 0 .. s-1
+        for s in range(self.order * self.modes):
+            lows.append(lows[-1] | 1 << width * s)
+        strings = (self.klein_string(alpha, k)
+                   for alpha in range(self.order) for k in range(self.modes))
+        return [(width * site, lows[string.stop] ^ lows[string.start])
+                for site, string in enumerate(strings)]
+
+    def _act(self, k, state, raising):
+        field = (1 << self.cap.bit_length()) - 1
+        components = self._fields[k::self.modes]
+        out = {}
+        for code, c in state.items():
+            for shift, string in components:
+                n = code >> shift & field
+                if raising and n < self.cap:
+                    target, weight = code + (1 << shift), c
+                elif not raising and n:
+                    target, weight = code - (1 << shift), c * n
+                else:
+                    continue
+                if (code & string).bit_count() & 1:
+                    weight = -weight
+                out[target] = out.get(target, 0) + weight
+        return {code: c for code, c in out.items() if c}
+
+    create = partialmethod(_act, raising=True)        # a†_k on a state
+    annihilate = partialmethod(_act, raising=False)   # a_k on a state
+
+    def protected_values(self):
+        """A site's occupations in a protected state."""
+        return range(2) if self.kind == "parafermi" else range(self.cap - 1)
+
+    def protected_states(self):
+        for occupation in itertools.product(self.protected_values(),
+                                            repeat=len(self._fields)):
+            yield sum(n << shift for n, (shift, _) in zip(occupation,
+                                                          self._fields))
 
 
 def build_green(kind, p, modes, cap=None):
-    """Explicit Green-ansatz annihilators a_k on the component tensor space.
-
-    Site alpha * modes + k holds component alpha of mode k and is digit
-    number site (most significant first) of a basis index in base cap + 1.
-    Component (alpha, k) takes basis state j to j - stride(site) with
-    weight sqrt(n_site) times the Klein sign (-1)^(occupancy of its
-    string): the earlier modes of the same component for parafermi (same
-    component anticommutes, distinct components commute), every site of
-    the earlier components for parabose (distinct components
-    anticommute, the same component stays Bose).  It is written straight
-    into a_k, where no other component of mode k writes.  A parafermi
-    site holds at most one quantum, so its cap is 1: None or 1 is
-    accepted, any other cap raises ValueError.
-    """
+    """The realization, which allocates nothing: its action works each
+    state out.  A parafermi cap other than None or 1 raises ValueError."""
     if kind not in ("parabose", "parafermi"):
         raise ValueError(f"kind must be parabose or parafermi, got {kind!r}")
     if p < 1 or modes < 1:
@@ -94,164 +128,138 @@ def build_green(kind, p, modes, cap=None):
         cap = 1
     elif cap is None or cap < 1:
         raise ValueError("parabose realizations need a positive cap")
-    levels = cap + 1
-    nsites = p * modes
-    dim = levels ** nsites
-    nbytes = (modes + CHECK_SCRATCH) * dim * dim * 8
-    if nbytes > BYTE_BUDGET:
-        raise DimensionBudgetError(
-            f"{modes} annihilators and {CHECK_SCRATCH} check_trilinear "
-            f"scratch matrices, dense float64 {dim}x{dim}, take {nbytes} "
-            f"bytes, above the budget of {BYTE_BUDGET}")
+    return GreenRealization(kind=kind, order=p, modes=modes, cap=cap)
 
-    strides = levels ** np.arange(nsites - 1, -1, -1)
-    occ = (np.arange(dim)[:, None] // strides) % levels
-    annihilators = {}
-    for k in range(modes):
-        op = annihilators[k] = np.zeros((dim, dim))
-        for alpha in range(p):
-            site = alpha * modes + k
-            string = slice(alpha * modes, site) if kind == "parafermi" \
-                else slice(0, alpha * modes)
-            sign = (-1.0) ** occ[:, string].sum(axis=1)
-            j = np.flatnonzero(occ[:, site])
-            op[j - strides[site], j] = sign[j] * np.sqrt(occ[j, site])
-    vacuum = np.zeros(dim)
-    vacuum[0] = 1.0
-    return GreenRealization(kind=kind, order=p, modes=modes, cap=cap, dim=dim,
-                            annihilators=annihilators, occupancy=occ,
-                            vacuum=vacuum)
+
+def _trilinear_residuals(r, state, inner):
+    """[[a†_k, a_l]_inner, a†_m] - 2 delta_lm a†_k on a state, for each
+    (k, l, m): inner = -1 brackets by commutator, +1 by anticommutator."""
+    up = [r.create(m, state) for m in range(r.modes)]
+    for k, l in itertools.product(range(r.modes), repeat=2):
+        def bracket(v):
+            return combine((1, r.create(k, r.annihilate(l, v))),
+                           (inner, r.annihilate(l, r.create(k, v))))
+        at_state = bracket(state)
+        for m in range(r.modes):
+            yield combine((1, bracket(up[m])), (-1, r.create(m, at_state)),
+                          (-2 * (l == m), up[k]))
 
 
 def check_trilinear(r):
-    """Trilinear relation [[a†_k, a_l]_±, a†_m]_- = 2 delta_lm a†_k.
-
-    Inner bracket: anticommutator for parabose, commutator for parafermi.
-    Parafermi holds as an exact matrix identity; parabose is asserted on
-    protected states only.  Only the protected columns X of each residual
-    are formed, right to left: the inner bracket B_kl is built once per
-    (k, l) on the columns of X and of every a†_m X, and the residual is
-    B_kl (a†_m X) - a†_m (B_kl X) - 2 delta_lm a†_k X.  `dim` and
-    `protected_states` report how many of the columns were checked.
-    """
-    sign = 1.0 if r.kind == "parabose" else -1.0
-    cols = r.protected_columns()
-    creators = [r.creator(m) for m in range(r.modes)]
-    # rows a†_m X can reach; B_kl is needed on these and on X itself
-    reach = np.flatnonzero(sum(np.abs(c[:, cols]) for c in creators).any(1))
-    span = np.union1d(cols, reach)
-    at_x = np.searchsorted(span, cols)
-    worst = 0.0
-    for k, l in itertools.product(range(r.modes), repeat=2):
-        c_k, a_l = creators[k], r.annihilators[l]
-        inner = c_k @ a_l[:, span] + sign * (a_l @ c_k[:, span])
-        for m in range(r.modes):
-            c_m = creators[m]
-            t = inner @ c_m[np.ix_(span, cols)] - c_m @ inner[:, at_x]
-            if l == m:
-                t = t - 2 * c_k[:, cols]
-            worst = max(worst, float(np.abs(t).max(initial=0.0)))
+    """[[a†_k, a_l]_±, a†_m]_- = 2 delta_lm a†_k, the inner bracket an
+    anticommutator for parabose, a commutator for parafermi; max_residual
+    is 0 on a pass.  BATCH states at a time, tagged with their codes above
+    the site fields, share each call of the action.  Estimate: protected
+    states (at least one) x M^3 x (p + 1)^3."""
+    sites, values = r.order * r.modes, len(r.protected_values())
+    _refuse_past_limit("check_trilinear", sites * math.log(max(values, 1))
+                       + 3 * math.log(r.modes * (r.order + 1)))
+    inner = 1 if r.kind == "parabose" else -1
+    tag = sites * r.cap.bit_length()
+    states = r.protected_states()
+    worst = 0
+    while batch := {x << tag | x: 1 for x in itertools.islice(states, BATCH)}:
+        for res in _trilinear_residuals(r, batch, inner):
+            worst = max([worst, *map(abs, res.values())])
     return {"kind": r.kind, "p": r.order, "modes": r.modes,
-            "max_residual": worst, "exact": worst <= FLOAT_ZERO,
+            "max_residual": worst, "exact": worst == 0,
             "protected_only": r.kind == "parabose",
-            "dim": r.dim, "protected_states": len(cols)}
+            "dim": r.dim, "protected_states": values ** sites}
 
 
 def check_vacuum_conditions(r):
-    """a_k|0> = 0 exactly, and measure c in a_k a†_l |0> = c delta_kl |0>.
-
-    The Green ansatz gives c = p on the component tensor vacuum; the
-    constant is reported, not asserted.
-    """
-    kill = max(float(np.abs(r.annihilators[k] @ r.vacuum).max())
-               for k in range(r.modes))
-    consts = {}
-    off = 0.0
-    for k in range(r.modes):
-        for l in range(r.modes):
-            v = r.annihilators[k] @ (r.creator(l) @ r.vacuum)
-            if k == l:
-                consts[k] = float(v @ r.vacuum)
-                off = max(off, float(np.abs(v - consts[k] * r.vacuum).max()))
-            else:
-                off = max(off, float(np.abs(v).max()))
-    return {"annihilates_vacuum": kill <= FLOAT_ZERO,
+    """a_k|0> = 0, and measure c in a_k a†_l |0> = c delta_kl |0> (c = p,
+    reported, not asserted).  Estimate: M^2 (p + 1)^2."""
+    _refuse_past_limit("check_vacuum_conditions",
+                       2 * math.log(r.modes * (r.order + 1)))
+    vacuum = {0: 1}
+    kill = not any(r.annihilate(k, vacuum) for k in range(r.modes))
+    consts, off = {}, 0
+    for k, l in itertools.product(range(r.modes), repeat=2):
+        v = r.annihilate(k, r.create(l, vacuum))
+        if k == l:
+            consts[k] = v.pop(0, 0)
+        off = max([off, *map(abs, v.values())])
+    return {"annihilates_vacuum": kill,
             "one_particle_constant": consts,
             "off_diagonal_residual": off,
-            "pass": kill <= FLOAT_ZERO and off <= FLOAT_ZERO}
-
-
-def _projected_state(r, word, symmetric, creators=None):
-    """(Anti)symmetrized product of creators applied to the vacuum."""
-    if creators is None:
-        creators = {k: r.creator(k) for k in set(word)}
-    n = len(word)
-    out = np.zeros(r.dim)
-    for perm in itertools.permutations(range(n)):
-        sgn = 1.0 if symmetric else (-1.0) ** inversions(perm)
-        v = r.vacuum
-        for i in reversed(perm):
-            v = creators[word[i]] @ v
-        out = out + sgn * v
-    return out / math.factorial(n)
+            "pass": kill and off == 0}
 
 
 def max_occupancy(r, word, symmetric=True, creators=None):
-    """Squared norm of the (anti)symmetrized creator word on the vacuum;
-    check_occupancy holds the rule it is judged by."""
-    v = _projected_state(r, tuple(word), symmetric, creators)
-    return float(v @ v)
+    """Squared norm, <n|n> = prod_site n!, of the (anti)symmetrized creator
+    word on the vacuum, (1/n!) sum over orderings: each distinct ordering
+    once, over their count.  A repeated letter makes the antisymmetrized
+    word vanish.  creators maps a letter to (mode, coefficient) pairs."""
+    if creators is None:
+        creators = {k: ((k, 1),) for k in word}
+    if not symmetric and len(set(word)) < len(word):
+        return 0
+    orderings = {()}
+    for letter in word:
+        orderings = {o[:i] + (letter,) + o[i:]
+                     for o in orderings for i in range(len(o) + 1)}
+    out = {}
+    for ordering in orderings:
+        v = {0: 1 if symmetric else (-1) ** inversions(map(word.index,
+                                                           ordering))}
+        for letter in reversed(ordering):
+            v = combine(*((c, r.create(mode, v))
+                          for mode, c in creators[letter]))
+        out = combine((1, out), (1, v))
+    field = (1 << r.cap.bit_length()) - 1
+    return Fraction(1, len(orderings)) ** 2 * sum(
+        c * c * math.prod(math.factorial(code >> shift & field)
+                          for shift, _ in r._fields)
+        for code, c in out.items())
 
 
 def check_occupancy(kind, p, modes, cap=None):
     """(report, passed): at most p quanta fit, so the norms of the
     symmetrized same-mode word (parafermi), or of its dual, the
     antisymmetrized distinct-mode word (parabose), are nonzero for n <= p
-    and zero at n = p + 1.  The dual takes p + 1 modes: fewer raise
-    ValueError before anything is built."""
+    and zero at n = p + 1, on the modes 0 .. p the words touch; the dual
+    needs p + 1 modes.  Estimate: p + 1 words of p + 1 creators, making p
+    codes of each of 2^p codes of mode 0 (parafermi), or of p^p codes in
+    each of (p + 1)! orderings (parabose)."""
     if kind == "parabose" and modes <= p:
         raise ValueError(f"the parabose occupancy check needs p + 1 = "
                          f"{p + 1} modes, got {modes}")
     r = build_green(kind, p, modes, cap=cap)
     sym = kind == "parafermi"
+    _refuse_past_limit(
+        "check_occupancy", 2 * math.log(p + 1) + math.log(p)
+        + (p * math.log(2) if sym else math.lgamma(p + 2) + p * math.log(p)))
+    r = dataclasses.replace(r, modes=1 if sym else p + 1)
     name = "same_mode" if sym else "distinct_modes"
     norms = {f"{name}_n{n}":
              max_occupancy(r, (0,) * n if sym else tuple(range(n)), sym)
              for n in range(1, p + 2)}
-    passed = all((norm > FLOAT_ZERO) == (n <= p)
+    passed = all((norm != 0) == (n <= p)
                  for n, norm in enumerate(norms.values(), 1))
     return {"kind": kind, "p": p, "norms": norms}, passed
 
 
 def gentile_demo(theta):
-    """Occupancy-capped (Gentile) statistics is basis dependent; the
-    parafermi p=2 exclusion is not.
-
-    In the two-mode, three-particle Bose sector with occupancy bound 2,
-    the state with all three quanta in one rotated mode has nonzero
-    projection onto the allowed occupancy patterns unless the rotation is
-    trivial.  By contrast the symmetric three-particle sector of a
-    parafermi p=2 realization is annihilated in every basis.
-    """
+    """Occupancy-capped (Gentile) statistics is basis dependent: three
+    Bose quanta in one rotated mode, occupancy bound 2, have an allowed
+    part unless the rotation is trivial.  The parafermi p=2 exclusion
+    holds in every basis."""
     c, s = math.cos(theta), math.sin(theta)
-    # product basis of three distinguishable-slot copies of C^2
-    u = np.array([c, s])
-    state = np.kron(np.kron(u, u), u)
-    forbidden = 0.0
-    for pattern in ((0, 0, 0), (1, 1, 1)):   # occupancy 3 in one mode
-        idx = pattern[0] * 4 + pattern[1] * 2 + pattern[2]
-        forbidden += state[idx] ** 2
-    allowed = float(state @ state) - forbidden
+    # three distinguishable slots, each in the rotated mode (c, s)
+    amplitude = {slots: math.prod((c, s)[i] for i in slots)
+                 for slots in itertools.product((0, 1), repeat=3)}
+    forbidden = amplitude[0, 0, 0] ** 2 + amplitude[1, 1, 1] ** 2
+    allowed = sum(a * a for a in amplitude.values()) - forbidden
 
     # parafermi p=2 contrast, in the rotated single-particle basis
     r = build_green("parafermi", 2, 2)
-    rot = {0: c * r.creator(0) + s * r.creator(1),
-           1: -s * r.creator(0) + c * r.creator(1)}
-    sym_norms = {w: max_occupancy(r, w, symmetric=True, creators=rot)
+    rot = {0: ((0, c), (1, s)), 1: ((0, -s), (1, c))}
+    sym_norms = {w: float(max_occupancy(r, w, True, rot))
                  for w in itertools.combinations_with_replacement((0, 1), 3)}
     return {"theta": theta,
             "gentile_allowed_norm_sq": allowed,
-            "gentile_forbidden_norm_sq": float(forbidden),
+            "gentile_forbidden_norm_sq": forbidden,
             "parafermi_symmetric_norms": sym_norms,
             "parafermi_sector_vanishes":
                 max(sym_norms.values()) <= FLOAT_ZERO}

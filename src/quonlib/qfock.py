@@ -150,3 +150,10 @@ def q_inner_product(u, v):
             return state[()]
     return QPoly.zero()
 
+
+def inversions(perm):
+    """Pairs i < j with perm[i] > perm[j]: <id, w> = q^inversions(w) for a
+    word w of distinct modes."""
+    perm = tuple(perm)
+    return sum(perm[i] > perm[j]
+               for i in range(len(perm)) for j in range(i + 1, len(perm)))

@@ -126,45 +126,36 @@ def transition_commutator():
 
 
 def _canonical_relations_exact(r):
-    """p=1 realizations must satisfy the ordinary (anti)commutators on
-    their protected columns."""
-    sign = 1.0 if r.kind == "parafermi" else -1.0
-    cols = r.protected_columns()
-    eye = np.eye(r.dim)[:, cols]
-    worst = 0.0
-    for k in range(r.modes):
-        for l in range(r.modes):
-            a_k, c_l = r.annihilators[k], r.creator(l)
-            t = a_k @ c_l[:, cols] + sign * (c_l @ a_k[:, cols])
-            if k == l:
-                t = t - eye
-            worst = max(worst, np.abs(t).max(initial=0.0))
-            if r.kind == "parafermi":
-                a_l = r.annihilators[l]
-                t2 = a_k @ a_l[:, cols] + a_l @ a_k[:, cols]
-                worst = max(worst, np.abs(t2).max(initial=0.0))
-    return worst <= parastat.FLOAT_ZERO
+    """p=1 realizations obey the ordinary (anti)commutators."""
+    sign = 1 if r.kind == "parafermi" else -1
+    a, c = r.annihilate, r.create
+    for x, k, l in itertools.product(r.protected_states(), range(r.modes),
+                                     range(r.modes)):
+        one = {x: 1}
+        if parastat.combine((1, a(k, c(l, one))), (sign, c(l, a(k, one))),
+                            (-(k == l), one)):
+            return False
+        if r.kind == "parafermi" and parastat.combine(
+                (1, a(k, a(l, one))), (1, a(l, a(k, one)))):
+            return False
+    return True
 
 
 @_criterion(6, "Green parastatistics: trilinear relation and occupancy")
 def parastatistics():
-    # each occupancy check builds and frees its own realization first
     occ, occ_ok = parastat.check_occupancy("parafermi", 2, 2)
     anti, anti_ok = parastat.check_occupancy("parabose", 2, 3, cap=2)
-    pf2 = parastat.build_green("parafermi", 2, 2)
-    tri_ok = parastat.check_trilinear(pf2)["exact"]
-    pb2 = parastat.build_green("parabose", 2, 3, cap=2)
-    tri_pb2 = parastat.check_trilinear(pb2)
-    tri_b = tri_pb2["exact"]
-    p1_ok = (_canonical_relations_exact(parastat.build_green("parafermi", 1, 2))
-             and _canonical_relations_exact(
-                 parastat.build_green("parabose", 1, 2, cap=4)))
-    passed = tri_ok and tri_b and occ_ok and anti_ok and p1_ok
-    return {"passed": passed, "trilinear_parafermi": tri_ok,
-            "trilinear_parabose": tri_b,
+    tri_f = parastat.check_trilinear(parastat.build_green("parafermi", 2, 2))
+    tri_b = parastat.check_trilinear(
+        parastat.build_green("parabose", 2, 3, cap=2))
+    p1_ok = all(_canonical_relations_exact(
+        parastat.build_green(kind, 1, 2, cap=cap))
+        for kind, cap in (("parafermi", None), ("parabose", 4)))
+    passed = tri_f["exact"] and tri_b["exact"] and occ_ok and anti_ok and p1_ok
+    return {"passed": passed, "trilinear_parafermi": tri_f["exact"],
+            "trilinear_parabose": tri_b["exact"],
             "trilinear_parabose_columns": {
-                "dim": tri_pb2["dim"],
-                "protected_states": tri_pb2["protected_states"]},
+                k: tri_b[k] for k in ("dim", "protected_states")},
             "same_mode_norms": {f"n{n}": occ["norms"][f"same_mode_n{n}"]
                                 for n in (2, 3)},
             "antisym_norms": {f"n{n}": anti["norms"][f"distinct_modes_n{n}"]

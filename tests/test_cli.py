@@ -120,6 +120,23 @@ def test_positivity(capsys, schema):
     validate(rep, schema)
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["observables", "--modes", "0"], "--modes"),
+    (["observables", "--check", "locality", "--modes", "-1"], "--modes"),
+    (["observables", "--cap", "0"], "--cap"),
+    (["positivity", "--n", "3", "--samples", "0"], "--samples"),
+])
+def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
+    # a check over no modes, no particles or no samples would pass over
+    # nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: not a positive integer" in captured.err
+
+
 def test_observables_commutator(capsys, schema):
     code, rep = run_cli(capsys, "observables", "--modes", "2", "--cap", "2")
     assert code == 0
@@ -269,9 +286,9 @@ def test_para_bose_occupancy_checks_the_antisymmetric_dual(capsys, schema):
     code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
                         "--modes", "3", "--cap", "2", "--check", "occupancy")
     assert code == 0
-    assert rep["results"]["norms"] == pytest.approx(
-        {"distinct_modes_n1": 2.0, "distinct_modes_n2": 2.0,
-         "distinct_modes_n3": 0.0})
+    assert rep["results"]["norms"] == {"distinct_modes_n1": "2",
+                                       "distinct_modes_n2": "2",
+                                       "distinct_modes_n3": "0"}
     validate(rep, schema)
     # p + 1 distinct modes need p + 1 modes
     code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
@@ -311,6 +328,10 @@ def test_cli_import_leaves_heavy_modules_out():
 NUMPY_FREE_COMMANDS = (
     ["vev", "--word", "a1 a2 c1 c2"],
     ["observables", "--modes", "3", "--cap", "3"],
+    ["para", "--kind", "fermi", "--p", "2", "--check", "trilinear"],
+    ["para", "--kind", "bose", "--p", "2", "--modes", "3", "--cap", "2",
+     "--check", "occupancy"],
+    ["gentile", "--theta", "0.7853981633974483"],
     ["bounds", "convert", "--vf", "17/1000000000000000000000000000"],
     ["bounds", "propagate", "--qe=-1/2"],
     ["bounds", "composite", "--q=-1", "--n", "2"],
@@ -359,13 +380,36 @@ def test_para_fermi_rejects_a_cap_it_cannot_use(capsys, schema, cap):
     assert code == 0
 
 
-def test_para_past_the_byte_budget_is_a_typed_error(capsys, schema):
-    # dimension 4096: its 16 dense matrices are 2 GiB
-    code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "3",
+def test_para_past_the_work_limit_is_refused_before_any_work(capsys,
+                                                            schema):
+    # parafermi p = 4 on 4 modes: 65536 protected states, about 5e8 term
+    # applications by check_trilinear's estimate
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "4",
                         "--modes", "4")
+    assert time.perf_counter() - t0 < 0.5
     assert code == 1
     assert rep["status"] == "error"
-    assert rep["results"]["error"].startswith("DimensionBudgetError: ")
+    assert rep["results"]["error"] == (
+        "WorkLimitError: check_trilinear takes about 10^8.7 term "
+        "applications, past the limit of 20000000")
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "bose", "--p", "2", "--modes", "3", "--cap", "3",
+     "--check", "trilinear"],
+    ["--kind", "fermi", "--p", "3", "--modes", "4", "--check", "vacuum"],
+    ["--kind", "fermi", "--p", "3", "--modes", "4", "--check", "occupancy"],
+])
+def test_para_passes_where_the_dense_build_was_refused(capsys, schema, argv):
+    # dimension 4096: the dense float64 realizations of these took more
+    # than a 128 MiB budget
+    code, rep = run_cli(capsys, "para", *argv)
+    assert (code, rep["status"]) == (0, "pass")
+    # exact integer residuals
+    assert rep["results"].get("max_residual", 0) == 0
+    assert rep["results"].get("off_diagonal_residual", 0) == 0
     validate(rep, schema)
 
 
@@ -701,8 +745,11 @@ CHEAP_ARGVS = st.one_of(
              check=st.sampled_from(["commutator", "locality",
                                     "hamiltonian", "x"])),
     _command("para", kind=st.sampled_from(["bose", "fermi", "x"]),
-             p=st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
-             modes=st.sampled_from(["0", "1", "2", "x"]), cap=INTS,
+             p=st.sampled_from(["-1", "0", "1", "2", "3", "8", "40",
+                                "1000000", "x"]),
+             modes=st.sampled_from(["0", "1", "2", "8", "40", "1000000",
+                                    "x"]),
+             cap=st.one_of(INTS, st.sampled_from(["8", "40", "1000000"])),
              check=st.sampled_from(["trilinear", "vacuum", "occupancy"])),
     _command("gentile", theta=FLOATS),
     _command("speicher", word=WORDS, q=FLOATS, N=INTS, samples=INTS,

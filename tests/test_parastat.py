@@ -1,15 +1,17 @@
-import dataclasses
 import itertools
 import math
+import time
 import tracemalloc
+from functools import partialmethod
 
 import numpy as np
 import pytest
 
 from quonlib import parastat, verify
-from quonlib.parastat import (DimensionBudgetError, build_green,
-                              check_trilinear, check_vacuum_conditions,
-                              gentile_demo, max_occupancy)
+from quonlib.parastat import (GreenRealization, WorkLimitError, build_green,
+                              check_occupancy, check_trilinear,
+                              check_vacuum_conditions, gentile_demo,
+                              max_occupancy)
 
 
 # -- reference oracles: the Kronecker-product build and the dense check ----
@@ -25,8 +27,9 @@ def _embed(op, site, nsites, levels):
 
 
 def kron_green_components(kind, p, modes, cap=None):
-    """Green components as products of embedded single-site matrices,
-    with each Klein sign applied as a dense parity matmul."""
+    """Green components as products of embedded single-site matrices, in
+    the orthonormal basis, with each Klein sign applied as a dense parity
+    matmul."""
     levels = 2 if kind == "parafermi" else cap + 1
     nsites = p * modes
     low = np.zeros((levels, levels))
@@ -47,18 +50,54 @@ def kron_green_components(kind, p, modes, cap=None):
     return components
 
 
+def _basis(r):
+    """(dense index, state code, occupations) of every basis state; the
+    dense index reads site 0 as its most significant digit, as the kron
+    reference does."""
+    levels, nsites = r.cap + 1, r.order * r.modes
+    width = r.cap.bit_length()
+    for index, occ in enumerate(itertools.product(range(levels),
+                                                  repeat=nsites)):
+        yield index, sum(n << width * s for s, n in enumerate(occ)), occ
+
+
+def _dense(r, act):
+    """The matrix of a map of states, act(state), on the basis."""
+    basis = list(_basis(r))
+    index = {code: i for i, code, _ in basis}
+    out = np.zeros((r.dim, r.dim))
+    for i, code, _ in basis:
+        for target, c in act({code: 1}).items():
+            out[index[target], i] = c
+    return out
+
+
+def _unnormalized(r, matrix):
+    """A matrix of the orthonormal basis in the basis (b†)^n |0>: the change
+    of basis is diagonal, sqrt(prod_site n!)."""
+    d = np.array([math.sqrt(math.prod(map(math.factorial, occ)))
+                  for _, _, occ in _basis(r)])
+    return matrix * d[None, :] / d[:, None]
+
+
 def dense_trilinear_residual(r):
     """max |[[a†_k, a_l]_±, a†_m] - 2 delta_lm a†_k| over the protected
-    columns, from the full dense matrices."""
+    columns, from the kron matrices taken to the unnormalized basis."""
     sign = 1.0 if r.kind == "parabose" else -1.0
-    cols = r.protected_columns()
+    ref = kron_green_components(r.kind, r.order, r.modes, r.cap)
+    a = {k: _unnormalized(r, sum(ref[(alpha, k)] for alpha in range(r.order)))
+         for k in range(r.modes)}
+    c = {k: _unnormalized(r, sum(ref[(alpha, k)]
+                                 for alpha in range(r.order)).T)
+         for k in range(r.modes)}
+    values = set(r.protected_values())
+    cols = [i for i, _, occ in _basis(r) if set(occ) <= values]
     worst = 0.0
     for k, l, m in itertools.product(range(r.modes), repeat=3):
-        c_k, a_l, c_m = r.creator(k), r.annihilators[l], r.creator(m)
-        inner = c_k @ a_l + sign * (a_l @ c_k)
-        t = inner @ c_m - c_m @ inner
+        inner = c[k] @ a[l] + sign * (a[l] @ c[k])
+        t = inner @ c[m] - c[m] @ inner
         if l == m:
-            t = t - 2 * c_k
+            t = t - 2 * c[k]
         worst = max(worst, float(np.abs(t[:, cols]).max(initial=0.0)))
     return worst
 
@@ -71,53 +110,96 @@ BUILD_GRID = ([("parafermi", p, m, None) for p in (1, 2, 3) for m in (1, 2, 3)]
 
 @pytest.mark.parametrize("kind,p,modes,cap", BUILD_GRID)
 def test_index_build_equals_kron_reference(kind, p, modes, cap):
+    # the integer action is the kron reference after the diagonal change
+    # of basis sqrt(prod_site n!), for a_k and for a†_k
     r = build_green(kind, p, modes, cap=cap)
     ref = kron_green_components(kind, p, modes, cap)
-    assert r.annihilators.keys() == set(range(modes))
     for k in range(modes):
-        parts = [ref[(alpha, k)] for alpha in range(p)]
-        # the components of one mode touch disjoint entries, so a_k pins
-        # every one of them
-        assert sum(part != 0 for part in parts).max() <= 1
-        for alpha, part in enumerate(parts):
-            assert np.array_equal(
-                np.where(part != 0, r.annihilators[k], 0.0), part), (alpha, k)
-        assert np.array_equal(r.annihilators[k], sum(parts))
+        a_k = sum(ref[(alpha, k)] for alpha in range(p))
+        lower = _dense(r, lambda state: r.annihilate(k, state))
+        upper = _dense(r, lambda state: r.create(k, state))
+        assert np.array_equal(lower, np.round(lower))
+        assert np.array_equal(upper, np.round(upper))
+        assert np.allclose(lower, _unnormalized(r, a_k), atol=1e-12)
+        assert np.allclose(upper, _unnormalized(r, a_k.T), atol=1e-12)
 
 
-def test_build_holds_only_the_annihilators():
-    # parabose p = 2 on 3 modes with cap 2, criterion 6's case: 6
-    # components summed into 3 annihilators of 729^2
+def test_build_allocates_nothing_of_size_dim():
+    # the realization only describes its sites; a parafermi p = 40 on 40
+    # modes has dimension 2^1600
     tracemalloc.start()
     try:
-        r = build_green("parabose", 2, 3, cap=2)
+        r = build_green("parafermi", 40, 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not hasattr(r, "components")
-    assert peak < 3.25 * r.dim ** 2 * 8
+    assert peak < 2 ** 12
+    assert r.dim == 2 ** 1600
+    assert not hasattr(r, "annihilators")
+
+
+def _count_term_applications(monkeypatch):
+    """Count the (component, code) pairs every call of the action meets."""
+    count = [0]
+    act = GreenRealization._act
+
+    def counting(self, k, state, raising):
+        count[0] += len(state) * self.order
+        return act(self, k, state, raising)
+    monkeypatch.setattr(GreenRealization, "create",
+                        partialmethod(counting, raising=True))
+    monkeypatch.setattr(GreenRealization, "annihilate",
+                        partialmethod(counting, raising=False))
+    return count
 
 
 @pytest.mark.parametrize("kind,p,modes,cap", [
     ("parafermi", 2, 4, None), ("parafermi", 3, 3, None),
     ("parafermi", 8, 1, None), ("parabose", 1, 1, 300),
     ("parabose", 1, 2, 20), ("parabose", 2, 3, 2)])
-def test_byte_budget_counts_the_peak_of_build_and_check(kind, p, modes, cap):
-    # the budget counts the annihilators and check_trilinear's scratch;
-    # for parafermi, every column dense, the count is the peak.  A first
-    # call pays the one-time costs outside the trace.
-    check_trilinear(build_green(kind, 1, 1, cap=None if cap is None else 2))
-    tracemalloc.start()
-    try:
-        r = build_green(kind, p, modes, cap=cap)
-        check_trilinear(r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    counted = (modes + parastat.CHECK_SCRATCH) * r.dim ** 2 * 8
-    assert peak <= 1.02 * counted
-    if kind == "parafermi" and modes > 1:
-        assert peak >= counted
+def test_work_estimate_counts_the_term_applications(kind, p, modes, cap,
+                                                    monkeypatch):
+    # the estimate each check is refused by follows its work: within twice
+    # for check_trilinear, whose M^2 and M terms it leaves out, and as an
+    # upper bound for the vacuum conditions
+    count = _count_term_applications(monkeypatch)
+    r = build_green(kind, p, modes, cap=cap)
+    rep = check_trilinear(r)
+    estimate = max(rep["protected_states"], 1) * modes ** 3 * (p + 1) ** 3
+    assert estimate / 8 <= count[0] <= 2 * estimate
+    count[0] = 0
+    check_vacuum_conditions(r)
+    assert count[0] <= modes ** 2 * (p + 1) ** 2
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", [
+    ("parafermi", 2, 2, None), ("parafermi", 8, 1, None),
+    ("parabose", 2, 3, 2), ("parabose", 4, 5, 1)])
+def test_occupancy_estimate_bounds_its_term_applications(kind, p, modes, cap,
+                                                         monkeypatch):
+    count = _count_term_applications(monkeypatch)
+    check_occupancy(kind, p, modes, cap)
+    sym = kind == "parafermi"
+    estimate = (p + 1) ** 2 * p * (2 ** p if sym
+                                   else math.factorial(p + 1) * p ** p)
+    assert 0 < count[0] <= estimate
+
+
+@pytest.mark.parametrize("check", [check_trilinear, check_vacuum_conditions])
+def test_work_limit_refuses_before_any_work(check, monkeypatch):
+    # parafermi p = 1000 on 1000 modes: dimension 2^(10^6), past the limit
+    # for either check, refused before any state is formed
+    count = _count_term_applications(monkeypatch)
+    r = build_green("parafermi", 1000, 1000)
+    t0 = time.perf_counter()
+    with pytest.raises(WorkLimitError, match=r"takes about 10\^[\d.]+ term "
+                       r"applications, past the limit of 20000000"):
+        check(r)
+    assert time.perf_counter() - t0 < 0.1
+    assert count[0] == 0
+    with pytest.raises(WorkLimitError, match="check_trilinear takes about "
+                                             r"10\^8\.7 term applications"):
+        check_trilinear(build_green("parafermi", 4, 4))
 
 
 CHECK_GRID = [("parafermi", 1, 2, None), ("parafermi", 2, 2, None),
@@ -131,10 +213,10 @@ def test_column_check_matches_dense_reference(kind, p, modes, cap):
     r = build_green(kind, p, modes, cap=cap)
     rep = check_trilinear(r)
     want = dense_trilinear_residual(r)
-    assert abs(rep["max_residual"] - want) <= 1e-12
-    assert rep["exact"] == (want <= 1e-10)
-    if kind == "parafermi":
-        assert rep["max_residual"] == 0.0
+    assert rep["max_residual"] == round(want)
+    assert abs(rep["max_residual"] - want) <= 1e-9
+    assert rep["exact"] == (rep["max_residual"] == 0)
+    assert isinstance(rep["max_residual"], int)
 
 
 def test_check_reports_the_columns_it_covers():
@@ -146,6 +228,27 @@ def test_check_reports_the_columns_it_covers():
         "dim": 729, "protected_states": 1}
     rep = check_trilinear(build_green("parafermi", 2, 2))
     assert (rep["dim"], rep["protected_states"]) == (16, 16)
+    # a parabose cap of 1 protects no state
+    rep = check_trilinear(build_green("parabose", 2, 2, cap=1))
+    assert (rep["protected_states"], rep["exact"]) == (0, True)
+
+
+class _BrokenKlein(GreenRealization):
+    """A realization whose one component, `broken`, has another string."""
+    broken = None
+    string = range(0)
+
+    def klein_string(self, alpha, k):
+        if (alpha, k) == self.broken:
+            return self.string
+        return super().klein_string(alpha, k)
+
+
+def _broken(kind, p, modes, cap, broken, string):
+    r = build_green(kind, p, modes, cap=cap)
+    cls = type("Broken", (_BrokenKlein,),
+               {"broken": broken, "string": string})
+    return cls(kind=r.kind, order=p, modes=modes, cap=r.cap)
 
 
 @pytest.mark.parametrize("kind,p,modes,cap,broken", [
@@ -156,27 +259,50 @@ def test_check_reports_the_columns_it_covers():
 def test_check_catches_a_wrong_sign_string(kind, p, modes, cap, broken):
     # drop the Klein string of one component: its relations to the other
     # components flip between commuting and anticommuting
-    r = build_green(kind, p, modes, cap=cap)
-    components = kron_green_components(kind, p, modes, cap)
-    signed = components[broken]
-    components[broken] = np.abs(signed)
-    assert not np.array_equal(components[broken], signed)
-    annihilators = {k: sum(components[(alpha, k)] for alpha in range(p))
-                    for k in range(modes)}
-    bad = dataclasses.replace(r, annihilators=annihilators)
+    bad = _broken(kind, p, modes, cap, broken, range(0))
+    assert bad.klein_string(*broken) != build_green(
+        kind, p, modes, cap=cap).klein_string(*broken)
     rep = check_trilinear(bad)
     assert not rep["exact"]
-    assert rep["max_residual"] >= 1.0
+    assert rep["max_residual"] >= 1
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", [
+    ("parafermi", 2, 2, None), ("parabose", 2, 2, 3),
+    ("parabose", 2, 3, 2)])
+def test_check_catches_the_other_kinds_sign_strings(kind, p, modes, cap):
+    # every component signed by the other kind's string
+    r = build_green(kind, p, modes, cap=cap)
+    other = "parabose" if kind == "parafermi" else "parafermi"
+
+    class Swapped(GreenRealization):
+        def klein_string(self, alpha, k):
+            return GreenRealization(other, p, modes, 1).klein_string(alpha,
+                                                                     k)
+    rep = check_trilinear(Swapped(kind, p, modes, r.cap))
+    assert rep["max_residual"] >= 1
+
+
+@pytest.mark.parametrize("kind,p,modes,cap", [
+    ("parafermi", 2, 2, None), ("parabose", 2, 2, 3),
+    ("parabose", 3, 1, 3)])
+def test_check_catches_a_wrong_inner_bracket_sign(kind, p, modes, cap):
+    r = build_green(kind, p, modes, cap=cap)
+    inner = -1 if kind == "parabose" else 1     # the other kind's bracket
+    worst = max(max(map(abs, res.values()), default=0)
+                for x in r.protected_states()
+                for res in parastat._trilinear_residuals(r, {x: 1}, inner))
+    assert worst >= 1
 
 
 def test_protected_columns():
     r = build_green("parabose", 2, 2, cap=3)
-    cols = r.protected_columns()
+    codes = list(r.protected_states())
     # two creations from a protected state stay within the cap of 3
-    assert cols.tolist() == [i for i, sites in enumerate(r.occupancy)
-                             if max(sites) <= 1]
-    assert np.array_equal(build_green("parafermi", 2, 2).protected_columns(),
-                          np.arange(16))
+    assert codes == [code for _, code, occ in _basis(r) if max(occ) <= 1]
+    fermi = build_green("parafermi", 2, 2)
+    assert list(fermi.protected_states()) == [
+        code for _, code, _ in _basis(fermi)]
 
 
 def test_build_validation():
@@ -184,44 +310,57 @@ def test_build_validation():
         build_green("bogus", 2, 2)
     with pytest.raises(ValueError):
         build_green("parabose", 2, 2)  # missing cap
-    with pytest.raises(DimensionBudgetError):
-        build_green("parafermi", 4, 4)  # 2^16 sites worth of dimension
+    with pytest.raises(ValueError):
+        build_green("parafermi", 2, 0)
+    # any size builds; the checks refuse what they cannot afford
+    r = build_green("parafermi", 4, 4)
+    with pytest.raises(WorkLimitError):
+        check_trilinear(r)
+    assert issubclass(WorkLimitError, ValueError)
     assert build_green("parafermi", 2, 2, cap=1).cap == 1
     with pytest.raises(ValueError, match="cap=2"):
         build_green("parafermi", 2, 2, cap=2)  # a site holds one quantum
 
 
-def test_byte_budget_refuses_before_allocating():
-    # 4 annihilators and 5 scratch matrices of 4096^2 float64 are 1.125 GiB
-    tracemalloc.start()
-    try:
-        with pytest.raises(DimensionBudgetError,
-                           match="4 annihilators and 5 check_trilinear "
-                                 "scratch matrices, dense float64 "
-                                 "4096x4096, take 1207959552 bytes"):
-            build_green("parafermi", 3, 4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 16
+def _relation(r, x, word_terms):
+    """sum of coeff * word on the basis state x, a word's last letter
+    acting first, ('a', k) or ('c', k)."""
+    out = {}
+    for coeff, word in word_terms:
+        v = {x: 1}
+        for kind, k in reversed(word):
+            v = (r.annihilate if kind == "a" else r.create)(k, v)
+        out = parastat.combine((1, out), (coeff, v))
+    return out
 
 
 def test_parafermi_p1_is_fermi():
     r = build_green("parafermi", 1, 2)
-    for k in range(2):
-        a = r.annihilators[k]
-        assert np.allclose(a @ a, 0)
-        assert np.allclose(a @ r.creator(k) + r.creator(k) @ a, np.eye(r.dim))
-    a0, a1 = r.annihilators[0], r.annihilators[1]
-    assert np.allclose(a0 @ a1 + a1 @ a0, 0)
+    for x in r.protected_states():
+        for k, l in itertools.product(range(2), repeat=2):
+            assert _relation(r, x, [(1, [("a", k), ("a", l)]),
+                                    (1, [("a", l), ("a", k)])]) == {}
+            anti = _relation(r, x, [(1, [("a", k), ("c", l)]),
+                                    (1, [("c", l), ("a", k)])])
+            assert anti == ({x: 1} if k == l else {})
 
 
 def test_parabose_p1_is_bose_below_cap():
     r = build_green("parabose", 1, 1, cap=4)
-    a = r.annihilators[0]
-    comm = a @ r.creator(0) - r.creator(0) @ a
-    cols = r.protected_columns()
-    assert np.allclose((comm - np.eye(r.dim))[:, cols], 0)
+    for x in r.protected_states():
+        comm = _relation(r, x, [(1, [("a", 0), ("c", 0)]),
+                                (-1, [("c", 0), ("a", 0)])])
+        assert comm == {x: 1}
+    # at the cap a†|cap> = 0 breaks it, which is why only protected states
+    # are asserted on
+    assert _relation(r, 4, [(1, [("a", 0), ("c", 0)]),
+                            (-1, [("c", 0), ("a", 0)])]) == {4: -4}
+
+
+def test_canonical_relations_fail_on_a_dropped_string():
+    bad = _broken("parafermi", 1, 2, None, (0, 1), range(0))
+    assert not verify._canonical_relations_exact(bad)
+    assert verify._canonical_relations_exact(build_green("parafermi", 1, 2))
 
 
 def test_cross_component_relations():
@@ -238,7 +377,7 @@ def test_trilinear_parafermi():
     for p in (1, 2):
         rep = check_trilinear(build_green("parafermi", p, 2))
         assert rep["exact"]
-        assert rep["max_residual"] <= 1e-12
+        assert rep["max_residual"] == 0
 
 
 def test_trilinear_parabose_protected():
@@ -252,23 +391,41 @@ def test_vacuum_constant_is_order():
         for p in (1, 2):
             rep = check_vacuum_conditions(build_green(kind, p, 2, **kwargs))
             assert rep["pass"]
-            assert all(c == pytest.approx(p) for c in
-                       rep["one_particle_constant"].values())
+            assert rep["one_particle_constant"] == {0: p, 1: p}
+            assert rep["off_diagonal_residual"] == 0
 
 
 def test_parafermi_occupancy_bound():
     # at most p quanta fit in any totally symmetric state
     r = build_green("parafermi", 2, 3)
-    assert max_occupancy(r, (0, 0)) > 1e-6
-    assert max_occupancy(r, (0, 0, 0)) <= 1e-12
-    assert max_occupancy(r, (0, 1, 2)) <= 1e-12
-    assert max_occupancy(r, (0, 1, 2), symmetric=False) > 1e-6
+    assert max_occupancy(r, (0, 0)) == 4
+    assert max_occupancy(r, (0, 0, 0)) == 0
+    assert max_occupancy(r, (0, 1, 2)) == 0
+    assert max_occupancy(r, (0, 1, 2), symmetric=False) > 0
 
 
 def test_parabose_antisymmetric_bound():
     r = build_green("parabose", 2, 3, cap=2)
-    assert max_occupancy(r, (0, 1), symmetric=False) > 1e-6
-    assert max_occupancy(r, (0, 1, 2), symmetric=False) <= 1e-12
+    assert max_occupancy(r, (0, 1), symmetric=False) == 2
+    assert max_occupancy(r, (0, 1, 2), symmetric=False) == 0
+    # swapping two equal letters is odd: the antisymmetrized word vanishes
+    assert max_occupancy(r, (0, 0), symmetric=False) == 0
+
+
+def test_occupancy_of_p8_is_fast():
+    # all 9! orderings of (0,)*9 are one ordering
+    t0 = time.perf_counter()
+    rep, passed = check_occupancy("parafermi", 8, 1)
+    assert time.perf_counter() - t0 < 1.0
+    assert passed
+    assert rep["norms"]["same_mode_n8"] == math.factorial(8) ** 2
+    assert rep["norms"]["same_mode_n9"] == 0
+
+
+def test_occupancy_takes_only_the_modes_its_words_touch():
+    rep, passed = check_occupancy("parafermi", 3, 10 ** 6)
+    assert passed
+    assert rep == check_occupancy("parafermi", 3, 1)[0]
 
 
 def test_gentile_demo_quarter_turn():
@@ -292,8 +449,36 @@ def test_gentile_allowed_formula():
         assert rep["gentile_allowed_norm_sq"] == pytest.approx(want)
 
 
+def _dense_projected_norm(kind, p, modes, cap, word, symmetric):
+    """Squared norm of (1/n!) sum over all n! orderings, from the kron
+    reference in the orthonormal basis."""
+    ref = kron_green_components(kind, p, modes, cap)
+    creators = {k: sum(ref[(alpha, k)] for alpha in range(p)).T
+                for k in set(word)}
+    vacuum = np.zeros(len(ref[(0, 0)]))
+    vacuum[0] = 1.0
+    out = np.zeros_like(vacuum)
+    for perm in itertools.permutations(range(len(word))):
+        v = vacuum
+        for i in reversed(perm):
+            v = creators[word[i]] @ v
+        sign = 1 if symmetric else (-1) ** parastat.inversions(perm)
+        out = out + sign * v
+    out = out / math.factorial(len(word))
+    return float(out @ out)
+
+
 def test_projected_state_symmetrizes():
-    r = build_green("parafermi", 2, 2)
-    v1 = parastat._projected_state(r, (0, 1), symmetric=True)
-    v2 = parastat._projected_state(r, (1, 0), symmetric=True)
-    assert np.allclose(v1, v2)
+    # one application per distinct ordering, weighted by its count, gives
+    # the norm of the full n!-ordering sum, in either order of the word
+    for kind, p, modes, cap, word, symmetric in [
+            ("parafermi", 2, 2, None, (0, 1), True),
+            ("parafermi", 2, 2, None, (0, 0, 1), True),
+            ("parafermi", 2, 3, None, (0, 1, 2), False),
+            ("parabose", 2, 3, 2, (0, 1), False),
+            ("parabose", 2, 2, 2, (0, 0, 1), True)]:
+        r = build_green(kind, p, modes, cap=cap)
+        norm = max_occupancy(r, word, symmetric)
+        assert norm == pytest.approx(
+            _dense_projected_norm(kind, p, modes, cap, word, symmetric))
+        assert max_occupancy(r, word[::-1], symmetric) == norm
