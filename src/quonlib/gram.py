@@ -26,10 +26,10 @@ holds each irreducible rho_lambda f_lambda times.  By Frobenius,
 over the irreducible representations rho_lambda of dimension f_lambda,
 taken in Young's seminormal form (rational matrices from standard
 tableaux and contents).  det_gram_exact computes det M_n this way, from
-blocks of size at most 6 at n = 5.  It reads f from the Fock-action row
-and uses neither the inversion count nor the product formula, so its
-agreement with zagier_determinant still tests the Fock action against
-Zagier.
+blocks of size at most 6 at n = 5, in one walk over S_n that never forms
+M_n.  It reads f(w) from the Fock action, as gram_matrix does, and uses
+neither the inversion count nor the product formula, so its agreement
+with zagier_determinant still tests the Fock action against Zagier.
 """
 
 from __future__ import annotations
@@ -82,6 +82,17 @@ class GramMatrix:
         return np.array(powers)[self.exponents]
 
 
+def _fock_exponent(w):
+    """The exponent e of <id, w> = q^e, from the free-Fock action for the
+    one-line permutation w; a value that is not a monic monomial raises
+    ValueError."""
+    identity = tuple(range(len(w)))
+    e = q_inner_product(identity, w)
+    if e != QPoly.monomial(e.degree):
+        raise ValueError(f"<{identity}, {w}> = {e} is not a monic monomial")
+    return e.degree
+
+
 def gram_matrix(n):
     """Inner products of all orderings of n distinct-mode creators.
 
@@ -93,14 +104,8 @@ def gram_matrix(n):
         raise GramLimitError(
             f"n={n} outside supported range 1..{BUILD_LIMIT}")
     perms = tuple(itertools.permutations(range(n)))
-    row = []
-    for w in perms:
-        e = q_inner_product(perms[0], w)
-        if e != QPoly.monomial(e.degree):
-            raise ValueError(f"<{perms[0]}, {w}> = {e} is not a monic monomial")
-        row.append(e.degree)
     # inv(w) <= n(n-1)/2 fits int8 far beyond any n! x n! that fits memory
-    row = np.array(row, dtype=np.int8)
+    row = np.array([_fock_exponent(w) for w in perms], dtype=np.int8)
     p = np.array(perms, dtype=np.intp)
     p_inv = np.argsort(p, axis=1)
     # base-n code of u_i^-1 u_j, whose letter at position k is
@@ -331,63 +336,76 @@ def seminormal_generators(shape):
     return gens
 
 
-def _representation(shape):
-    """rho(w) for every w in S_n as {one-line w: list of columns}.
-
-    A walk from the identity: w s_i is w with positions i and i+1 swapped,
-    and rho(w s_i) = rho(w) rho(s_i), each of whose columns combines at
-    most two columns of rho(w).
-    """
-    gens = seminormal_generators(shape)
-    dim = len(standard_tableaux(shape))
-    identity = tuple(range(sum(shape)))
-    reps = {identity: [[Fraction(int(r == c)) for r in range(dim)]
-                       for c in range(dim)]}
-    frontier = [identity]
-    while frontier:
-        reached = []
-        for w in frontier:
-            rho = reps[w]
-            for i, gen in enumerate(gens):
-                v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                if v in reps:
-                    continue
-                reps[v] = [[sum(value * rho[k][r] for k, value in col)
-                            for r in range(dim)] for col in gen]
-                reached.append(v)
-        frontier = reached
-    return reps
+def _times_generator(rho, gen):
+    """rho(w) rho(s_i) from the columns of rho(w) and of rho(s_i): each new
+    column combines at most two columns of rho(w).  A column of rho(s_i)
+    with one entry is +-v_T (d = +-1), so column T is shared or negated;
+    no column is ever changed in place."""
+    out = []
+    for col in gen:
+        if len(col) == 1:
+            ((k, a),) = col
+            out.append(rho[k] if a == 1 else [-x for x in rho[k]])
+        else:
+            (k, a), (l, b) = col
+            out.append([a * x + b * y for x, y in zip(rho[k], rho[l])])
+    return out
 
 
 def det_gram_exact(n):
     """det M_n(q) exactly, block by block over the irreducibles of S_n,
     for n up to EXACT_LIMIT.
 
-    M_n is the group matrix M[i, j] = q^row[u_i^-1 u_j] of the row the
-    Fock action gives, so det M_n is the product over partitions lambda of
-    det(T_lambda)^f_lambda, with T_lambda = sum_w q^row[w] rho_lambda(w)
+    M_n is the group matrix M[i, j] = q^f(u_i^-1 u_j) of the exponents f
+    the Fock action gives, so det M_n is the product over partitions lambda
+    of det(T_lambda)^f_lambda, with T_lambda = sum_w q^f(w) rho_lambda(w)
     and f_lambda = dim rho_lambda.
+
+    One depth-first walk reaches each w of S_n once, as w' s_(k-1) ... s_j
+    with w' in S_k: w' with the letter k moved left to position j.  Only
+    the rho_lambda(w) along the current path are kept, one list of columns
+    per shape, and each leaf adds its rho_lambda(w) into the coefficient of
+    q^f(w) of every block.
     """
+    if n < 1:
+        raise GramLimitError(
+            f"n={n} outside supported range 1..{BUILD_LIMIT}")
     if n > EXACT_LIMIT:
         raise GramLimitError(
             f"exact determinant limited to n <= {EXACT_LIMIT}, got n={n}")
-    g = gram_matrix(n)
-    position = {w: k for k, w in enumerate(g.perms)}
-    row = g.exponents[0].tolist()
-    width = max(row) + 1
+    shapes = partitions(n)
+    gens = [seminormal_generators(shape) for shape in shapes]
+    dims = [len(standard_tableaux(shape)) for shape in shapes]
+    # per shape, the coefficient of q^e of T_lambda as a list of columns,
+    # for e = 0, 1, ... up to the largest exponent met
+    powers = [[] for _ in shapes]
+
+    def walk(k, w, rhos):
+        if k == n:
+            e = _fock_exponent(w)
+            for by_power, rho, dim in zip(powers, rhos, dims):
+                while len(by_power) <= e:
+                    by_power.append([[0] * dim for _ in range(dim)])
+                for total, col in zip(by_power[e], rho):
+                    for r, x in enumerate(col):
+                        if x:
+                            total[r] += x
+            return
+        walk(k + 1, w, rhos)
+        for i in range(k - 1, -1, -1):
+            w = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            rhos = [_times_generator(rho, gen[i])
+                    for rho, gen in zip(rhos, gens)]
+            walk(k + 1, w, rhos)
+
+    walk(1, tuple(range(n)),
+         [[[int(r == c) for r in range(dim)] for c in range(dim)]
+          for dim in dims])
     det = QPoly.one()
-    for shape in partitions(n):
-        reps = _representation(shape)
-        dim = len(reps[g.perms[0]])
-        # coefficient lists of the entries of T_lambda, by power of q
-        block = [[[0] * width for _ in range(dim)] for _ in range(dim)]
-        for w, rho in reps.items():
-            e = row[position[w]]
-            for c, col in enumerate(rho):
-                for r, value in enumerate(col):
-                    block[r][c][e] += value
-        det = det * det_exact([[QPoly(coeffs) for coeffs in entries]
-                               for entries in block]) ** dim
+    for by_power, dim in zip(powers, dims):
+        block = [[QPoly([coeff[c][r] for coeff in by_power])
+                  for c in range(dim)] for r in range(dim)]
+        det = det * det_exact(block) ** dim
     return det
 
 

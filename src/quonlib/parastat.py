@@ -150,9 +150,13 @@ def check_trilinear(r):
     anticommutator for parabose, a commutator for parafermi; max_residual
     is 0 on a pass.  BATCH states at a time, tagged with their codes above
     the site fields, share each call of the action.  Estimate: protected
-    states (at least one) x M^3 x (p + 1)^3."""
+    states x M^3 x (p + 1)^3.  A parabose cap below 2 protects no state,
+    and raises ValueError rather than pass over nothing."""
     sites, values = r.order * r.modes, len(r.protected_values())
-    _refuse_past_limit("check_trilinear", sites * math.log(max(values, 1))
+    if not values:
+        raise ValueError(f"parabose cap={r.cap} is below 2 and protects "
+                         f"no state")
+    _refuse_past_limit("check_trilinear", sites * math.log(values)
                        + 3 * math.log(r.modes * (r.order + 1)))
     inner = 1 if r.kind == "parabose" else -1
     tag = sites * r.cap.bit_length()

@@ -39,7 +39,7 @@ from math import prod
 
 import numpy as np
 
-from .wick import chords_cross, enumerate_contractions, wick_expectation
+from .wick import enumerate_contractions, wick_expectation
 
 
 @dataclass(frozen=True)
@@ -85,22 +85,16 @@ _ContractionPlan = namedtuple("_ContractionPlan",
                               "free_chords edges path work")
 
 
-def _diagram_edges(pairs):
-    """Indices of chord pairs that interleave."""
-    return [(i, j)
-            for i in range(len(pairs)) for j in range(i + 1, len(pairs))
-            if chords_cross(pairs[i], pairs[j])]
-
-
-def _plan_contraction(pairs, n_components, batch):
-    """The contraction plan of one diagram on stacks of batch sign
-    matrices with N components per chord.
+def _plan_contraction(diagram, n_components, batch):
+    """The contraction plan of one (pairs, edges) diagram of
+    enumerate_contractions on stacks of batch sign matrices with N
+    components per chord.
 
     Raises ContractionLimitError when the crossing graph has more edges
     than numpy's einsum takes operands or more chords than it has labels
     besides the batch.
     """
-    edges = _diagram_edges(pairs)
+    pairs, edges = diagram
     chords = sorted({i for e in edges for i in e})
     if len(edges) > _MAX_OPERANDS or len(chords) > _BATCH:
         raise ContractionLimitError(
@@ -151,8 +145,8 @@ def _path_work(edges, path, n):
 def _plan_word(word, n_components, batch, samples):
     """Plans of every diagram of word and samples times their work;
     raises ContractionLimitError when that exceeds _WORK_BUDGET."""
-    plans = [_plan_contraction(pairs, n_components, batch)
-             for pairs, _ in enumerate_contractions(word)]
+    plans = [_plan_contraction(diagram, n_components, batch)
+             for diagram in enumerate_contractions(word)]
     work = samples * sum(p.work for p in plans)
     if work > _WORK_BUDGET:
         raise ContractionLimitError(
@@ -269,10 +263,9 @@ def expected_over_signs(word, q, n_components):
     base = chords + 1           # codes odd * base + blocks
     by_odd = Counter()
     parts = None
-    for pairs, _ in enumerate_contractions(word):
+    for _, edges in enumerate_contractions(word):
         if parts is None:
             parts, blocks = _set_partitions(chords, n)
-        edges = _diagram_edges(pairs)
         for rows in range(0, len(parts), _PARTITION_ROWS):
             chunk = slice(rows, rows + _PARTITION_ROWS)
             odd = _odd_sign_pairs(parts[chunk], edges)

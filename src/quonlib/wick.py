@@ -11,8 +11,9 @@ a and c, so its new crossings depend only on the set of creators already
 used.  wick_expectation sums the crossing histogram over those sets,
 merging every partial matching with the same used set (the transfer behind
 the Touchard-Riordan statistic), and lists no matching.
-enumerate_contractions lists the diagrams one by one, with the same
-crossing rule, for the Speicher ansatz's per-diagram contractions.
+enumerate_contractions lists the diagrams one by one, each with its
+crossing graph read by the same rule, for the Speicher ansatz's
+per-diagram contractions.
 """
 
 from __future__ import annotations
@@ -57,39 +58,41 @@ def _chord_table(word):
     return ann, table
 
 
-def chords_cross(p, q):
-    """Two chords interleave iff exactly one endpoint of one lies strictly
-    between the endpoints of the other."""
-    (a1, c1), (a2, c2) = sorted(p), sorted(q)
-    return (a1 < a2 < c1 < c2) or (a2 < a1 < c2 < c1)
-
-
 def enumerate_contractions(word):
-    """All label-respecting perfect matchings of a word, with crossing counts.
+    """All label-respecting perfect matchings of a word, with their
+    crossing graphs.
 
-    Returns a list of (pairs, crossings) where pairs is a tuple of
+    Returns a list of (pairs, edges) where pairs is a tuple of
     (annihilator position, creator position) index pairs sorted by
-    annihilator position.  Deterministic lexicographic order: annihilators
-    are matched left to right, each to its candidate creators in ascending
-    position.  Crossings are counted as the chords are placed, by the rule
-    of _chord_table.
+    annihilator position, and edges the tuple of index pairs (i, j),
+    i < j in lexicographic order, of the chords pairs[i] and pairs[j] that
+    interleave; the diagram's crossing number is len(edges).
+    Deterministic lexicographic order: annihilators are matched left to
+    right, each to its candidate creators in ascending position.  Edges
+    are read as the chords are placed, by the rule of _chord_table.
     """
     ann, table = _chord_table(word)
     diagrams = []
     chosen = []
+    # creator bit -> the chord that used it last, current for the bits in
+    # used
+    chord_of = {}
 
-    def extend(i, used, crossings):
+    def extend(i, used, edges):
         if i == len(ann):
-            diagrams.append((tuple(chosen), crossings))
+            diagrams.append((tuple(chosen), tuple(sorted(edges))))
             return
         for bit, cpos, between in table[i]:
             if used & bit:
                 continue
+            crossed = used & between
+            chord_of[bit] = i
             chosen.append((ann[i], cpos))
-            extend(i + 1, used | bit, crossings + (used & between).bit_count())
+            extend(i + 1, used | bit,
+                   edges + [(chord_of[b], i) for b in chord_of if crossed & b])
             chosen.pop()
 
-    extend(0, 0, 0)
+    extend(0, 0, [])
     return diagrams
 
 

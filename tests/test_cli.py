@@ -4,6 +4,7 @@ import importlib.resources
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -41,13 +42,6 @@ def test_vev_both_methods(capsys, schema):
     assert rep["status"] == "pass"
     assert rep["results"]["value"] == "q"
     assert rep["results"]["methods_agree"] is True
-    validate(rep, schema)
-
-
-def test_vev_single_method(capsys, schema):
-    code, rep = run_cli(capsys, "vev", "--word", "a1 c1", "--method", "wick")
-    assert code == 0
-    assert rep["results"]["value"] == "1"
     validate(rep, schema)
 
 
@@ -310,6 +304,36 @@ def test_para_bose_occupancy_can_fail(capsys, monkeypatch, schema):
                         "--modes", "2", "--cap", "2", "--check", "occupancy")
     assert code == 1
     assert rep["status"] == "fail"
+    validate(rep, schema)
+
+
+def _readme_examples():
+    """The argv of every `quon` line of the README's fenced sh blocks, the
+    trailing comment dropped; verify-all is left to test_acceptance.py."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples, in_sh = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("quon "):
+            examples.append(shlex.split(line, comments=True)[1:])
+    return [argv for argv in examples if argv != ["verify-all"]]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_its_examples():
+    assert len(README_EXAMPLES) >= 12
+    assert ["vev", "--word", "a1 a2 c1 c2"] in README_EXAMPLES
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_passes(capsys, schema, argv):
+    # a README example cannot drift from the parser: a removed option or
+    # a changed verdict fails here
+    code, rep = run_cli(capsys, "--stable-output", *argv)
+    assert (code, rep["status"]) == (0, "pass"), rep["results"]
     validate(rep, schema)
 
 
@@ -734,8 +758,7 @@ def _command(*head, **options):
 
 
 CHEAP_ARGVS = st.one_of(
-    _command("vev", word=WORDS,
-             method=st.sampled_from(["rewrite", "wick", "both", "x"])),
+    _command("vev", word=WORDS),
     _command("gram", n=INTS, at=FLOATS),
     _command("gram", "--exact", n=INTS, at=FLOATS),
     _command("zagier", n=INTS),

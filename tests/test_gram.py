@@ -168,6 +168,16 @@ def test_det_matches_zagier():
         assert gram.det_gram_exact(n) == gram.zagier_determinant(n)
 
 
+def test_det_never_builds_the_gram_matrix(monkeypatch):
+    # the blocks come from one walk over S_n and the Fock-action exponents
+    # alone, not from the n! x n! matrix
+    def refuse(n):
+        raise AssertionError(f"gram_matrix({n}) called")
+    monkeypatch.setattr(gram, "gram_matrix", refuse)
+    for n in (1, 2, 3, 4):
+        assert gram.det_gram_exact(n) == gram.zagier_determinant(n)
+
+
 def test_det_matches_zagier_past_the_exact_limit(monkeypatch):
     # EXACT_LIMIT is read at each call; n = 5 takes about 0.3 s
     monkeypatch.setattr(gram, "EXACT_LIMIT", 5)
@@ -255,9 +265,9 @@ def test_block_product_equals_group_determinant_s4(monkeypatch):
     assert block == reference
 
 
-def test_det_exact_rational_rows_past_the_bareiss_size():
-    # the integer points of the interpolation must not truncate the values
-    # of rational entries
+def test_det_exact_rational_rows_9x9():
+    # each row is scaled to integers before the integer points are taken,
+    # so no value of a rational entry is truncated
     rng = random.Random(9)
     entries = [[QPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                        Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
@@ -315,8 +325,8 @@ def test_rank_exact_examples():
     assert gram._bareiss([[0, 1, 0], [0, 0, 1]])[0] == 2
 
 
-def test_det_exact_interpolation_path():
-    # force the evaluation-interpolation branch with a 24x24 matrix
+def test_det_exact_of_the_whole_n4_gram_matrix():
+    # det_exact on the 24x24 matrix itself, not on its blocks
     det = gram.det_exact(gram.gram_matrix(4).entries)
     assert det == gram.zagier_determinant(4)
 
@@ -324,6 +334,9 @@ def test_det_exact_interpolation_path():
 def test_exact_limit_enforced():
     with pytest.raises(gram.GramLimitError):
         gram.det_gram_exact(5)
+    for n in (0, -1):
+        with pytest.raises(gram.GramLimitError, match="outside supported"):
+            gram.det_gram_exact(n)
     with pytest.raises(gram.GramLimitError):
         gram.gram_matrix(9)
 

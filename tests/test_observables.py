@@ -102,11 +102,25 @@ def test_free_hamiltonian_missing_energy(space):
 
 
 def test_locality_discrete(space):
-    rep = obs.locality_check_discrete(space, 0, 1, 1)
-    assert rep["exact"]
-    assert rep["annihilates_vacuum"]
-    rep2 = obs.locality_check_discrete(space, 0, 1, 2)
-    assert rep2["exact"]  # delta vanishes, commutator still zero
+    rep = obs.check_locality(space)
+    assert rep["all_exact"]
+    # every (x, y, w), the delta present (y = w) or not, and n_xy|0> = 0
+    # for every (x, y)
+    assert rep["commutators"]["triples"] == 27
+    assert rep["commutators"]["all_exact"]
+    assert rep["vacuum_failures"] == []
+
+
+def test_locality_catches_a_series_that_moves_the_vacuum(space,
+                                                        monkeypatch):
+    # a bare creator term in n_01 leaves the vacuum moved
+    def with_creator(k, l, depth, modes):
+        terms = transition_operator(k, l, depth, modes)
+        return terms + [((("c", k),), 1)] if (k, l) == (0, 1) else terms
+    monkeypatch.setattr(obs, "transition_operator", with_creator)
+    rep = obs.check_locality(space)
+    assert rep["vacuum_failures"] == [(0, 1)]
+    assert not rep["all_exact"]
 
 
 def test_adjoint_pairs(space):

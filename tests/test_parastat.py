@@ -204,8 +204,7 @@ def test_work_limit_refuses_before_any_work(check, monkeypatch):
 
 CHECK_GRID = [("parafermi", 1, 2, None), ("parafermi", 2, 2, None),
               ("parafermi", 3, 2, None), ("parabose", 1, 2, 4),
-              ("parabose", 2, 2, 3), ("parabose", 3, 1, 3),
-              ("parabose", 2, 2, 1)]
+              ("parabose", 2, 2, 3), ("parabose", 3, 1, 3)]
 
 
 @pytest.mark.parametrize("kind,p,modes,cap", CHECK_GRID)
@@ -228,9 +227,9 @@ def test_check_reports_the_columns_it_covers():
         "dim": 729, "protected_states": 1}
     rep = check_trilinear(build_green("parafermi", 2, 2))
     assert (rep["dim"], rep["protected_states"]) == (16, 16)
-    # a parabose cap of 1 protects no state
-    rep = check_trilinear(build_green("parabose", 2, 2, cap=1))
-    assert (rep["protected_states"], rep["exact"]) == (0, True)
+    # a parabose cap of 1 protects no state, so there is nothing to check
+    with pytest.raises(ValueError, match="cap=1 is below 2 and protects"):
+        check_trilinear(build_green("parabose", 2, 2, cap=1))
 
 
 class _BrokenKlein(GreenRealization):

@@ -10,8 +10,7 @@ from quonlib import speicher
 from quonlib.qfock import parse_word
 from quonlib.speicher import (expectation_given_signs, expected_over_signs,
                               mc_estimate, sample_sign_matrix)
-from quonlib.wick import (chords_cross, enumerate_contractions,
-                          wick_expectation)
+from quonlib.wick import enumerate_contractions, wick_expectation
 
 
 def test_sign_matrix_properties():
@@ -203,8 +202,8 @@ def chord_words(draw, max_pairs=7):
 def test_float_contraction_matches_exact(word, n, q, seed, data):
     diagrams = enumerate_contractions(word)
     assume(diagrams)
-    pairs, _ = data.draw(st.sampled_from(diagrams))
-    plan = speicher._plan_contraction(pairs, n, 1)
+    plan = speicher._plan_contraction(data.draw(st.sampled_from(diagrams)),
+                                      n, 1)
     signs = sample_sign_matrix(n, q, seed)[None]
     exact = speicher._assignment_sum(plan, signs.astype(object), n)
     assert speicher._assignment_sum(plan, signs.astype(float), n) == exact
@@ -224,10 +223,8 @@ def _expected_over_signs_loop(word, q, n):
     """Reference: every set partition of the chords one at a time."""
     q = Fraction(q)
     total = Fraction(0)
-    for pairs, _ in enumerate_contractions(word):
+    for pairs, edges in enumerate_contractions(word):
         chords = len(pairs)
-        edges = [(i, j) for i in range(chords) for j in range(i + 1, chords)
-                 if chords_cross(pairs[i], pairs[j])]
         patterns = [[]]
         for _ in range(chords):
             patterns = [p + [b] for p in patterns
@@ -260,10 +257,7 @@ def mc_estimate_per_sample(word, q, n, samples, seed):
     """Reference: one unbatched einsum per diagram per sample, each sample
     drawn into an N x N matrix from its own SeedSequence child."""
     diagrams = []
-    for pairs, _ in enumerate_contractions(word):
-        edges = [(i, j) for i in range(len(pairs))
-                 for j in range(i + 1, len(pairs))
-                 if chords_cross(pairs[i], pairs[j])]
+    for pairs, edges in enumerate_contractions(word):
         chords = sorted({i for e in edges for i in e})
         label = {c: k for k, c in enumerate(chords)}
         sublists = [[label[i], label[j]] for i, j in edges]

@@ -7,13 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from quonlib.qfock import parse_word, vacuum_expectation
 from quonlib.qpoly import QPoly
-from quonlib.wick import (NonVEVWordError, chords_cross,
-                          enumerate_contractions, wick_expectation)
+from quonlib.wick import (NonVEVWordError, enumerate_contractions,
+                          wick_expectation)
+
+
+def chords_cross(p, q):
+    """Two chords interleave iff exactly one endpoint of one lies strictly
+    between the endpoints of the other: the pair-by-pair reference for the
+    crossing graphs enumerate_contractions reads as it places the chords."""
+    (a1, c1), (a2, c2) = sorted(p), sorted(q)
+    return (a1 < a2 < c1 < c2) or (a2 < a1 < c2 < c1)
 
 
 def crossing_number(pairs):
     """Interleaving chord pairs, counted pair by pair: the reference for
-    the count enumerate_contractions keeps while it builds a matching."""
+    the number of edges of a diagram's crossing graph."""
     pairs = list(pairs)
     return sum(chords_cross(pairs[i], pairs[j])
                for i in range(len(pairs)) for j in range(i + 1, len(pairs)))
@@ -21,13 +29,13 @@ def crossing_number(pairs):
 
 def test_single_pair():
     diagrams = enumerate_contractions(parse_word("a1 c1"))
-    assert diagrams == [(((0, 1),), 0)]
+    assert diagrams == [(((0, 1),), ())]
     assert wick_expectation(parse_word("a1 c1")) == QPoly.one()
 
 
 def test_crossing_pair():
     diagrams = enumerate_contractions(parse_word("a1 a2 c1 c2"))
-    assert diagrams == [(((0, 2), (1, 3)), 1)]
+    assert diagrams == [(((0, 2), (1, 3)), ((0, 1),))]
 
 
 def test_nested_pair():
@@ -37,7 +45,7 @@ def test_nested_pair():
 def test_repeated_mode_enumeration():
     diagrams = enumerate_contractions(parse_word("a1 a1 c1 c1"))
     assert len(diagrams) == 2
-    assert sorted(c for _, c in diagrams) == [0, 1]
+    assert sorted(len(edges) for _, edges in diagrams) == [0, 1]
     assert wick_expectation(parse_word("a1 a1 c1 c1")) == \
         QPoly.one() + QPoly.q()
 
@@ -50,7 +58,7 @@ def test_rejects_unbalanced_words():
 
 
 def test_empty_word_has_one_empty_diagram():
-    assert enumerate_contractions(()) == [((), 0)]
+    assert enumerate_contractions(()) == [((), ())]
     assert wick_expectation(()) == QPoly.one()
 
 
@@ -77,10 +85,10 @@ def test_anti_normal_form_crossings_count_coinversions():
     for perm in itertools.permutations(range(n)):
         w = tuple(("a", m) for m in range(n)) + \
             tuple(("c", perm[m]) for m in range(n))
-        (pairs, crossings), = enumerate_contractions(w)
+        (pairs, edges), = enumerate_contractions(w)
         inv = sum(1 for i in range(n) for j in range(i + 1, n)
                   if perm[i] > perm[j])
-        assert crossings == n * (n - 1) // 2 - inv
+        assert len(edges) == n * (n - 1) // 2 - inv
         word_perms.add(pairs)
     assert len(word_perms) == 6
 
@@ -113,8 +121,19 @@ def vev_words(draw, min_pairs=1, max_pairs=6):
 @given(vev_words())
 def test_wick_matches_rewriting(word):
     assert wick_expectation(word) == vacuum_expectation(word)
-    assert all(crossings == crossing_number(pairs)
-               for pairs, crossings in enumerate_contractions(word))
+    assert all(len(edges) == crossing_number(pairs)
+               for pairs, edges in enumerate_contractions(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vev_words(0, 7))
+def test_edges_are_the_interleaving_chord_pairs(word):
+    # the edges read from the between-masks against the pair-by-pair rule,
+    # in the lexicographic order of the index pairs
+    for pairs, edges in enumerate_contractions(word):
+        assert edges == tuple((i, j) for i in range(len(pairs))
+                              for j in range(i + 1, len(pairs))
+                              if chords_cross(pairs[i], pairs[j]))
 
 
 def test_crossing_number_helper():
@@ -126,7 +145,7 @@ def test_crossing_number_helper():
 def test_histogram_equals_listed_diagrams(word):
     # the used-creator pass against the listing of every diagram
     diagrams = enumerate_contractions(word)
-    listed = Counter(crossings for _, crossings in diagrams)
+    listed = Counter(len(edges) for _, edges in diagrams)
     value = wick_expectation(word)
     assert {k: c for k, c in enumerate(value.coeffs) if c} == dict(listed)
     assert value(1) == len(diagrams)
