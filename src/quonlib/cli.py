@@ -86,11 +86,12 @@ def _cmd_vev(args):
 
 def _cmd_gram(args):
     from . import gram
+    # the exact determinant first: its range 1..EXACT_LIMIT is the narrower
+    det = gram.det_gram_exact(args.n) if args.exact else None
     g = gram.gram_matrix(args.n)
     results = {"n": args.n, "dim": g.dim}
     ok = True
     if args.exact:
-        det = gram.det_gram_exact(args.n)
         zag = gram.zagier_determinant(args.n)
         ok = det == zag
         results["det_poly"] = det
@@ -239,13 +240,19 @@ def _finite(text):
     return value
 
 
-def _positive(text):
-    """A count option's value; a check over no modes, no particles or no
-    samples would pass over nothing."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return value
+def _int_at_least(low, kind):
+    """The type of an integer option whose values below low are usage
+    errors that name the option."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        return value
+    return integer
+
+
+# a check over no modes, no particles or no samples would pass over nothing
+_positive = _int_at_least(1, "a positive integer")
 
 
 def build_parser():
@@ -303,9 +310,12 @@ def build_parser():
     s = sub.add_parser("speicher", help="random-sign ansatz Monte Carlo")
     s.add_argument("--word", required=True)
     s.add_argument("--q", type=_finite, required=True)
-    s.add_argument("--N", type=int, default=100)
-    s.add_argument("--samples", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--N", type=_positive, default=100)
+    # one sample has no standard error; SeedSequence takes no negative seed
+    s.add_argument("--samples", type=_int_at_least(2, "an integer >= 2"),
+                   default=2000)
+    s.add_argument("--seed", type=_int_at_least(0, "an integer >= 0"),
+                   default=0)
     s.set_defaults(fn=_cmd_speicher)
 
     s = sub.add_parser("bounds", help="violation-parameter arithmetic")

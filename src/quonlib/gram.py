@@ -367,12 +367,9 @@ def det_gram_exact(n):
     per shape, and each leaf adds its rho_lambda(w) into the coefficient of
     q^f(w) of every block.
     """
-    if n < 1:
-        raise GramLimitError(
-            f"n={n} outside supported range 1..{BUILD_LIMIT}")
-    if n > EXACT_LIMIT:
-        raise GramLimitError(
-            f"exact determinant limited to n <= {EXACT_LIMIT}, got n={n}")
+    if not 1 <= n <= EXACT_LIMIT:
+        raise GramLimitError(f"n={n} outside supported range 1..{EXACT_LIMIT}"
+                             f" of the exact determinant")
     shapes = partitions(n)
     gens = [seminormal_generators(shape) for shape in shapes]
     dims = [len(standard_tableaux(shape)) for shape in shapes]

@@ -17,10 +17,16 @@ carries one shared batch label, and each diagram is contracted once per
 block along a path planned once per mc_estimate call.  B is chosen so the
 stack fits _BLOCK_BYTES.  Every sample draws from its own SeedSequence
 child, and float64 sums of ±1 products are exact below 2^53, so the
-estimate does not depend on B.  A single draw (sample_sign_matrix) is a
-plain symmetric N x N int64 array with +1 on the diagonal; its exact value
-(expectation_given_signs) runs the same contraction on a batch of one
-object-dtype copy.
+estimate does not depend on B.  Signs are drawn only where one can change
+a sample: when 0 < (1+q)/2 < 1 and some diagram's crossing graph has an
+edge.  At q = ±1 every draw is the same matrix (+1 on the diagonal, q off
+it), so each diagram is contracted once on a batch of that one matrix; a
+word without crossings reads no sign at all.  Either way every sample has
+that one value, and no SeedSequence child or generator is made.
+
+A single draw (sample_sign_matrix) is a plain symmetric N x N int64 array
+with +1 on the diagonal; its exact value (expectation_given_signs) runs
+the same contraction on a batch of one object-dtype copy.
 
 A crossing graph with more edges than einsum takes operands, or more than
 51 chords (einsum names axes by 52 letters and the batch takes one),
@@ -355,6 +361,13 @@ def mc_estimate(word, q, n_components, samples, seed):
     once; samples are drawn in blocks of B into one reused (B, N, N)
     float64 stack, whose sums of ±1 products are exact below 2^53 and
     never wrap, and each diagram is contracted once per block.
+
+    Only 0 < (1+q)/2 < 1 on a word with a crossing draws signs.  At
+    q = ±1, and on a word whose diagrams have no crossing, every sample
+    has one value, computed by one contraction per diagram (none without
+    a crossing) with no stream spawned; the mean and standard error are
+    bit for bit those of drawn samples, and multiply_adds still counts
+    samples times the work of each path.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -366,19 +379,32 @@ def mc_estimate(word, q, n_components, samples, seed):
     plans, work = _plan_word(word, n, batch, samples)
     n_chords = len(word) // 2
     denom = float(n) ** n_chords if n_chords else 1.0
-    positions = _pair_indices(n)
-    stack = np.ones((batch, n, n))
-    uniforms = np.empty((batch, n * (n - 1) // 2))
     values = np.empty(samples)
-    children = np.random.SeedSequence(seed).spawn(samples)
-    for start in range(0, samples, batch):
-        rngs = [np.random.default_rng(c)
-                for c in children[start:start + batch]]
-        block = stack[:len(rngs)]
-        _draw_signs(block, uniforms[:len(rngs)], rngs, q, positions)
-        _check_symmetric(block)
-        total = sum(_assignment_sum(plan, block, n) for plan in plans)
-        values[start:start + len(rngs)] = total / denom
+    plus = (1.0 + q) / 2.0
+    crossed = any(plan.edges for plan in plans)
+    if 0.0 < plus < 1.0 and crossed:
+        positions = _pair_indices(n)
+        stack = np.ones((batch, n, n))
+        uniforms = np.empty((batch, n * (n - 1) // 2))
+        children = np.random.SeedSequence(seed).spawn(samples)
+        for start in range(0, samples, batch):
+            rngs = [np.random.default_rng(c)
+                    for c in children[start:start + batch]]
+            block = stack[:len(rngs)]
+            _draw_signs(block, uniforms[:len(rngs)], rngs, q, positions)
+            _check_symmetric(block)
+            total = sum(_assignment_sum(plan, block, n) for plan in plans)
+            values[start:start + len(rngs)] = total / denom
+    else:
+        # every draw gives one matrix, -1 or +1 off the diagonal as plus is
+        # 0 or 1, so every sample has its value; without a crossing
+        # _assignment_sum reads only the batch's length and dtype
+        signs = np.empty((1, 0, 0))
+        if crossed:
+            signs = np.full((1, n, n), 1.0 if plus > 0.0 else -1.0)
+            np.fill_diagonal(signs[0], 1.0)
+        total = sum(_assignment_sum(plan, signs, n) for plan in plans)
+        values[:] = total / denom
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(samples))
     return MCEstimate(mean=mean, stderr=stderr, samples=samples,

@@ -84,7 +84,25 @@ def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
     assert proc.returncode == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"] == (
-        "GramLimitError: exact determinant limited to n <= 4, got n=5")
+        "GramLimitError: n=5 outside supported range 1..4 of the exact"
+        " determinant")
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["zagier", "--n", "0"], "1..4 of the exact determinant"),
+    (["gram", "--n", "0", "--exact"], "1..4 of the exact determinant"),
+    (["gram", "--n", "0"], "1..6"),
+])
+def test_a_size_below_one_names_the_range_of_its_command(capsys, schema,
+                                                          argv, limit):
+    # the exact determinant covers 1..EXACT_LIMIT, a Gram build
+    # 1..BUILD_LIMIT
+    code, rep = run_cli(capsys, "--stable-output", *argv)
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        f"GramLimitError: n=0 outside supported range {limit}")
     validate(rep, schema)
 
 
@@ -102,7 +120,8 @@ def test_zagier_past_the_exact_limit_is_a_typed_error(capsys, schema):
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"] == (
-        "GramLimitError: exact determinant limited to n <= 4, got n=5")
+        "GramLimitError: n=5 outside supported range 1..4 of the exact"
+        " determinant")
     validate(rep, schema)
 
 
@@ -119,6 +138,7 @@ def test_positivity(capsys, schema):
     (["observables", "--check", "locality", "--modes", "-1"], "--modes"),
     (["observables", "--cap", "0"], "--cap"),
     (["positivity", "--n", "3", "--samples", "0"], "--samples"),
+    (["speicher", "--word", "a1 c1", "--q", "0.5", "--N", "0"], "--N"),
 ])
 def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
     # a check over no modes, no particles or no samples would pass over
@@ -129,6 +149,22 @@ def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}: not a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("option, value, domain", [
+    ("--samples", "1", "an integer >= 2"),
+    ("--samples", "0", "an integer >= 2"),
+    ("--seed", "-1", "an integer >= 0"),
+])
+def test_speicher_samples_and_seed_outside_their_domain_are_usage_errors(
+        capsys, option, value, domain):
+    # one sample has no standard error, and no seed is negative
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["speicher", "--word", "a1 c1", "--q", "0.5", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: not {domain}: {value!r}" in captured.err
 
 
 def test_observables_commutator(capsys, schema):

@@ -314,6 +314,53 @@ def test_batched_estimate_at_the_block_budget(samples):
             mc_estimate_per_sample(word, q, 100, samples, 7)
 
 
+@pytest.mark.parametrize("text, q, draws", [
+    ("a1 a2 c1 c2", 1.0, False),
+    ("a1 a2 c1 c2", -1.0, False),
+    ("a1 c1", 0.5, False),
+    ("a1 a2 c2 c1", 0.5, False),
+    ("a1 a2 c1 c2", 0.5, True),
+])
+def test_signs_are_drawn_only_where_they_can_change_a_sample(monkeypatch,
+                                                             text, q, draws):
+    # at q = +-1 every sign is fixed, and a word without crossings reads
+    # none: no stream is spawned and nothing is drawn
+    calls = []
+    draw = speicher._draw_signs
+    monkeypatch.setattr(speicher, "_draw_signs",
+                        lambda *args: calls.append("draw") or draw(*args))
+
+    class SpawnSpy(np.random.SeedSequence):
+        def spawn(self, n_children):
+            calls.append("spawn")
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+    mc_estimate(parse_word(text), q, 10, 30, seed=0)
+    assert ("spawn" in calls, "draw" in calls) == (draws, draws)
+
+
+@pytest.mark.parametrize("k", range(2, 14))
+def test_fixed_signs_equal_the_per_sample_loop(k):
+    # one contraction stands for every sample at q = +-1, past 2^53 too
+    # (k >= 8 at N = 100); N = 100 takes blocks of 13 samples
+    word = chain_word(k)
+    for q in (1.0, -1.0):
+        for samples in (2, 13, 14, 40, 200):
+            est = mc_estimate(word, q, 100, samples, seed=k)
+            assert (est.mean, est.stderr) == \
+                mc_estimate_per_sample(word, q, 100, samples, k)
+
+
+def test_a_word_without_crossings_needs_no_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("signs drawn")
+
+    monkeypatch.setattr(speicher, "_draw_signs", refuse)
+    est = mc_estimate(parse_word("a1 c1"), 0.5, 2000, 20, seed=0)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+
+
 def test_asymmetric_sign_stack_raises(monkeypatch):
     draw = speicher._draw_signs
 
