@@ -5,10 +5,12 @@ The single defining relation is
     a_k a†_l  =  delta_kl + q a†_l a_k
 
 with no relation at all between two creators or two annihilators.
-Everything here is exact: coefficients live in the polynomial ring QPoly,
-or, where the free Fock action is taken at q = 0 (the observables), in
-the integers and Fractions of the state it acts on.  The action itself is
-written once, in apply_symbol.
+Everything here is exact.  Rewriting (vacuum_expectation) runs on words
+coded as ints with int coefficient tuples, and returns one QPoly.  The
+free Fock action's coefficients live in the polynomial ring QPoly, or,
+where it is taken at q = 0 (the observables), in the integers and
+Fractions of the state it acts on.  The action itself is written once, in
+apply_symbol.
 
 Conventions
 -----------
@@ -46,14 +48,7 @@ def parse_word(text):
     return tuple(symbols)
 
 
-def _first_ac_adjacency(word):
-    for i in range(len(word) - 1):
-        if word[i][0] == ANNIHILATOR and word[i + 1][0] == CREATOR:
-            return i
-    return -1
-
-
-def vacuum_expectation(word, _memo=None):
+def vacuum_expectation(word):
     """<0| word |0> as an exact polynomial in q.
 
     Rewrites the leftmost adjacent pair a_k a†_l by the defining relation,
@@ -61,27 +56,53 @@ def vacuum_expectation(word, _memo=None):
     can still reach the empty word: one that starts with a creator or ends
     with an annihilator has expectation zero.  Each rewrite removes one
     (annihilator, creator) inversion, so the recursion ends.
+
+    The word is coded once, each distinct mode label (any hashable) as a
+    positive int in order of first appearance, +m for a creator and -m for
+    an annihilator.  The rewriting runs on those codes with int coefficient
+    tuples and a memo that lives for this call only; the QPoly is built
+    once, from the final tuple.
     """
-    word = tuple(word)
-    if _memo is None:
-        _memo = {}
-    cached = _memo.get(word)
-    if cached is not None:
-        return cached
+    codes = {}
+    coded = []
+    for kind, mode in word:
+        code = codes.setdefault(mode, len(codes) + 1)
+        coded.append(code if kind == CREATOR else -code)
+    return QPoly(_rewrite(tuple(coded), {}))
+
+
+def _rewrite(word, memo):
+    """Coefficients, constant term first and without trailing zeros, of
+    the vacuum expectation of a coded word (see vacuum_expectation)."""
     if not word:
-        result = QPoly.one()
-    elif word[0][0] == CREATOR or word[-1][0] == ANNIHILATOR:
+        return (1,)
+    if word[0] > 0 or word[-1] < 0:
         # a surviving creator on the left (or annihilator on the right)
         # can never be removed by the rewriting
-        result = QPoly.zero()
-    else:
-        i = _first_ac_adjacency(word)
-        (_, k), (_, l) = word[i], word[i + 1]
-        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-        result = QPoly.q() * vacuum_expectation(swapped, _memo)
-        if k == l:
-            result = result + vacuum_expectation(word[:i] + word[i + 2:], _memo)
-    _memo[word] = result
+        return ()
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    # the leftmost adjacent annihilator a and creator c; one exists, as the
+    # word starts with an annihilator and ends with a creator
+    i = 0
+    while not word[i] < 0 < word[i + 1]:
+        i += 1
+    a, c = word[i], word[i + 1]
+    swapped = _rewrite(word[:i] + (c, a) + word[i + 2:], memo)
+    # times q: a shift by one power
+    result = (0,) + swapped if swapped else ()
+    if a == -c:
+        contracted = _rewrite(word[:i] + word[i + 2:], memo)
+        if len(result) < len(contracted):
+            result, contracted = contracted, result
+        result = list(result)
+        for j, coeff in enumerate(contracted):
+            result[j] += coeff
+        while result and result[-1] == 0:
+            result.pop()
+        result = tuple(result)
+    memo[word] = result
     return result
 
 

@@ -6,10 +6,11 @@ at a Fraction is exact, at a float it is ordinary IEEE arithmetic.
 
 The coefficient list is dense, but products skip the work that is zero by
 construction: a product pairs only the nonzero terms of its operands, so
-its cost is the product of their term counts, not of their lengths.  A
+its cost is the product of their term counts, not of their lengths, and a
+product with a monic monomial q^j is a shift of the other operand.  A
 power of a polynomial with at most two terms, (c0 q^s + c1 q^t)^e, is
 written down by the binomial theorem with no multiplication of
-polynomials; Zagier's factors (1 - q^d)^e are of this form.  Both give
+polynomials; Zagier's factors (1 - q^d)^e are of this form.  All give
 the coefficients the dense schoolbook loop gives, exactly.
 """
 
@@ -98,6 +99,11 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
+        # times q^j: a shift, and the shifted tuple is already normalised
+        if _is_monic_monomial(b):
+            return _from_normalized((0,) * (len(b) - 1) + a)
+        if _is_monic_monomial(a):
+            return _from_normalized((0,) * (len(a) - 1) + b)
         terms = [(j, cb) for j, cb in enumerate(b) if cb]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -210,6 +216,20 @@ def _binomial_power(terms, n):
         binom = binom * (n - k) // (k + 1)
         c1_power *= c1
     return QPoly(out)
+
+
+def _is_monic_monomial(coeffs):
+    """coeffs, nonempty and normalised, are those of q^j for some j."""
+    last = coeffs[-1]
+    return type(last) is int and last == 1 and \
+        coeffs.count(0) == len(coeffs) - 1
+
+
+def _from_normalized(coeffs):
+    """A QPoly of a tuple that _normalize would leave as it is."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
 
 
 def _coerce(x):

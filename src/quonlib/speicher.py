@@ -16,8 +16,8 @@ sign matrices of B samples form one (B, N, N) float64 stack, every operand
 carries one shared batch label, and each diagram is contracted once per
 block along a path planned once per mc_estimate call.  B is chosen so the
 stack fits _BLOCK_BYTES.  Every sample draws from its own SeedSequence
-child, and float64 sums of ±1 products are exact below 2^53, so the
-estimate does not depend on B.  Signs are drawn only where one can change
+child, spawned as its block starts, and float64 sums of ±1 products are
+exact below 2^53, so the estimate does not depend on B.  Signs are drawn only where one can change
 a sample: when 0 < (1+q)/2 < 1 and some diagram's crossing graph has an
 edge.  At q = ±1 every draw is the same matrix (+1 on the diagonal, q off
 it), so each diagram is contracted once on a batch of that one matrix; a
@@ -31,9 +31,11 @@ the same contraction on a batch of one object-dtype copy.
 A crossing graph with more edges than einsum takes operands, or more than
 51 chords (einsum names axes by 52 letters and the batch takes one),
 raises ContractionLimitError when it is planned.  So does a call whose
-estimated work (_path_work: samples times N^(labels a step loops over),
-summed over the steps of every diagram's path) exceeds _WORK_BUDGET
-multiply-adds.
+estimated work exceeds _WORK_BUDGET multiply-adds: _path_work, N^(labels
+a step loops over) summed over the steps of every diagram's path, times
+the samples contracted (every sample where signs are drawn, one where
+they are fixed).  mc_estimate refuses more than _MAX_SAMPLES samples
+before it allocates anything.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ _BATCH = _MAX_LABELS - 1
 # bytes of the (B, N, N) float64 sign stack of one block of samples: at
 # N = 100 a block is 13 samples
 _BLOCK_BYTES = 1 << 20
-# estimated multiply-adds of one call (samples times _path_work of every
-# diagram); a step over many operands runs at about 10^8 per second, so
-# this bounds a call to minutes
+# estimated multiply-adds of one call (_path_work of every diagram, times
+# the samples contracted); a step over many operands runs at about 10^8
+# per second, so this bounds a call to minutes
 _WORK_BUDGET = 10 ** 10
+# samples of one mc_estimate call: each holds 8 bytes of values, so this
+# bounds that array to 80 MB
+_MAX_SAMPLES = 10 ** 7
 # partitions per vectorised step of expected_over_signs, which keeps its
 # temporaries small
 _PARTITION_ROWS = 4096
@@ -148,17 +153,22 @@ def _path_work(edges, path, n):
     return work
 
 
-def _plan_word(word, n_components, batch, samples):
-    """Plans of every diagram of word and samples times their work;
-    raises ContractionLimitError when that exceeds _WORK_BUDGET."""
-    plans = [_plan_contraction(diagram, n_components, batch)
-             for diagram in enumerate_contractions(word)]
+def _plan_word(word, n_components, batch):
+    """Plans of every diagram of word."""
+    return [_plan_contraction(diagram, n_components, batch)
+            for diagram in enumerate_contractions(word)]
+
+
+def _contraction_work(plans, samples, n_components):
+    """samples times the work of every plan: the multiply-adds of
+    contracting samples sign matrices; raises ContractionLimitError when
+    that exceeds _WORK_BUDGET."""
     work = samples * sum(p.work for p in plans)
     if work > _WORK_BUDGET:
         raise ContractionLimitError(
             f"estimated {work:.3g} multiply-adds ({samples} samples at"
             f" N={n_components}) exceed the budget of {_WORK_BUDGET:.0e}")
-    return plans, work
+    return work
 
 
 def _operands(edges, signs):
@@ -242,7 +252,8 @@ def expectation_given_signs(word, signs):
                          f"{signs.shape}")
     n = signs.shape[0]
     _check_symmetric(signs)
-    plans, _ = _plan_word(word, n, 1, 1)
+    plans = _plan_word(word, n, 1)
+    _contraction_work(plans, 1, n)
     # a batch of one, in exact big-int arithmetic
     batch = signs.astype(object)[None]
     total = sum(int(_assignment_sum(plan, batch, n)[0]) for plan in plans)
@@ -358,38 +369,48 @@ def mc_estimate(word, q, n_components, samples, seed):
     Per-sample streams are spawned from a single SeedSequence, so the
     estimate is reproducible from (seed, N, samples) and samples are
     independent regardless of evaluation order.  Each diagram is planned
-    once; samples are drawn in blocks of B into one reused (B, N, N)
-    float64 stack, whose sums of ±1 products are exact below 2^53 and
-    never wrap, and each diagram is contracted once per block.
+    once; samples are drawn in blocks of B, each block's streams spawned
+    as the block starts (a SeedSequence continues its count, so the
+    children are those of one spawn of every sample), into one reused
+    (B, N, N) float64 stack, whose sums of ±1 products are exact below
+    2^53 and never wrap, and each diagram is contracted once per block;
+    multiply_adds is samples times the work of each path.
 
     Only 0 < (1+q)/2 < 1 on a word with a crossing draws signs.  At
     q = ±1, and on a word whose diagrams have no crossing, every sample
     has one value, computed by one contraction per diagram (none without
     a crossing) with no stream spawned; the mean and standard error are
-    bit for bit those of drawn samples, and multiply_adds still counts
-    samples times the work of each path.
+    bit for bit those of drawn samples, and multiply_adds counts that one
+    contraction: the work of each path.
+
+    samples runs from 2 to _MAX_SAMPLES, checked before any allocation.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples={samples} above the limit of"
+                         f" {_MAX_SAMPLES:.0e} (8 bytes each)")
     if n_components < 1:
         raise ValueError("need at least one component")
     _check_q(q)
     n = n_components
     batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))
-    plans, work = _plan_word(word, n, batch, samples)
+    plans = _plan_word(word, n, batch)
     n_chords = len(word) // 2
     denom = float(n) ** n_chords if n_chords else 1.0
-    values = np.empty(samples)
     plus = (1.0 + q) / 2.0
     crossed = any(plan.edges for plan in plans)
-    if 0.0 < plus < 1.0 and crossed:
+    drawn = 0.0 < plus < 1.0 and crossed
+    work = _contraction_work(plans, samples if drawn else 1, n)
+    values = np.empty(samples)
+    if drawn:
         positions = _pair_indices(n)
         stack = np.ones((batch, n, n))
         uniforms = np.empty((batch, n * (n - 1) // 2))
-        children = np.random.SeedSequence(seed).spawn(samples)
+        seeds = np.random.SeedSequence(seed)
         for start in range(0, samples, batch):
             rngs = [np.random.default_rng(c)
-                    for c in children[start:start + batch]]
+                    for c in seeds.spawn(min(batch, samples - start))]
             block = stack[:len(rngs)]
             _draw_signs(block, uniforms[:len(rngs)], rngs, q, positions)
             _check_symmetric(block)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, parse_word,
                            q_inner_product, vacuum_expectation)
 from quonlib.qpoly import QPoly
+from quonlib.wick import wick_expectation
 
 Q = QPoly.q()
 ONE = QPoly.one()
@@ -96,6 +97,56 @@ def test_vacuum_expectation_is_the_constant_term_of_normal_order():
                      for _ in range(rng.randint(0, 8)))
         assert vacuum_expectation(word) == \
             normal_order(word).get((), QPoly.zero())
+
+
+hashable_labels = st.sampled_from([0, 1, 2, 10 ** 30, "x"])
+
+
+@st.composite
+def hashable_label_words(draw):
+    """Words of up to 16 symbols, one annihilator and one creator per drawn
+    label, in any order."""
+    modes = draw(st.lists(hashable_labels, max_size=8))
+    return tuple(draw(st.permutations(
+        [(ANNIHILATOR, m) for m in modes] + [(CREATOR, m) for m in modes])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hashable_label_words())
+def test_vacuum_expectation_on_any_hashable_label(word):
+    value = vacuum_expectation(word)
+    assert value == normal_order(word).get((), QPoly.zero())
+    assert value == wick_expectation(word)
+
+
+@pytest.mark.parametrize("pairs, modes", [(p, m) for p in range(3, 8)
+                                          for m in range(1, 4)])
+def test_vacuum_expectation_equals_wick_on_every_size_class(pairs, modes):
+    # the size classes of the benchmark's words: 3-7 pairs over 1-3 modes,
+    # until 20 words with a complete contraction have been checked
+    rng = random.Random(pairs * 10 + modes)
+    nonzero = 0
+    while nonzero < 20:
+        drawn = [rng.randrange(modes) for _ in range(pairs)]
+        word = [(ANNIHILATOR, m) for m in drawn] + \
+            [(CREATOR, m) for m in drawn]
+        rng.shuffle(word)
+        value = wick_expectation(word)
+        assert vacuum_expectation(word) == value
+        nonzero += bool(value)
+
+
+def test_rewriting_does_no_polynomial_arithmetic(monkeypatch):
+    words = [parse_word(t) for t in ("a0 c0", "a0 a1 c0 c1", "a0 a0 c0 c0",
+                                     "a1 a0 a1 c1 c0 c1 a2 c2")]
+    values = [vacuum_expectation(w) for w in words]
+
+    def refuse(*args):
+        raise AssertionError("QPoly arithmetic in the rewriting")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(QPoly, name, refuse)
+    assert [vacuum_expectation(w) for w in words] == values
 
 
 def test_vacuum_expectation_examples():

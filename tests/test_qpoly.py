@@ -121,6 +121,17 @@ def test_sparse_product_equals_dense_schoolbook(a, b):
     assert exact_coeffs(product) == exact_coeffs(QPoly(dense_product(a, b)))
 
 
+@given(sparse_coeffs, st.integers(0, 6),
+       st.one_of(st.just(1), st.integers(-9, 9).filter(bool),
+                 small_fractions.filter(bool)))
+def test_product_with_a_monomial_equals_dense_schoolbook(a, j, c):
+    # c = 1 takes the shift; every other c the general product
+    monomial = [0] * j + [c]
+    for product in (QPoly(a) * QPoly(monomial), QPoly(monomial) * QPoly(a)):
+        assert exact_coeffs(product) == \
+            exact_coeffs(QPoly(dense_product(a, monomial)))
+
+
 @settings(deadline=None)
 @given(st.one_of(st.just(0), st.integers(-4, 4), small_fractions),
        st.one_of(st.integers(-4, 4).filter(bool),

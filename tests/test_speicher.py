@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -324,8 +325,9 @@ def test_batched_estimate_at_the_block_budget(samples):
 def test_signs_are_drawn_only_where_they_can_change_a_sample(monkeypatch,
                                                              text, q, draws):
     # at q = +-1 every sign is fixed, and a word without crossings reads
-    # none: no stream is spawned and nothing is drawn
-    calls = []
+    # none: no stream is spawned and nothing is drawn; where signs are
+    # drawn, the streams are spawned one block of 4 samples at a time
+    calls, spawned = [], []
     draw = speicher._draw_signs
     monkeypatch.setattr(speicher, "_draw_signs",
                         lambda *args: calls.append("draw") or draw(*args))
@@ -333,11 +335,15 @@ def test_signs_are_drawn_only_where_they_can_change_a_sample(monkeypatch,
     class SpawnSpy(np.random.SeedSequence):
         def spawn(self, n_children):
             calls.append("spawn")
+            spawned.append(n_children)
             return super().spawn(n_children)
 
     monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+    monkeypatch.setattr(speicher, "_BLOCK_BYTES", 4 * 8 * 10 * 10)
     mc_estimate(parse_word(text), q, 10, 30, seed=0)
     assert ("spawn" in calls, "draw" in calls) == (draws, draws)
+    assert all(n <= 4 for n in spawned)
+    assert sum(spawned) == (30 if draws else 0)
 
 
 @pytest.mark.parametrize("k", range(2, 14))
@@ -401,9 +407,26 @@ def test_work_budget():
         (2 * 10 ** 2 + 10 ** 2) + (10 ** 2 + 10 + 10)
     est = mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, 10, 4, seed=0)
     assert est.multiply_adds == 4 * 10 ** 2
+    # fixed signs: one contraction per diagram, whatever the samples (2 *
+    # 10^6 samples of 10^4 each at N = 100 would be past the budget)
+    est = mc_estimate(parse_word("a1 a2 c1 c2"), 1.0, 10, 4, seed=0)
+    assert est.multiply_adds == 10 ** 2
+    est = mc_estimate(parse_word("a1 a2 c1 c2"), 1.0, 100, 2 * 10 ** 6, 0)
+    assert est.multiply_adds == 10 ** 4
+    assert mc_estimate(parse_word("a1 c1"), -1.0, 10, 4, 0).multiply_adds == 0
+    with pytest.raises(speicher.ContractionLimitError, match="multiply-adds"):
+        mc_estimate(word, 1.0, 100, 2, seed=0)
     # a chain at N = 200 and 2000 samples takes about a second
-    _, work = speicher._plan_word(chain_word(3), 200, 3, 2000)
-    assert work == 2000 * (200 + 2 * 200 ** 2)
+    plans = speicher._plan_word(chain_word(3), 200, 3)
+    assert speicher._contraction_work(plans, 2000, 200) == \
+        2000 * (200 + 2 * 200 ** 2)
+
+
+def test_sample_bound():
+    # refused before anything is allocated: 8 bytes of values per sample
+    bound = speicher._MAX_SAMPLES
+    with pytest.raises(ValueError, match=re.escape(f"limit of {bound:.0e}")):
+        mc_estimate(parse_word("a1 c1"), 0.5, 3, bound + 1, seed=0)
 
 
 def test_q_is_checked_once_per_call(monkeypatch):
