@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -145,9 +146,23 @@ def _cmd_observables(args):
 def _cmd_para(args):
     from . import parastat
     kind = "parabose" if args.kind == "bose" else "parafermi"
+    # occupancy builds the modes its words touch, and a cap changes only
+    # the parabose trilinear check, where it sets the protected states
+    reads = () if args.check == "occupancy" else ("modes",)
+    if (args.kind, args.check) == ("bose", "trilinear"):
+        reads += ("cap",)
+    for name in ("modes", "cap"):
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError(f"--kind {args.kind} --check {args.check} "
+                             f"does not read --{name}")
     if args.check == "occupancy":
-        return parastat.check_occupancy(kind, args.p, args.modes, args.cap)
-    r = parastat.build_green(kind, args.p, args.modes, cap=args.cap)
+        return parastat.check_occupancy(kind, args.p)
+    # the report's parameters give the mode count the check read
+    if args.modes is None:
+        args.modes = 2
+    # the vacuum check creates one quantum, which cap 1 holds
+    cap = args.cap if args.check == "trilinear" else 1
+    r = parastat.build_green(kind, args.p, args.modes, cap=cap)
     if args.check == "trilinear":
         rep = parastat.check_trilinear(r)
         return rep, rep["exact"]
@@ -218,14 +233,14 @@ def _cmd_bounds(args):
 def _cmd_verify_all(args):
     from . import verify
     rep = verify.run_all()
+    if args.stable_output:      # before stderr prints them, too
+        rep["elapsed"] = 0.0
+        for c in rep["criteria"]:
+            c["elapsed"] = 0.0
     for c in rep["criteria"]:
         line = "PASS" if c["passed"] else "FAIL"
         print(f"[{line}] criterion {c['id']}: {c['name']} "
               f"({c['elapsed']}s)", file=sys.stderr)
-    if args.stable_output:
-        rep["elapsed"] = 0.0
-        for c in rep["criteria"]:
-            c["elapsed"] = 0.0
     return rep, rep["passed"]
 
 
@@ -240,15 +255,25 @@ def _finite(text):
     return value
 
 
-def _int_at_least(low, kind):
-    """The type of an integer option whose values below low are usage
-    errors that name the option."""
+def _int_at_least(low, kind, limit=None):
+    """The type of an integer option whose values below low, or above
+    limit() when a limit is given, are usage errors that name the option."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        if limit is not None and value > limit():
+            raise argparse.ArgumentTypeError(
+                f"above the limit of {limit()}: {text!r}")
         return value
     return integer
+
+
+def _max_samples():
+    # imported only when --samples is given: speicher loads numpy, which
+    # the speicher command loads anyway
+    from .speicher import _MAX_SAMPLES
+    return _MAX_SAMPLES
 
 
 # a check over no modes, no particles or no samples would pass over nothing
@@ -296,9 +321,10 @@ def build_parser():
 
     s = sub.add_parser("para", help="parastatistics realization checks")
     s.add_argument("--kind", choices=("bose", "fermi"), required=True)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--modes", type=int, default=2)
-    s.add_argument("--cap", type=int, default=None)
+    s.add_argument("--p", type=_positive, required=True)
+    # each check reads only some of these; see _cmd_para
+    s.add_argument("--modes", type=_positive, default=None)
+    s.add_argument("--cap", type=_positive, default=None)
     s.add_argument("--check", choices=("trilinear", "vacuum", "occupancy"),
                    default="trilinear")
     s.set_defaults(fn=_cmd_para)
@@ -312,8 +338,8 @@ def build_parser():
     s.add_argument("--q", type=_finite, required=True)
     s.add_argument("--N", type=_positive, default=100)
     # one sample has no standard error; SeedSequence takes no negative seed
-    s.add_argument("--samples", type=_int_at_least(2, "an integer >= 2"),
-                   default=2000)
+    s.add_argument("--samples", default=2000,
+                   type=_int_at_least(2, "an integer >= 2", _max_samples))
     s.add_argument("--seed", type=_int_at_least(0, "an integer >= 0"),
                    default=0)
     s.set_defaults(fn=_cmd_speicher)
@@ -331,7 +357,7 @@ def build_parser():
     c.set_defaults(fn=_cmd_bounds)
     c = bs.add_parser("composite")
     c.add_argument("--q", required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_positive, required=True)
     c.set_defaults(fn=_cmd_bounds)
     c = bs.add_parser("overlap")
     c.add_argument("--la", type=_finite, required=True)
@@ -378,7 +404,15 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (quon ... | head): send what is left, and
+        # the flush at exit, to devnull rather than a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ only on "protected" states, which two creations cannot push past the cap.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -218,23 +217,21 @@ def max_occupancy(r, word, symmetric=True, creators=None):
         for code, c in out.items())
 
 
-def check_occupancy(kind, p, modes, cap=None):
+def check_occupancy(kind, p):
     """(report, passed): at most p quanta fit, so the norms of the
     symmetrized same-mode word (parafermi), or of its dual, the
     antisymmetrized distinct-mode word (parabose), are nonzero for n <= p
-    and zero at n = p + 1, on the modes 0 .. p the words touch; the dual
-    needs p + 1 modes.  Estimate: p + 1 words of p + 1 creators, making p
-    codes of each of 2^p codes of mode 0 (parafermi), or of p^p codes in
-    each of (p + 1)! orderings (parabose)."""
-    if kind == "parabose" and modes <= p:
-        raise ValueError(f"the parabose occupancy check needs p + 1 = "
-                         f"{p + 1} modes, got {modes}")
-    r = build_green(kind, p, modes, cap=cap)
+    and zero at n = p + 1.  The realization holds only the modes the words
+    touch: one for parafermi, p + 1 at cap 1 for parabose, whose
+    distinct-mode word never puts two quanta on one site.  Estimate: p + 1
+    words of p + 1 creators, making p codes of each of 2^p codes of mode 0
+    (parafermi), or of p^p codes in each of (p + 1)! orderings
+    (parabose)."""
     sym = kind == "parafermi"
+    r = build_green(kind, p, 1 if sym else p + 1, cap=1)
     _refuse_past_limit(
         "check_occupancy", 2 * math.log(p + 1) + math.log(p)
         + (p * math.log(2) if sym else math.lgamma(p + 2) + p * math.log(p)))
-    r = dataclasses.replace(r, modes=1 if sym else p + 1)
     name = "same_mode" if sym else "distinct_modes"
     norms = {f"{name}_n{n}":
              max_occupancy(r, (0,) * n if sym else tuple(range(n)), sym)

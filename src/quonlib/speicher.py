@@ -14,15 +14,16 @@ sign-matrix operand per interleaving chord pair, in integer sublist form,
 along a path from np.einsum_path.  Samples are evaluated in blocks: the
 sign matrices of B samples form one (B, N, N) float64 stack, every operand
 carries one shared batch label, and each diagram is contracted once per
-block along a path planned once per mc_estimate call.  B is chosen so the
-stack fits _BLOCK_BYTES.  Every sample draws from its own SeedSequence
-child, spawned as its block starts, and float64 sums of ±1 products are
-exact below 2^53, so the estimate does not depend on B.  Signs are drawn only where one can change
-a sample: when 0 < (1+q)/2 < 1 and some diagram's crossing graph has an
-edge.  At q = ±1 every draw is the same matrix (+1 on the diagonal, q off
-it), so each diagram is contracted once on a batch of that one matrix; a
-word without crossings reads no sign at all.  Either way every sample has
-that one value, and no SeedSequence child or generator is made.
+block along a path planned per word and N, on a stack of one.  B is
+chosen so the stack fits _BLOCK_BYTES.  Every sample draws from its own
+SeedSequence child, spawned as its block starts, and float64 sums of ±1
+products are exact below 2^53, so the estimate does not depend on B.
+Signs are drawn only where one can change a sample: when 0 < (1+q)/2 < 1
+and some diagram's crossing graph has an edge.  At q = ±1 every draw is
+the same matrix (+1 on the diagonal, q off it), so each diagram is
+contracted once on a batch of that one matrix; a word without crossings
+reads no sign at all.  Either way every sample has that one value, and
+no SeedSequence child or generator is made.
 
 A single draw (sample_sign_matrix) is a plain symmetric N x N int64 array
 with +1 on the diagonal; its exact value (expectation_given_signs) runs
@@ -96,10 +97,12 @@ _ContractionPlan = namedtuple("_ContractionPlan",
                               "free_chords edges path work")
 
 
-def _plan_contraction(diagram, n_components, batch):
+def _plan_contraction(diagram, n_components):
     """The contraction plan of one (pairs, edges) diagram of
-    enumerate_contractions on stacks of batch sign matrices with N
-    components per chord.
+    enumerate_contractions with N components per chord, made on a stack
+    of one sign matrix.  It serves a stack of any length: the batch label
+    is on every operand and on the output, so its length scales the size
+    of every candidate step alike, which leaves the greedy path as it is.
 
     Raises ContractionLimitError when the crossing graph has more edges
     than numpy's einsum takes operands or more chords than it has labels
@@ -117,7 +120,7 @@ def _plan_contraction(diagram, n_components, batch):
     edges = tuple((label[i], label[j]) for i, j in edges)
     path = None
     if edges:
-        like = np.broadcast_to(0.0, (batch, n_components, n_components))
+        like = np.broadcast_to(0.0, (1, n_components, n_components))
         path = np.einsum_path(*_operands(edges, like), [_BATCH],
                               optimize="greedy")[0]
     return _ContractionPlan(free_chords=len(pairs) - len(chords),
@@ -153,9 +156,9 @@ def _path_work(edges, path, n):
     return work
 
 
-def _plan_word(word, n_components, batch):
+def _plan_word(word, n_components):
     """Plans of every diagram of word."""
-    return [_plan_contraction(diagram, n_components, batch)
+    return [_plan_contraction(diagram, n_components)
             for diagram in enumerate_contractions(word)]
 
 
@@ -235,8 +238,7 @@ def sample_sign_matrix(n_components, q, rng):
     """An N x N int64 sign matrix: symmetric, diagonal +1, an independent
     ±1 per unordered pair with prob(+1) = (1+q)/2."""
     _check_q(q)
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)    # a Generator comes back as it is
     n = n_components
     stack = np.ones((1, n, n))
     _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q,
@@ -252,7 +254,7 @@ def expectation_given_signs(word, signs):
                          f"{signs.shape}")
     n = signs.shape[0]
     _check_symmetric(signs)
-    plans = _plan_word(word, n, 1)
+    plans = _plan_word(word, n)
     _contraction_work(plans, 1, n)
     # a batch of one, in exact big-int arithmetic
     batch = signs.astype(object)[None]
@@ -369,11 +371,12 @@ def mc_estimate(word, q, n_components, samples, seed):
     Per-sample streams are spawned from a single SeedSequence, so the
     estimate is reproducible from (seed, N, samples) and samples are
     independent regardless of evaluation order.  Each diagram is planned
-    once; samples are drawn in blocks of B, each block's streams spawned
-    as the block starts (a SeedSequence continues its count, so the
-    children are those of one spawn of every sample), into one reused
-    (B, N, N) float64 stack, whose sums of ±1 products are exact below
-    2^53 and never wrap, and each diagram is contracted once per block;
+    once, for the word and N; samples are drawn in blocks of B, each
+    block's streams spawned as the block starts (a SeedSequence continues
+    its count, so the children are those of one spawn of every sample),
+    into one reused (B, N, N) float64 stack, whose sums of ±1 products are
+    exact below 2^53 and never wrap, and each diagram is contracted once
+    per block;
     multiply_adds is samples times the work of each path.
 
     Only 0 < (1+q)/2 < 1 on a word with a crossing draws signs.  At
@@ -394,8 +397,7 @@ def mc_estimate(word, q, n_components, samples, seed):
         raise ValueError("need at least one component")
     _check_q(q)
     n = n_components
-    batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))
-    plans = _plan_word(word, n, batch)
+    plans = _plan_word(word, n)
     n_chords = len(word) // 2
     denom = float(n) ** n_chords if n_chords else 1.0
     plus = (1.0 + q) / 2.0
@@ -404,6 +406,7 @@ def mc_estimate(word, q, n_components, samples, seed):
     work = _contraction_work(plans, samples if drawn else 1, n)
     values = np.empty(samples)
     if drawn:
+        batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))
         positions = _pair_indices(n)
         stack = np.ones((batch, n, n))
         uniforms = np.empty((batch, n * (n - 1) // 2))

@@ -143,8 +143,8 @@ def _canonical_relations_exact(r):
 
 @_criterion(6, "Green parastatistics: trilinear relation and occupancy")
 def parastatistics():
-    occ, occ_ok = parastat.check_occupancy("parafermi", 2, 2)
-    anti, anti_ok = parastat.check_occupancy("parabose", 2, 3, cap=2)
+    occ, occ_ok = parastat.check_occupancy("parafermi", 2)
+    anti, anti_ok = parastat.check_occupancy("parabose", 2)
     tri_f = parastat.check_trilinear(parastat.build_green("parafermi", 2, 2))
     tri_b = parastat.check_trilinear(
         parastat.build_green("parabose", 2, 3, cap=2))

@@ -139,6 +139,10 @@ def test_positivity(capsys, schema):
     (["observables", "--cap", "0"], "--cap"),
     (["positivity", "--n", "3", "--samples", "0"], "--samples"),
     (["speicher", "--word", "a1 c1", "--q", "0.5", "--N", "0"], "--N"),
+    (["para", "--kind", "fermi", "--p", "0"], "--p"),
+    (["para", "--kind", "fermi", "--p", "1", "--modes", "0"], "--modes"),
+    (["para", "--kind", "bose", "--p", "1", "--cap", "-1"], "--cap"),
+    (["bounds", "composite", "--q", "1/2", "--n", "0"], "--n"),
 ])
 def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
     # a check over no modes, no particles or no samples would pass over
@@ -165,6 +169,35 @@ def test_speicher_samples_and_seed_outside_their_domain_are_usage_errors(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}: not {domain}: {value!r}" in captured.err
+
+
+def test_speicher_samples_past_the_limit_is_a_usage_error(capsys):
+    # parsed only, so that no test runs 10^7 samples
+    parser = cli.build_parser()
+    head = ["speicher", "--word", "a1 c1", "--q", "0.5", "--samples"]
+    limit = speicher._MAX_SAMPLES
+    assert parser.parse_args([*head, str(limit)]).samples == limit
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*head, str(limit + 1)])
+    assert exc.value.code == 2
+    assert (f"argument --samples: above the limit of {limit}: "
+            f"'{limit + 1}'") in capsys.readouterr().err
+
+
+def test_a_closed_stdout_ends_quietly():
+    # the report (about 250 kB) overfills the pipe, which is closed after
+    # a few bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+            [sys.executable, "-m", "quonlib.cli", "gram", "--n", "5",
+             "--at", "0.5"], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""        # no BrokenPipeError traceback
 
 
 def test_observables_commutator(capsys, schema):
@@ -313,31 +346,23 @@ def test_gram_build_limit_cannot_be_raised(capsys):
 
 
 def test_para_bose_occupancy_checks_the_antisymmetric_dual(capsys, schema):
+    # the check builds the p + 1 modes its words touch, at cap 1
     code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
-                        "--modes", "3", "--cap", "2", "--check", "occupancy")
+                        "--check", "occupancy")
     assert code == 0
     assert rep["results"]["norms"] == {"distinct_modes_n1": "2",
                                        "distinct_modes_n2": "2",
                                        "distinct_modes_n3": "0"}
+    assert (rep["parameters"]["modes"], rep["parameters"]["cap"]) == (
+        None, None)
     validate(rep, schema)
-    # p + 1 distinct modes need p + 1 modes
-    code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
-                        "--modes", "2", "--cap", "2", "--check", "occupancy")
-    assert code == 1
-    assert rep["results"]["error"].startswith("ValueError: ")
-    validate(rep, schema)
-    # refused before the realization is built, so before its missing cap
-    _, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "2",
-                     "--check", "occupancy")
-    assert rep["results"]["error"] == ("ValueError: the parabose occupancy "
-                                       "check needs p + 1 = 3 modes, got 2")
 
 
 def test_para_bose_occupancy_can_fail(capsys, monkeypatch, schema):
     # a realization that fits p + 1 quanta must not pass
     monkeypatch.setattr(parastat, "max_occupancy", lambda *a, **k: 1.0)
     code, rep = run_cli(capsys, "para", "--kind", "bose", "--p", "1",
-                        "--modes", "2", "--cap", "2", "--check", "occupancy")
+                        "--check", "occupancy")
     assert code == 1
     assert rep["status"] == "fail"
     validate(rep, schema)
@@ -389,8 +414,7 @@ NUMPY_FREE_COMMANDS = (
     ["vev", "--word", "a1 a2 c1 c2"],
     ["observables", "--modes", "3", "--cap", "3"],
     ["para", "--kind", "fermi", "--p", "2", "--check", "trilinear"],
-    ["para", "--kind", "bose", "--p", "2", "--modes", "3", "--cap", "2",
-     "--check", "occupancy"],
+    ["para", "--kind", "bose", "--p", "2", "--check", "occupancy"],
     ["gentile", "--theta", "0.7853981633974483"],
     ["bounds", "convert", "--vf", "17/1000000000000000000000000000"],
     ["bounds", "propagate", "--qe=-1/2"],
@@ -426,18 +450,100 @@ def test_exact_subcommands_run_without_numpy(schema):
 
 @pytest.mark.parametrize("cap", ["0", "5"])
 def test_para_fermi_rejects_a_cap_it_cannot_use(capsys, schema, cap):
-    # a parafermi site holds at most one quantum: a cap other than 1 would
-    # be named in the parameters without playing any part in the result
-    code, rep = run_cli(capsys, "--stable-output", "para", "--kind", "fermi",
-                        "--p", "2", "--cap", cap, "--check", "vacuum")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert rep["results"]["error"].startswith("ValueError: ")
-    assert f"cap={cap}" in rep["results"]["error"]
+    # a parafermi site holds at most one quantum, so no check of it reads
+    # a cap: one would be named in the parameters without playing any part
+    # in the result; 0 is no cap at all
+    if cap == "0":
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["para", "--kind", "fermi", "--p", "2", "--cap", cap])
+        assert exc.value.code == 2
+        assert "argument --cap: not a positive integer" in (
+            capsys.readouterr().err)
+        return
+    for check in ("trilinear", "vacuum", "occupancy"):
+        code, rep = run_cli(capsys, "--stable-output", "para", "--kind",
+                            "fermi", "--p", "2", "--cap", cap, "--check",
+                            check)
+        assert (code, rep["status"]) == (1, "error")
+        assert rep["results"]["error"] == (
+            f"ValueError: --kind fermi --check {check} does not read --cap")
+        validate(rep, schema)
+
+
+# the options each (kind, check) of para reads
+PARA_READS = {
+    ("bose", "trilinear"): {"modes", "cap"},
+    ("fermi", "trilinear"): {"modes"},
+    ("bose", "vacuum"): {"modes"},
+    ("fermi", "vacuum"): {"modes"},
+    ("bose", "occupancy"): set(),
+    ("fermi", "occupancy"): set(),
+}
+
+
+@pytest.mark.parametrize("kind, check", PARA_READS)
+def test_para_reads_only_the_options_its_check_uses(capsys, schema, kind,
+                                                    check):
+    head = ["--stable-output", "para", "--kind", kind, "--p", "2",
+            "--check", check]
+    given = {"modes": ["--modes", "3"], "cap": ["--cap", "2"]}
+    reads = PARA_READS[kind, check]
+    code, rep = run_cli(capsys, *head,
+                        *(arg for name in reads for arg in given[name]))
+    assert (code, rep["status"]) == (0, "pass"), rep["results"]
+    assert {name for name in given
+            if rep["parameters"][name] is not None} == reads
     validate(rep, schema)
-    code, rep = run_cli(capsys, "para", "--kind", "fermi", "--p", "2",
-                        "--cap", "1", "--check", "vacuum")
-    assert code == 0
+    for name in given.keys() - reads:
+        code, rep = run_cli(capsys, *head, *given[name])
+        assert (code, rep["status"]) == (1, "error")
+        assert rep["results"]["error"] == (
+            f"ValueError: --kind {kind} --check {check} does not read "
+            f"--{name}")
+        validate(rep, schema)
+    code, rep = run_cli(capsys, *head)
+    if "cap" in reads:
+        # required: the cap sets the protected states
+        assert rep["results"]["error"] == (
+            "ValueError: parabose realizations need a positive cap")
+    else:
+        # an absent --modes reads as 2, the value the report gives
+        assert (code, rep["parameters"]["modes"]) == (
+            0, 2 if "modes" in reads else None)
+
+
+PARA_README_REPORT = """\
+{
+  "elapsed": 0.0,
+  "parameters": {
+    "cap": null,
+    "check": "trilinear",
+    "kind": "fermi",
+    "modes": 2,
+    "p": 2,
+    "stable_output": true,
+    "subcommand": "para"
+  },
+  "results": {
+    "dim": 16,
+    "exact": true,
+    "kind": "parafermi",
+    "max_residual": 0,
+    "modes": 2,
+    "p": 2,
+    "protected_only": false,
+    "protected_states": 16
+  },
+  "status": "pass",
+  "subcommand": "para"
+}
+"""
+
+
+def test_readme_para_report_is_unchanged(capsys):
+    assert cli.run(["--stable-output", "para", "--kind", "fermi", "--p", "2",
+                    "--check", "trilinear"]) == 0
+    assert capsys.readouterr().out == PARA_README_REPORT
 
 
 def test_para_past_the_work_limit_is_refused_before_any_work(capsys,
@@ -460,7 +566,7 @@ def test_para_past_the_work_limit_is_refused_before_any_work(capsys,
     ["--kind", "bose", "--p", "2", "--modes", "3", "--cap", "3",
      "--check", "trilinear"],
     ["--kind", "fermi", "--p", "3", "--modes", "4", "--check", "vacuum"],
-    ["--kind", "fermi", "--p", "3", "--modes", "4", "--check", "occupancy"],
+    ["--kind", "bose", "--p", "3", "--check", "occupancy"],
 ])
 def test_para_passes_where_the_dense_build_was_refused(capsys, schema, argv):
     # dimension 4096: the dense float64 realizations of these took more
@@ -637,11 +743,11 @@ def test_stable_output_verify_all_byte_identical(capsys, monkeypatch):
         lambda: time.sleep(0.005) or {"passed": True})
     monkeypatch.setattr(verify, "ALL_CRITERIA", CHEAP_CRITERIA + [slow])
     cli.run(["--stable-output", "verify-all"])
-    first = capsys.readouterr().out
+    first = capsys.readouterr()
     cli.run(["--stable-output", "verify-all"])
-    second = capsys.readouterr().out
-    assert first == second
-    rep = json.loads(first)
+    assert capsys.readouterr() == first     # stdout and stderr
+    assert first.err.count("(0.0s)\n") == 3
+    rep = json.loads(first.out)
     assert rep["elapsed"] == 0.0
     assert rep["results"]["elapsed"] == 0.0
     assert [c["elapsed"] for c in rep["results"]["criteria"]] == [0.0] * 3

@@ -172,13 +172,12 @@ def test_work_estimate_counts_the_term_applications(kind, p, modes, cap,
     assert count[0] <= modes ** 2 * (p + 1) ** 2
 
 
-@pytest.mark.parametrize("kind,p,modes,cap", [
-    ("parafermi", 2, 2, None), ("parafermi", 8, 1, None),
-    ("parabose", 2, 3, 2), ("parabose", 4, 5, 1)])
-def test_occupancy_estimate_bounds_its_term_applications(kind, p, modes, cap,
+@pytest.mark.parametrize("kind,p", [
+    ("parafermi", 2), ("parafermi", 8), ("parabose", 2), ("parabose", 4)])
+def test_occupancy_estimate_bounds_its_term_applications(kind, p,
                                                          monkeypatch):
     count = _count_term_applications(monkeypatch)
-    check_occupancy(kind, p, modes, cap)
+    check_occupancy(kind, p)
     sym = kind == "parafermi"
     estimate = (p + 1) ** 2 * p * (2 ** p if sym
                                    else math.factorial(p + 1) * p ** p)
@@ -414,17 +413,23 @@ def test_parabose_antisymmetric_bound():
 def test_occupancy_of_p8_is_fast():
     # all 9! orderings of (0,)*9 are one ordering
     t0 = time.perf_counter()
-    rep, passed = check_occupancy("parafermi", 8, 1)
+    rep, passed = check_occupancy("parafermi", 8)
     assert time.perf_counter() - t0 < 1.0
     assert passed
     assert rep["norms"]["same_mode_n8"] == math.factorial(8) ** 2
     assert rep["norms"]["same_mode_n9"] == 0
 
 
-def test_occupancy_takes_only_the_modes_its_words_touch():
-    rep, passed = check_occupancy("parafermi", 3, 10 ** 6)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_parabose_occupancy_at_cap_1_equals_a_larger_cap(p):
+    # check_occupancy builds parabose at cap 1: the antisymmetrized
+    # distinct-mode word never puts two quanta on one site
+    rep, passed = check_occupancy("parabose", p)
     assert passed
-    assert rep == check_occupancy("parafermi", 3, 1)[0]
+    r = build_green("parabose", p, p + 1, cap=3)
+    assert rep["norms"] == {
+        f"distinct_modes_n{n}": max_occupancy(r, tuple(range(n)), False)
+        for n in range(1, p + 2)}
 
 
 def test_gentile_demo_quarter_turn():

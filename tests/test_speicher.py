@@ -204,10 +204,24 @@ def test_float_contraction_matches_exact(word, n, q, seed, data):
     diagrams = enumerate_contractions(word)
     assume(diagrams)
     plan = speicher._plan_contraction(data.draw(st.sampled_from(diagrams)),
-                                      n, 1)
+                                      n)
     signs = sample_sign_matrix(n, q, seed)[None]
     exact = speicher._assignment_sum(plan, signs.astype(object), n)
     assert speicher._assignment_sum(plan, signs.astype(float), n) == exact
+
+
+@settings(max_examples=50, deadline=None)
+@given(chord_words(max_pairs=6), st.one_of(st.integers(1, 12), st.just(100)))
+def test_plans_do_not_depend_on_the_stack_length(word, n):
+    # a plan is made on a stack of one sign matrix and serves blocks of any
+    # length; numpy's greedy path must not change with the batch label's
+    # size (13 is the block at N = 100)
+    like = np.broadcast_to(0.0, (13, n, n))
+    for plan in speicher._plan_word(word, n):
+        if plan.edges:
+            path = np.einsum_path(*speicher._operands(plan.edges, like),
+                                  [speicher._BATCH], optimize="greedy")[0]
+            assert plan.path == path
 
 
 @settings(max_examples=40, deadline=None)
@@ -417,7 +431,7 @@ def test_work_budget():
     with pytest.raises(speicher.ContractionLimitError, match="multiply-adds"):
         mc_estimate(word, 1.0, 100, 2, seed=0)
     # a chain at N = 200 and 2000 samples takes about a second
-    plans = speicher._plan_word(chain_word(3), 200, 3)
+    plans = speicher._plan_word(chain_word(3), 200)
     assert speicher._contraction_work(plans, 2000, 200) == \
         2000 * (200 + 2 * 200 ** 2)
 
