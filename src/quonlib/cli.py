@@ -160,6 +160,9 @@ def _cmd_para(args):
     # the report's parameters give the mode count the check read
     if args.modes is None:
         args.modes = 2
+    if "cap" in reads and args.cap is None:
+        raise ValueError(f"--kind {args.kind} --check {args.check} "
+                         f"needs --cap")
     # the vacuum check creates one quantum, which cap 1 holds
     cap = args.cap if args.check == "trilinear" else 1
     r = parastat.build_green(kind, args.p, args.modes, cap=cap)

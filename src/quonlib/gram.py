@@ -201,53 +201,22 @@ def _det_bareiss_int(rows):
     return sign * pivot if rank == len(rows) else 0
 
 
-def _interpolate_newton(points, values):
-    """The integer polynomial through (points[i], values[i]), by Newton's
-    divided differences, for distinct integer points and integer values.
-
-    Each divided difference of an integer polynomial at integer points is
-    an integer: that of q^m over x_0..x_k is the complete homogeneous
-    symmetric polynomial h_(m-k)(x_0, ..., x_k) of the points, and divided
-    differences are linear in the values.  So every division is exact
-    integer division; a nonzero remainder means no integer polynomial
-    takes these values, and raises ValueError rather than give a wrong
-    polynomial.
-    """
-    n = len(points)
-    coeffs = list(values)  # divided differences, in place
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            quotient, remainder = divmod(coeffs[i] - coeffs[i - 1],
-                                         points[i] - points[i - level])
-            if remainder:
-                raise ValueError(
-                    f"no integer polynomial takes these values: divided "
-                    f"difference {level} at point {points[i]} is not an "
-                    f"integer")
-            coeffs[i] = quotient
-    # expand the Newton form into monomial coefficients by Horner's rule,
-    # poly <- poly * (q - x) + c, on a plain coefficient list
-    poly = []
-    for x, c in zip(reversed(points), reversed(coeffs)):
-        shifted = [0] + poly
-        for k, p in enumerate(poly):
-            shifted[k] -= x * p
-        shifted[0] += c
-        poly = shifted
-    return QPoly(poly)
-
-
 def det_exact(entries):
-    """Exact determinant of a square matrix of QPoly entries, by evaluation
-    at integer points and interpolation.
+    """Exact determinant of a square matrix of QPoly entries, by one
+    integer determinant at q = 2^shift.
 
     Each row is first scaled by the lcm of its coefficients' denominators,
-    so the scaled determinant is a polynomial with integer coefficients and
-    its value at an integer point is an integer, from one fraction-free
-    integer Bareiss.  Its divided differences at the integer points are
-    then integers too (see _interpolate_newton), so the interpolation runs
-    on ints alone; the polynomial is then divided by the product of the
-    row scales.
+    so the scaled determinant D is a polynomial with integer coefficients
+    and its value at an integer point is an integer, from one fraction-free
+    integer Bareiss.  Every coefficient of D is below the product H of the
+    scaled rows' bounds isqrt(sum_j |e_ij|_1^2) + 1: on |q| = 1 an entry
+    is at most its l1 norm, Hadamard's inequality bounds |D(q)| there by
+    the product of the rows' Euclidean norms, and Cauchy's estimate bounds
+    every coefficient of D by the maximum of |D| on that circle.  So
+    D(2^shift) with shift = H.bit_length() + 1 reads back as D
+    (QPoly.from_packed), which is then divided by the product of the row
+    scales.  A coefficient past the sum of the rows' degrees cannot be one
+    of D, and raises ValueError rather than give a wrong polynomial.
     """
     m = len(entries)
     if any(len(row) != m for row in entries):
@@ -257,17 +226,16 @@ def det_exact(entries):
     scaled = [[e * s for e in row] for row, s in zip(entries, scales)]
     bound = sum(max((e.degree for e in row if not e.is_zero()), default=0)
                 for row in entries)
-    # symmetric integer sample points keep the magnitudes down
-    points = [0]
-    t = 1
-    while len(points) < bound + 1:
-        points.append(t)
-        if len(points) < bound + 1:
-            points.append(-t)
-        t += 1
-    values = [_det_bareiss_int([[e(x) for e in row] for row in scaled])
-              for x in points]
-    det = _interpolate_newton(points, values)
+    height = math.prod(
+        math.isqrt(sum(sum(map(abs, e.coeffs)) ** 2 for e in row)) + 1
+        for row in scaled)
+    shift = height.bit_length() + 1
+    x = 1 << shift
+    det = QPoly.from_packed(
+        _det_bareiss_int([[e(x) for e in row] for row in scaled]), shift)
+    if det.degree > bound:
+        raise ValueError(f"determinant read back with degree {det.degree},"
+                         f" past the degree bound {bound}")
     scale = math.prod(scales)
     return QPoly([Fraction(c, scale) for c in det.coeffs])
 

@@ -6,10 +6,10 @@ The single defining relation is
 
 with no relation at all between two creators or two annihilators.
 Everything here is exact.  Rewriting (vacuum_expectation) runs on words
-coded as ints with int coefficient tuples, and returns one QPoly.  The
-free Fock action's coefficients live in the polynomial ring QPoly, or,
-where it is taken at q = 0 (the observables), in the integers and
-Fractions of the state it acts on.  The action itself is written once, in
+coded as ints with each polynomial packed into one int, and returns one
+QPoly.  The free Fock action's coefficients live in the polynomial ring
+QPoly, or, where it is taken at q = 0 (the observables), in the integers
+and Fractions of the state it acts on.  The action itself is written once, in
 apply_symbol.
 
 Conventions
@@ -59,27 +59,39 @@ def vacuum_expectation(word):
 
     The word is coded once, each distinct mode label (any hashable) as a
     positive int in order of first appearance, +m for a creator and -m for
-    an annihilator.  The rewriting runs on those codes with int coefficient
-    tuples and a memo that lives for this call only; the QPoly is built
-    once, from the final tuple.
+    an annihilator.  The rewriting runs on those codes with a memo that
+    lives for this call only, each polynomial packed as its value at
+    q = 2^shift (see QPoly.from_packed), and reads the QPoly back once.
+    Its coefficient of q^k counts the contractions with k crossings, at
+    most bound: the product over annihilators of the creators of the same
+    code to their right.  That holds at every memoised subword, as swaps
+    and contractions only shrink each annihilator's candidates and a
+    subword's coefficients count its own contractions; so no digit carries.
     """
     codes = {}
     coded = []
     for kind, mode in word:
         code = codes.setdefault(mode, len(codes) + 1)
         coded.append(code if kind == CREATOR else -code)
-    return QPoly(_rewrite(tuple(coded), {}))
+    bound, creators = 1, {}
+    for code in reversed(coded):
+        if code > 0:
+            creators[code] = creators.get(code, 0) + 1
+        else:
+            bound *= creators.get(-code, 0)
+    shift = bound.bit_length() + 1
+    return QPoly.from_packed(_rewrite(tuple(coded), {}, shift), shift)
 
 
-def _rewrite(word, memo):
-    """Coefficients, constant term first and without trailing zeros, of
-    the vacuum expectation of a coded word (see vacuum_expectation)."""
+def _rewrite(word, memo, shift):
+    """The vacuum expectation of a coded word at q = 2^shift (see
+    vacuum_expectation)."""
     if not word:
-        return (1,)
+        return 1
     if word[0] > 0 or word[-1] < 0:
         # a surviving creator on the left (or annihilator on the right)
         # can never be removed by the rewriting
-        return ()
+        return 0
     cached = memo.get(word)
     if cached is not None:
         return cached
@@ -89,19 +101,10 @@ def _rewrite(word, memo):
     while not word[i] < 0 < word[i + 1]:
         i += 1
     a, c = word[i], word[i + 1]
-    swapped = _rewrite(word[:i] + (c, a) + word[i + 2:], memo)
-    # times q: a shift by one power
-    result = (0,) + swapped if swapped else ()
+    # times q: a shift by one digit
+    result = _rewrite(word[:i] + (c, a) + word[i + 2:], memo, shift) << shift
     if a == -c:
-        contracted = _rewrite(word[:i] + word[i + 2:], memo)
-        if len(result) < len(contracted):
-            result, contracted = contracted, result
-        result = list(result)
-        for j, coeff in enumerate(contracted):
-            result[j] += coeff
-        while result and result[-1] == 0:
-            result.pop()
-        result = tuple(result)
+        result += _rewrite(word[:i] + word[i + 2:], memo, shift)
     memo[word] = result
     return result
 

@@ -12,6 +12,10 @@ power of a polynomial with at most two terms, (c0 q^s + c1 q^t)^e, is
 written down by the binomial theorem with no multiplication of
 polynomials; Zagier's factors (1 - q^d)^e are of this form.  All give
 the coefficients the dense schoolbook loop gives, exactly.
+
+An integer polynomial p can also be packed as one int, p(2^s) (Kronecker
+substitution).  QPoly.from_packed is the one read-back, for gram, qfock
+and wick, each of which takes s from a proven coefficient bound.
 """
 
 from __future__ import annotations
@@ -59,6 +63,25 @@ class QPoly:
         if coeff == 0:
             return _ZERO
         return cls([0] * power + [coeff])
+
+    @classmethod
+    def from_packed(cls, value, shift):
+        """The integer polynomial p, unique, with p(2^shift) = value and
+        every |coefficient| < 2^(shift - 1): the balanced base-2^shift
+        digits of value, lowest first.  Below shift 2 only 0 packs."""
+        if shift < 2 and value:
+            raise ValueError(f"{value} is no packed polynomial at shift"
+                             f" {shift}: only 0 is")
+        base = 1 << shift
+        mask, half = base - 1, base >> 1
+        coeffs = []
+        while value:
+            digit = value & mask
+            if digit >= half:
+                digit -= base
+            coeffs.append(digit)
+            value = (value - digit) >> shift
+        return _from_normalized(tuple(coeffs))
 
     # -- ring structure ------------------------------------------------
 

@@ -35,8 +35,8 @@ raises ContractionLimitError when it is planned.  So does a call whose
 estimated work exceeds _WORK_BUDGET multiply-adds: _path_work, N^(labels
 a step loops over) summed over the steps of every diagram's path, times
 the samples contracted (every sample where signs are drawn, one where
-they are fixed).  mc_estimate refuses more than _MAX_SAMPLES samples
-before it allocates anything.
+they are fixed), summed as each diagram is planned.  mc_estimate refuses
+more than _MAX_SAMPLES samples before it allocates anything.
 """
 
 from __future__ import annotations
@@ -156,22 +156,21 @@ def _path_work(edges, path, n):
     return work
 
 
-def _plan_word(word, n_components):
-    """Plans of every diagram of word."""
-    return [_plan_contraction(diagram, n_components)
-            for diagram in enumerate_contractions(word)]
-
-
-def _contraction_work(plans, samples, n_components):
-    """samples times the work of every plan: the multiply-adds of
-    contracting samples sign matrices; raises ContractionLimitError when
-    that exceeds _WORK_BUDGET."""
-    work = samples * sum(p.work for p in plans)
-    if work > _WORK_BUDGET:
-        raise ContractionLimitError(
-            f"estimated {work:.3g} multiply-adds ({samples} samples at"
-            f" N={n_components}) exceed the budget of {_WORK_BUDGET:.0e}")
-    return work
+def _plan_word(word, n_components, samples=1):
+    """Plans of every diagram of word, for contracting samples sign
+    matrices; the first running sum of their work past _WORK_BUDGET
+    raises ContractionLimitError, as the total would be past it too."""
+    plans, work = [], 0
+    for diagram in enumerate_contractions(word):
+        plan = _plan_contraction(diagram, n_components)
+        plans.append(plan)
+        work += samples * plan.work
+        if work > _WORK_BUDGET:
+            raise ContractionLimitError(
+                f"estimated at least {work:.3g} multiply-adds ({samples}"
+                f" samples at N={n_components}) exceed the budget of"
+                f" {_WORK_BUDGET:.0e}")
+    return plans
 
 
 def _operands(edges, signs):
@@ -255,7 +254,6 @@ def expectation_given_signs(word, signs):
     n = signs.shape[0]
     _check_symmetric(signs)
     plans = _plan_word(word, n)
-    _contraction_work(plans, 1, n)
     # a batch of one, in exact big-int arithmetic
     batch = signs.astype(object)[None]
     total = sum(int(_assignment_sum(plan, batch, n)[0]) for plan in plans)
@@ -397,13 +395,16 @@ def mc_estimate(word, q, n_components, samples, seed):
         raise ValueError("need at least one component")
     _check_q(q)
     n = n_components
-    plans = _plan_word(word, n)
+    plus = (1.0 + q) / 2.0
+    # every sample is contracted where signs vary, else one; a word with
+    # no crossing has no work either way
+    contracted = samples if 0.0 < plus < 1.0 else 1
+    plans = _plan_word(word, n, contracted)
+    work = contracted * sum(plan.work for plan in plans)
     n_chords = len(word) // 2
     denom = float(n) ** n_chords if n_chords else 1.0
-    plus = (1.0 + q) / 2.0
     crossed = any(plan.edges for plan in plans)
     drawn = 0.0 < plus < 1.0 and crossed
-    work = _contraction_work(plans, samples if drawn else 1, n)
     values = np.empty(samples)
     if drawn:
         batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))

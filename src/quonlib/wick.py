@@ -101,15 +101,17 @@ def wick_expectation(word):
 
     One pass over the annihilators, left to right, keeps for each set of
     used creators the crossing histogram of the partial matchings that used
-    exactly those.  A histogram is packed into one integer, the number of
-    matchings with k crossings in bits [k * width, (k + 1) * width): adding
-    a chord with c new crossings shifts it by c * width bits, and merging
-    two adds them.  width holds the product of the candidate counts, which
-    bounds the number of partial matchings at every step, so no count
-    carries into its neighbour.
+    exactly those.  A histogram is packed into one integer, its polynomial
+    at q = 2^width (see QPoly.from_packed), the number of matchings with k
+    crossings in bits [k * width, (k + 1) * width): adding a chord with c
+    new crossings shifts it by c * width bits, and merging two adds them.
+    The product of the candidate counts bounds the number of partial
+    matchings at every step, and width is one bit past it, so no count
+    carries into its neighbour and each is below 2^(width - 1), as the
+    read-back needs.
     """
     _, table = _chord_table(word)
-    width = prod(len(options) for options in table).bit_length()
+    width = prod(len(options) for options in table).bit_length() + 1
     layer = {0: 1}
     for options in table:
         nxt = defaultdict(int)
@@ -121,10 +123,4 @@ def wick_expectation(word):
         layer = nxt
     # after the last annihilator every creator is used: one state, or none
     # when the word has no complete contraction
-    packed = sum(layer.values())
-    mask = (1 << width) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & mask)
-        packed >>= width
-    return QPoly(coeffs)
+    return QPoly.from_packed(sum(layer.values()), width)

@@ -505,7 +505,7 @@ def test_para_reads_only_the_options_its_check_uses(capsys, schema, kind,
     if "cap" in reads:
         # required: the cap sets the protected states
         assert rep["results"]["error"] == (
-            "ValueError: parabose realizations need a positive cap")
+            f"ValueError: --kind {kind} --check {check} needs --cap")
     else:
         # an absent --modes reads as 2, the value the report gives
         assert (code, rep["parameters"]["modes"]) == (

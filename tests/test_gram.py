@@ -279,20 +279,69 @@ def test_det_exact_rational_rows_9x9():
 rational_polys = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
     max_size=3).map(QPoly)
+# large coefficients of either sign, integers or not, where the packing
+# shift has to be taken from the coefficient bound rather than the degree
+wide_polys = st.lists(
+    st.one_of(st.integers(-10 ** 6, 10 ** 6),
+              st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                           max_denominator=1000)),
+    max_size=4).map(QPoly)
 
 
 @st.composite
-def square_poly_matrices(draw):
-    m = draw(st.integers(1, 4))
-    return [[draw(rational_polys) for _ in range(m)] for _ in range(m)]
+def square_poly_matrices(draw, polys=rational_polys, largest=4):
+    m = draw(st.integers(1, largest))
+    return [[draw(polys) for _ in range(m)] for _ in range(m)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_poly_matrices())
+@given(st.one_of(square_poly_matrices(),
+                 square_poly_matrices(wide_polys, largest=3)))
 def test_both_det_exact_paths_agree(entries):
-    # interpolation (det_exact) against the polynomial Bareiss oracle
+    # one evaluation (det_exact) against the polynomial Bareiss oracle
     reference = det_bareiss_poly([list(row) for row in entries])
     assert gram.det_exact(entries) == reference
+
+
+def sylvester_hadamard(order):
+    """The ±1 Sylvester-Hadamard matrix of an order that is a power of 2:
+    its rows are orthogonal, so Hadamard's inequality holds with
+    equality, the tight case of det_exact's coefficient bound."""
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+@pytest.mark.parametrize("power", [0, 3])
+def test_det_exact_of_hadamard_matrices(order, power):
+    entries = [[QPoly.monomial(power, x) for x in row]
+               for row in sylvester_hadamard(order)]
+    reference = det_bareiss_poly([list(row) for row in entries])
+    # |det H| = order^(order/2), reached by no smaller bound
+    assert abs(reference.coeffs[-1]) == order ** (order // 2)
+    assert gram.det_exact(entries) == reference
+
+
+def test_det_exact_takes_one_integer_determinant(monkeypatch):
+    calls = []
+    bareiss = gram._det_bareiss_int
+    monkeypatch.setattr(gram, "_det_bareiss_int",
+                        lambda rows: calls.append(rows) or bareiss(rows))
+    entries = gram.gram_matrix(3).entries
+    assert gram.det_exact(entries) == gram.zagier_determinant(3)
+    assert len(calls) == 1
+
+
+def test_det_exact_refuses_a_value_past_the_degree_bound(monkeypatch):
+    # a faulty integer determinant whose digits reach past the sum of the
+    # rows' degrees reads back as no determinant of these entries
+    bareiss = gram._det_bareiss_int
+    monkeypatch.setattr(gram, "_det_bareiss_int",
+                        lambda rows: bareiss(rows) * rows[0][1] ** 3)
+    with pytest.raises(ValueError, match="past the degree bound 2"):
+        gram.det_exact(gram.gram_matrix(2).entries)
 
 
 small_ints = st.integers(min_value=-3, max_value=3)
@@ -383,38 +432,3 @@ def test_n5_float_agreement():
         dv = float(np.linalg.det(g.evaluate_float(x)))
         zv = gram.zagier_eval_float(5, x)
         assert dv == pytest.approx(zv, rel=1e-9)
-
-
-def test_interpolation_helper_roundtrip():
-    p = QPoly([3, -2, 0, 5])
-    points = list(range(-2, 3))
-    values = [p(x) for x in points]
-    assert gram._interpolate_newton(points, values) == p
-
-
-def test_interpolation_refuses_values_of_no_integer_polynomial():
-    # q(q - 1)/2 is an integer at every integer q, yet not an integer
-    # polynomial: its second divided difference is 1/2
-    with pytest.raises(ValueError, match="no integer polynomial"):
-        gram._interpolate_newton([0, 1, -1], [0, 0, 1])
-    with pytest.raises(ValueError, match="no integer polynomial"):
-        gram._interpolate_newton([0, 2], [0, 1])
-
-
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7))
-def test_interpolation_raises_exactly_off_the_integer_polynomials(values):
-    points = [0, 1, -1, 2, -2, 3, -3][:len(values)]
-    # the Fraction interpolant through the same values, by Lagrange
-    rational = QPoly.zero()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        term = QPoly([yi])
-        for j, xj in enumerate(points):
-            if j != i:
-                term = term * QPoly([Fraction(-xj, xi - xj),
-                                     Fraction(1, xi - xj)])
-        rational = rational + term
-    if all(type(c) is int for c in rational.coeffs):
-        assert gram._interpolate_newton(points, values) == rational
-    else:
-        with pytest.raises(ValueError, match="no integer polynomial"):
-            gram._interpolate_newton(points, values)

@@ -149,6 +149,14 @@ def test_rewriting_does_no_polynomial_arithmetic(monkeypatch):
     assert [vacuum_expectation(w) for w in words] == values
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_single_mode_moment_against_normal_ordering(n):
+    # a1^n c1^n has n! contractions, as many as the rewriting's
+    # coefficient bound allows; normal_order never packs a polynomial
+    word = (("a", 1),) * n + (("c", 1),) * n
+    assert vacuum_expectation(word) == normal_order(word).get((), QPoly.zero())
+
+
 def test_vacuum_expectation_examples():
     assert vacuum_expectation(parse_word("a0 c0")) == ONE
     assert vacuum_expectation(parse_word("a0 a1 c0 c1")) == Q

@@ -169,3 +169,33 @@ def test_zagier_determinant_equals_factor_by_factor_dense_expansion(n):
         expanded = dense_product(expanded, factor)
     assert exact_coeffs(zagier_determinant(n)) == exact_coeffs(
         QPoly(expanded))
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda shift: st.tuples(
+        st.just(shift),
+        st.lists(st.integers(-(2 ** (shift - 1)) + 1, 2 ** (shift - 1) - 1),
+                 max_size=8))))
+def test_packed_round_trip(shift_coeffs):
+    # every integer polynomial with |c| < 2^(shift - 1), zero and negative
+    # ones included, reads back from its value at 2^shift
+    shift, coeffs = shift_coeffs
+    p = QPoly(coeffs)
+    back = QPoly.from_packed(p(2 ** shift), shift)
+    assert back == p
+    assert back.coeffs == p.coeffs
+
+
+def test_packed_examples():
+    assert QPoly.from_packed(0, 4) == QPoly.zero()
+    # 1 - 2^4 is 1 - q at q = 2^4
+    assert QPoly.from_packed(1 - 16, 4) == QPoly([1, -1])
+    assert QPoly.from_packed(7 + 7 * 16, 4) == QPoly([7, 7])
+    # the balanced digits of base 16 run from -8 to 7, so 8 = -8 + 16
+    assert QPoly.from_packed(8, 4) == QPoly([-8, 1])
+    # no digit but 0 has |c| < 2^(shift - 1) below shift 2
+    assert QPoly.from_packed(0, 1) == QPoly.zero()
+    for shift in (0, 1):
+        for value in (1, -1, 5):
+            with pytest.raises(ValueError, match="no packed polynomial"):
+                QPoly.from_packed(value, shift)

@@ -431,9 +431,23 @@ def test_work_budget():
     with pytest.raises(speicher.ContractionLimitError, match="multiply-adds"):
         mc_estimate(word, 1.0, 100, 2, seed=0)
     # a chain at N = 200 and 2000 samples takes about a second
-    plans = speicher._plan_word(chain_word(3), 200)
-    assert speicher._contraction_work(plans, 2000, 200) == \
+    plans = speicher._plan_word(chain_word(3), 200, 2000)
+    assert 2000 * sum(plan.work for plan in plans) == \
         2000 * (200 + 2 * 200 ** 2)
+
+
+def test_a_word_past_the_budget_is_refused_before_it_is_planned_out(
+        monkeypatch):
+    # 7! = 5040 diagrams, the parent planned every one before refusing
+    word = parse_word("a1 " * 7 + "c1 " * 7)
+    calls = []
+    path = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *a, **k: calls.append(1) or path(*a, **k))
+    with pytest.raises(speicher.ContractionLimitError,
+                       match="estimated at least .* multiply-adds"):
+        mc_estimate(word, 0.5, 10, 200, seed=0)
+    assert 0 < len(calls) < 500
 
 
 def test_sample_bound():
