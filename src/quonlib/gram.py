@@ -23,13 +23,18 @@ holds each irreducible rho_lambda f_lambda times.  By Frobenius,
     det M_n = prod_lambda det(T_lambda)^f_lambda,
     T_lambda = sum_w f(w) rho_lambda(w),
 
-over the irreducible representations rho_lambda of dimension f_lambda,
-taken in Young's seminormal form (rational matrices from standard
-tableaux and contents).  det_gram_exact computes det M_n this way, from
-blocks of size at most 6 at n = 5, in one walk over S_n that never forms
-M_n.  It reads f(w) from the Fock action, as gram_matrix does, and uses
-neither the inversion count nor the product formula, so its agreement
-with zagier_determinant still tests the Fock action against Zagier.
+over the irreducible representations rho_lambda of dimension f_lambda.
+One walk over S_n (_group_blocks) builds every block, reading f(w) from
+the Fock action as gram_matrix does, and never forms M_n.
+det_gram_exact takes the blocks in Young's seminormal form (rational
+matrices from standard tableaux and contents), of size at most 6 at
+n = 5; it uses neither the inversion count nor the product formula, so
+its agreement with zagier_determinant still tests the Fock action
+against Zagier.  positivity_scan takes them in Young's orthogonal form,
+where rho_lambda(w^-1) = rho_lambda(w)^T: when f(w) = f(w^-1), which it
+checks on the walk's row, each T_lambda(q) is real symmetric and the
+eigenvalues of M_n(q) are those of the blocks, each repeated f_lambda
+times, so it finds the least eigenvalue with no n! x n! array.
 """
 
 from __future__ import annotations
@@ -273,19 +278,18 @@ def standard_tableaux(shape):
     return out
 
 
-def seminormal_generators(shape):
-    """Young's seminormal matrices of the transpositions s_i = (i, i+1).
-
-    Returns one matrix for each i = 0..n-2, on the basis of
+def _young_generators(shape, entries):
+    """Matrices of the transpositions s_i = (i, i+1) in one of Young's
+    forms.  Returns one matrix for each i = 0..n-2, on the basis of
     standard_tableaux(shape), as its columns: column T is the list of
     (row, value) pairs of rho(s_i) v_T.  With d the content (column - row)
-    of i+1 minus that of i in T,
+    of i+1 minus that of i in T and (a, b) = entries(d),
 
-        rho(s_i) v_T = v_T / d + (1 + 1/d) v_{s_i T},
+        rho(s_i) v_T = a v_T + b v_{s_i T},
 
     the second term absent when i and i+1 share a row or a column of T
     (d = +-1), where s_i T is not standard.  So each column has at most
-    two nonzeros, all rational.
+    two nonzeros.
     """
     tableaux = standard_tableaux(shape)
     index = {t: k for k, t in enumerate(tableaux)}
@@ -295,13 +299,28 @@ def seminormal_generators(shape):
         for t in tableaux:
             (r0, c0), (r1, c1) = t[i], t[i + 1]
             d = (c1 - r1) - (c0 - r0)
-            col = [(index[t], Fraction(1, d))]
+            a, b = entries(d)
+            col = [(index[t], a)]
             if abs(d) > 1:
                 swapped = t[:i] + (t[i + 1], t[i]) + t[i + 2:]
-                col.append((index[swapped], 1 + Fraction(1, d)))
+                col.append((index[swapped], b))
             cols.append(col)
         gens.append(cols)
     return gens
+
+
+def seminormal_generators(shape):
+    """Young's seminormal form, a = 1/d and b = 1 + 1/d: rational entries,
+    so the blocks of det_gram_exact are exact."""
+    return _young_generators(shape, lambda d: (Fraction(1, d),
+                                               1 + Fraction(1, d)))
+
+
+def orthogonal_generators(shape):
+    """Young's orthogonal form, a = 1/d and b = sqrt(1 - 1/d^2), in floats:
+    every rho(s_i) is symmetric and orthogonal, so rho(w^-1) = rho(w)^T."""
+    return _young_generators(shape, lambda d: (1 / d,
+                                               math.sqrt(1 - 1 / d ** 2)))
 
 
 def _times_generator(rho, gen):
@@ -320,14 +339,16 @@ def _times_generator(rho, gen):
     return out
 
 
-def det_gram_exact(n):
-    """det M_n(q) exactly, block by block over the irreducibles of S_n,
-    for n up to EXACT_LIMIT.
+def _group_blocks(n, generators):
+    """The exponent row and the blocks of M_n, from one walk over S_n.
 
-    M_n is the group matrix M[i, j] = q^f(u_i^-1 u_j) of the exponents f
-    the Fock action gives, so det M_n is the product over partitions lambda
-    of det(T_lambda)^f_lambda, with T_lambda = sum_w q^f(w) rho_lambda(w)
-    and f_lambda = dim rho_lambda.
+    Returns (row, blocks): row maps each one-line w to f(w), the exponent
+    of <id, w> = q^f(w) from the Fock action, and blocks holds, for each
+    shape lambda of partitions(n), the coefficients of T_lambda =
+    sum_w q^f(w) rho_lambda(w): its entry e is the sum of rho_lambda(w)
+    over the w with f(w) = e, as a list of columns, for e = 0 .. max f.
+    rho_lambda is generated by generators(shape), the matrices of the s_i
+    in one of Young's forms.
 
     One depth-first walk reaches each w of S_n once, as w' s_(k-1) ... s_j
     with w' in S_k: w' with the letter k moved left to position j.  Only
@@ -335,20 +356,16 @@ def det_gram_exact(n):
     per shape, and each leaf adds its rho_lambda(w) into the coefficient of
     q^f(w) of every block.
     """
-    if not 1 <= n <= EXACT_LIMIT:
-        raise GramLimitError(f"n={n} outside supported range 1..{EXACT_LIMIT}"
-                             f" of the exact determinant")
     shapes = partitions(n)
-    gens = [seminormal_generators(shape) for shape in shapes]
+    gens = [generators(shape) for shape in shapes]
     dims = [len(standard_tableaux(shape)) for shape in shapes]
-    # per shape, the coefficient of q^e of T_lambda as a list of columns,
-    # for e = 0, 1, ... up to the largest exponent met
-    powers = [[] for _ in shapes]
+    row = {}
+    blocks = [[] for _ in shapes]
 
     def walk(k, w, rhos):
         if k == n:
-            e = _fock_exponent(w)
-            for by_power, rho, dim in zip(powers, rhos, dims):
+            e = row[w] = _fock_exponent(w)
+            for by_power, rho, dim in zip(blocks, rhos, dims):
                 while len(by_power) <= e:
                     by_power.append([[0] * dim for _ in range(dim)])
                 for total, col in zip(by_power[e], rho):
@@ -366,8 +383,25 @@ def det_gram_exact(n):
     walk(1, tuple(range(n)),
          [[[int(r == c) for r in range(dim)] for c in range(dim)]
           for dim in dims])
+    return row, blocks
+
+
+def det_gram_exact(n):
+    """det M_n(q) exactly, block by block over the irreducibles of S_n,
+    for n up to EXACT_LIMIT.
+
+    M_n is the group matrix M[i, j] = q^f(u_i^-1 u_j) of the exponents f
+    the Fock action gives, so det M_n is the product over partitions lambda
+    of det(T_lambda)^f_lambda, with T_lambda = sum_w q^f(w) rho_lambda(w)
+    in Young's seminormal form and f_lambda = dim rho_lambda.
+    """
+    if not 1 <= n <= EXACT_LIMIT:
+        raise GramLimitError(f"n={n} outside supported range 1..{EXACT_LIMIT}"
+                             f" of the exact determinant")
+    _, blocks = _group_blocks(n, seminormal_generators)
     det = QPoly.one()
-    for by_power, dim in zip(powers, dims):
+    for by_power in blocks:
+        dim = len(by_power[0])
         block = [[QPoly([coeff[c][r] for coeff in by_power])
                   for c in range(dim)] for r in range(dim)]
         det = det * det_exact(block) ** dim
@@ -386,18 +420,38 @@ def all_positive(scan):
 def positivity_scan(n, q_samples):
     """Minimum eigenvalue of M_n(q) at each sampled q in (-1, 1).
 
+    The eigenvalues of M_n are those of its blocks T_lambda(q) =
+    sum_w q^f(w) rho_lambda(w), each repeated f_lambda times, and with
+    rho_lambda in Young's orthogonal form every block is real symmetric
+    when f(w) = f(w^-1) for every w: the premise that M_n is symmetric,
+    checked exactly on the walk's row (ValueError if it fails).  Each
+    block is evaluated at all samples at once, from the powers of q times
+    its coefficient matrices, and no n! x n! array is formed.
+
     Not meaningful as a positivity claim at q -> +-1, where the
     determinant zeros sit on the unit circle.
     """
     for x in q_samples:
         if not -1 < float(x) < 1:
             raise ValueError(f"sample {x} not strictly inside (-1, 1)")
-    g = gram_matrix(n)
-    out = []
-    for x in q_samples:
-        eig = np.linalg.eigvalsh(g.evaluate_float(x))
-        out.append((float(x), float(eig.min())))
-    return out
+    if not 1 <= n <= BUILD_LIMIT:
+        raise GramLimitError(
+            f"n={n} outside supported range 1..{BUILD_LIMIT}")
+    row, blocks = _group_blocks(n, orthogonal_generators)
+    for w, e in row.items():
+        w_inv = tuple(sorted(range(n), key=w.__getitem__))
+        if row[w_inv] != e:
+            raise ValueError(f"f{w} = {e} but f{w_inv} = {row[w_inv]}: "
+                             f"M_{n} is not symmetric")
+    x = np.array([float(v) for v in q_samples])
+    powers = np.vander(x, max(row.values()) + 1, increasing=True)
+    lowest = np.full(len(x), np.inf)
+    for by_power in blocks:
+        # each coefficient as its list of columns: the transpose of a
+        # symmetric matrix
+        eig = np.linalg.eigvalsh(np.tensordot(powers, by_power, axes=1))
+        lowest = np.minimum(lowest, eig[:, 0])
+    return [(float(v), float(e)) for v, e in zip(x, lowest)]
 
 
 def rank_at_limit(n, sign):

@@ -21,6 +21,11 @@ from .qfock import inversions
 
 # term applications (one component on one code) a check may make
 WORK_LIMIT = 2 * 10 ** 7
+# 64-bit words of a state code whose big-integer work costs about as much
+# as a term application's fixed interpreter cost (about 100 ns against
+# about 0.9 ns a word); a term on a wider code counts as its width in
+# words over CODE_WORDS term applications
+CODE_WORDS = 128
 # protected states check_trilinear applies the relation to at once
 BATCH = 256
 # largest float squared norm gentile_demo counts as zero
@@ -31,8 +36,11 @@ class WorkLimitError(ValueError):
     """A check whose estimated work passes WORK_LIMIT."""
 
 
-def _refuse_past_limit(what, log_work):
-    """The estimate is in logs, as it can be too large to form."""
+def _refuse_past_limit(what, log_work, code_bits):
+    """The estimate is in logs, as it can be too large to form, and is
+    weighed by the width of the codes it acts on, code_bits bits."""
+    words = -(-code_bits // 64)
+    log_work += math.log(max(1, words / CODE_WORDS))
     if log_work > math.log(WORK_LIMIT):
         raise WorkLimitError(
             f"{what} takes about 10^{log_work / math.log(10):.1f} term "
@@ -60,6 +68,11 @@ class GreenRealization:
     @property
     def dim(self):
         return (self.cap + 1) ** (self.order * self.modes)
+
+    @property
+    def code_bits(self):
+        """The width of a state code: one field per site."""
+        return self.order * self.modes * self.cap.bit_length()
 
     def klein_string(self, alpha, k):
         """Sites signing component alpha of mode k: the earlier modes of
@@ -149,16 +162,18 @@ def check_trilinear(r):
     anticommutator for parabose, a commutator for parafermi; max_residual
     is 0 on a pass.  BATCH states at a time, tagged with their codes above
     the site fields, share each call of the action.  Estimate: protected
-    states x M^3 x (p + 1)^3.  A parabose cap below 2 protects no state,
-    and raises ValueError rather than pass over nothing."""
+    states x M^3 x (p + 1)^3, on codes twice as wide.  A parabose cap
+    below 2 protects no state, and raises ValueError rather than pass over
+    nothing."""
     sites, values = r.order * r.modes, len(r.protected_values())
     if not values:
         raise ValueError(f"parabose cap={r.cap} is below 2 and protects "
                          f"no state")
     _refuse_past_limit("check_trilinear", sites * math.log(values)
-                       + 3 * math.log(r.modes * (r.order + 1)))
+                       + 3 * math.log(r.modes * (r.order + 1)),
+                       2 * r.code_bits)
     inner = 1 if r.kind == "parabose" else -1
-    tag = sites * r.cap.bit_length()
+    tag = r.code_bits
     states = r.protected_states()
     worst = 0
     while batch := {x << tag | x: 1 for x in itertools.islice(states, BATCH)}:
@@ -174,7 +189,7 @@ def check_vacuum_conditions(r):
     """a_k|0> = 0, and measure c in a_k a†_l |0> = c delta_kl |0> (c = p,
     reported, not asserted).  Estimate: M^2 (p + 1)^2."""
     _refuse_past_limit("check_vacuum_conditions",
-                       2 * math.log(r.modes * (r.order + 1)))
+                       2 * math.log(r.modes * (r.order + 1)), r.code_bits)
     vacuum = {0: 1}
     kill = not any(r.annihilate(k, vacuum) for k in range(r.modes))
     consts, off = {}, 0
@@ -231,7 +246,8 @@ def check_occupancy(kind, p):
     r = build_green(kind, p, 1 if sym else p + 1, cap=1)
     _refuse_past_limit(
         "check_occupancy", 2 * math.log(p + 1) + math.log(p)
-        + (p * math.log(2) if sym else math.lgamma(p + 2) + p * math.log(p)))
+        + (p * math.log(2) if sym else math.lgamma(p + 2) + p * math.log(p)),
+        r.code_bits)
     name = "same_mode" if sym else "distinct_modes"
     norms = {f"{name}_n{n}":
              max_occupancy(r, (0,) * n if sym else tuple(range(n)), sym)

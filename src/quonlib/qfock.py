@@ -8,8 +8,9 @@ with no relation at all between two creators or two annihilators.
 Everything here is exact.  Rewriting (vacuum_expectation) runs on words
 coded as ints with each polynomial packed into one int, and returns one
 QPoly.  The free Fock action's coefficients live in the polynomial ring
-QPoly, or, where it is taken at q = 0 (the observables), in the integers
-and Fractions of the state it acts on.  The action itself is written once, in
+QPoly, in the ints of polynomials packed at q = 2^shift (q_inner_product),
+or, where it is taken at q = 0 (the observables), in the integers and
+Fractions of the state it acts on.  The action itself is written once, in
 apply_symbol.
 
 Conventions
@@ -23,6 +24,9 @@ Conventions
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 from .qpoly import QPoly
 
@@ -163,15 +167,21 @@ def q_inner_product(u, v):
     """<u, v> for Fock words as a QPoly, via the annihilator action on |v>.
 
     Equals the vacuum expectation of a_{u_n} ... a_{u_1} a†_{v_1} ... a†_{v_n};
-    zero whenever the label multisets differ.
+    zero whenever the label multisets differ.  The action runs on ints at
+    q = 2^shift and the QPoly is read back once (QPoly.from_packed): the
+    coefficient of q^k counts the label-respecting matchings of u with v
+    that pick up q^k, so every coefficient is at most their number, the
+    product over labels of (multiplicity)!, and no digit carries.
     """
     u, v = tuple(u), tuple(v)
     if len(u) == len(v) and sorted(u) == sorted(v):
-        state = {v: QPoly.one()}
+        bound = math.prod(map(math.factorial, Counter(v).values()))
+        shift = bound.bit_length() + 1
+        state = {v: 1}
         for m in u:
-            state = apply_symbol((ANNIHILATOR, m), state)
+            state = apply_symbol((ANNIHILATOR, m), state, 1 << shift)
         if state:
-            return state[()]
+            return QPoly.from_packed(state[()], shift)
     return QPoly.zero()
 
 

@@ -133,6 +133,41 @@ def test_positivity(capsys, schema):
     validate(rep, schema)
 
 
+def test_positivity_at_n6(capsys):
+    # the blocks of S_6 are at most 16 x 16; the 720 x 720 matrix is
+    # never formed
+    code, rep = run_cli(capsys, "positivity", "--n", "6", "--samples", "50")
+    assert code == 0
+    assert rep["results"]["all_positive"] is True
+    assert len(rep["results"]["eigen_table"]) == 50
+
+
+def positivity_range_report(n):
+    return (
+        '{\n'
+        '  "elapsed": 0.0,\n'
+        '  "parameters": {\n'
+        '    "hi": 0.98,\n'
+        '    "lo": -0.98,\n'
+        f'    "n": {n},\n'
+        '    "samples": 50,\n'
+        '    "stable_output": true,\n'
+        '    "subcommand": "positivity"\n'
+        '  },\n'
+        '  "results": {\n'
+        f'    "error": "GramLimitError: n={n} outside supported range 1..6"\n'
+        '  },\n'
+        '  "status": "error",\n'
+        '  "subcommand": "positivity"\n'
+        '}\n')
+
+
+@pytest.mark.parametrize("n", [0, 7])
+def test_positivity_outside_the_build_range(capsys, n):
+    assert cli.run(["--stable-output", "positivity", "--n", str(n)]) == 1
+    assert capsys.readouterr().out == positivity_range_report(n)
+
+
 @pytest.mark.parametrize("argv, option", [
     (["observables", "--modes", "0"], "--modes"),
     (["observables", "--check", "locality", "--modes", "-1"], "--modes"),

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -389,6 +390,115 @@ def test_exact_limit_enforced():
             gram.det_gram_exact(n)
     with pytest.raises(gram.GramLimitError):
         gram.gram_matrix(9)
+
+
+def dense_scan(n, q_samples):
+    """Oracle: the least eigenvalue of the whole n! x n! matrix at each q."""
+    g = gram.gram_matrix(n)
+    return [float(np.linalg.eigvalsh(g.evaluate_float(x)).min())
+            for x in q_samples]
+
+
+# criterion 3's samples, and those of the README's `positivity --n 4`
+SCAN_SAMPLES = list(np.linspace(-0.98, 0.98, 50))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_matches_the_dense_oracle(n):
+    scan = gram.positivity_scan(n, SCAN_SAMPLES)
+    assert [x for x, _ in scan] == SCAN_SAMPLES
+    np.testing.assert_allclose([e for _, e in scan],
+                               dense_scan(n, SCAN_SAMPLES), rtol=0, atol=1e-13)
+
+
+def test_scan_never_builds_the_gram_matrix(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"gram_matrix({n}) called")
+    monkeypatch.setattr(gram, "gram_matrix", refuse)
+    scan = gram.positivity_scan(5, SCAN_SAMPLES)
+    assert gram.all_positive(scan)
+
+
+def inverse(w):
+    return tuple(sorted(range(len(w)), key=w.__getitem__))
+
+
+@st.composite
+def symmetric_exponent_functions(draw):
+    """n <= 4 and an exponent function phi with phi(w) = phi(w^-1), as a
+    dict over the one-line permutations."""
+    n = draw(st.integers(1, 4))
+    phi = {}
+    for w in itertools.permutations(range(n)):
+        w_inv = inverse(w)
+        phi[w] = phi[w_inv] if w_inv in phi else draw(st.integers(0, 6))
+    return n, phi
+
+
+@settings(max_examples=30, deadline=None)
+@given(symmetric_exponent_functions(),
+       st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=4))
+def test_scan_of_symmetric_exponent_functions(n_phi, samples):
+    # the blocks and the dense oracle read phi through the same hook
+    n, phi = n_phi
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(gram, "q_inner_product",
+                            lambda u, v: QPoly.monomial(phi[v]))
+        scan = gram.positivity_scan(n, samples)
+        reference = dense_scan(n, samples)
+    np.testing.assert_allclose([e for _, e in scan], reference,
+                               rtol=0, atol=1e-12)
+
+
+def test_scan_refuses_an_exponent_function_that_is_not_symmetric(
+        monkeypatch):
+    # f((1, 2, 0)) raised by one: its inverse (2, 0, 1) keeps inv = 2
+    def phi(u, v):
+        return QPoly.monomial(gram.inversions(v) + (v == (1, 2, 0)))
+    monkeypatch.setattr(gram, "q_inner_product", phi)
+    with pytest.raises(ValueError, match="M_3 is not symmetric"):
+        gram.positivity_scan(3, [0.5])
+
+
+def test_block_minima_are_no_less_accurate_than_the_dense_ones():
+    # against 40-digit eigenvalues of the whole matrix; per n, the largest
+    # error of the block minima over the samples is at most the dense one's
+    samples = (-0.98, -0.9, 0.5, 0.9, 0.98)
+    with mpmath.workdps(40):
+        for n in (2, 3, 4):
+            g = gram.gram_matrix(n)
+            exact = []
+            for x in samples:
+                q = mpmath.mpf(x)
+                m = mpmath.matrix([[q ** e for e in row]
+                                   for row in g.exponents.tolist()])
+                exact.append(min(mpmath.eigsy(m, eigvals_only=True)))
+            scan = [e for _, e in gram.positivity_scan(n, samples)]
+            block = max(abs(e - r) for e, r in zip(scan, exact))
+            dense = max(abs(e - r)
+                        for e, r in zip(dense_scan(n, samples), exact))
+            assert block <= dense
+            assert block < 4e-16
+
+
+def test_orthogonal_generators_are_symmetric_involutions_with_braids():
+    for n in (2, 3, 4, 5):
+        for shape in gram.partitions(n):
+            dim = len(gram.standard_tableaux(shape))
+            s = []
+            for cols in gram.orthogonal_generators(shape):
+                m = np.zeros((dim, dim))
+                for c, col in enumerate(cols):
+                    for r, value in col:
+                        m[r, c] = value
+                s.append(m)
+            for i, si in enumerate(s):
+                np.testing.assert_array_equal(si, si.T)
+                np.testing.assert_allclose(si @ si, np.eye(dim), atol=1e-15)
+                if i + 1 < len(s):
+                    sj = s[i + 1]
+                    np.testing.assert_allclose(si @ sj @ si, sj @ si @ sj,
+                                               atol=1e-15)
 
 
 def test_positivity_scan_examples():

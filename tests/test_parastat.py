@@ -201,6 +201,23 @@ def test_work_limit_refuses_before_any_work(check, monkeypatch):
         check_trilinear(build_green("parafermi", 4, 4))
 
 
+def test_work_estimate_weighs_the_code_width(monkeypatch):
+    # parabose p = 100 on 40 modes: M^2 (p + 1)^2 = 1.6e7 term applications
+    # either way, but at cap 10^6 each code is 80,000 bits (1250 words,
+    # 12 s unweighed) and at cap 1 only 4000 bits, under CODE_WORDS
+    count = _count_term_applications(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(WorkLimitError, match=r"check_vacuum_conditions takes "
+                       r"about 10\^8\.2 term applications"):
+        check_vacuum_conditions(build_green("parabose", 100, 40, cap=10 ** 6))
+    assert time.perf_counter() - t0 < 0.1
+    assert count[0] == 0
+    monkeypatch.undo()
+    rep = check_vacuum_conditions(build_green("parabose", 100, 40, cap=1))
+    assert rep["pass"]
+    assert rep["one_particle_constant"] == dict.fromkeys(range(40), 100)
+
+
 CHECK_GRID = [("parafermi", 1, 2, None), ("parafermi", 2, 2, None),
               ("parafermi", 3, 2, None), ("parabose", 1, 2, 4),
               ("parabose", 2, 2, 3), ("parabose", 3, 1, 3)]

@@ -269,3 +269,34 @@ def test_action_is_the_same_over_every_scalar_ring(state, kind, mode, q):
     want = leftmost if kind == "a" else {(mode,) + w: c
                                          for w, c in state.items()}
     assert apply_symbol(symbol, state, 0) == want
+
+
+def fock_inner_product(u, v):
+    """Oracle: <u, v> by the annihilator action in the QPoly ring."""
+    state = {tuple(v): ONE}
+    for m in u:
+        state = apply_symbol((ANNIHILATOR, m), state)
+    return state.get((), QPoly.zero())
+
+
+@st.composite
+def words_with_repeated_labels(draw):
+    """v uses up to four labels, each 1 to 4 times, 9 letters at most; u is
+    an ordering of the same letters, or of letters one label away."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)
+                  .filter(lambda c: sum(c) <= 9))
+    letters = [label for label, c in enumerate(counts) for _ in range(c)]
+    v = draw(st.permutations(letters))
+    u = draw(st.permutations(letters))
+    if draw(st.booleans()):
+        u[draw(st.integers(0, len(u) - 1))] = draw(st.integers(0, 4))
+    return tuple(u), tuple(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(words_with_repeated_labels())
+def test_packed_inner_product_equals_the_fock_action(words):
+    # the action on ints at q = 2^shift reads back as the QPoly-ring action:
+    # no coefficient reaches past the product of the labels' factorials
+    u, v = words
+    assert q_inner_product(u, v) == fock_inner_product(u, v)
