@@ -89,19 +89,17 @@ def _cmd_gram(args):
     from . import gram
     # the exact determinant first: its range 1..EXACT_LIMIT is the narrower
     det = gram.det_gram_exact(args.n) if args.exact else None
-    g = gram.gram_matrix(args.n)
-    results = {"n": args.n, "dim": g.dim}
-    ok = True
+    row = gram.exponent_row(args.n)
+    results = {"n": args.n, "dim": len(row)}
     if args.exact:
-        zag = gram.zagier_determinant(args.n)
-        ok = det == zag
         results["det_poly"] = det
-        results["match"] = ok
+        results["match"] = det == gram.zagier_determinant(args.n)
     if args.at is not None:
-        results["matrix_at_q"] = g.evaluate_float(args.at).tolist()
+        powers = gram.float_powers(args.at, max(row.values()))
+        results["row_at_q"] = {w: powers[e] for w, e in row.items()}
     if not args.exact and args.at is None:
-        results["entries"] = g.entries
-    return results, ok
+        results["row"] = {w: QPoly.monomial(e) for w, e in row.items()}
+    return results, results.get("match", True)
 
 
 def _cmd_zagier(args):
@@ -129,6 +127,7 @@ def _cmd_positivity(args):
 
 def _cmd_observables(args):
     from . import observables
+    observables.refuse_past_limit(args.check, args.modes, args.cap)
     space = observables.TruncatedFockSpace(
         modes=tuple(range(args.modes)), cap=args.cap)
     if args.check == "commutator":
@@ -183,8 +182,8 @@ def _cmd_gentile(args):
 def _cmd_speicher(args):
     from . import speicher
     word = parse_word(args.word)
-    est = speicher.mc_estimate(word, args.q, args.N, args.samples, args.seed)
-    target, tol, ok = speicher.check_estimate(est, word, args.q)
+    est, target, tol, ok = speicher.check_estimate(
+        word, args.q, args.N, args.samples, args.seed)
     sigmas = abs(est.mean - target) / est.stderr if est.stderr else 0.0
     return {"mean": est.mean, "stderr": est.stderr, "target": target,
             "sigmas": sigmas, "tolerance": tol, "samples": est.samples,
@@ -279,6 +278,12 @@ def _max_samples():
     return _MAX_SAMPLES
 
 
+def _max_scan_samples():
+    # as _max_samples: gram loads numpy, as the positivity command does
+    from .gram import SAMPLE_LIMIT
+    return SAMPLE_LIMIT
+
+
 # a check over no modes, no particles or no samples would pass over nothing
 _positive = _int_at_least(1, "a positive integer")
 
@@ -310,7 +315,8 @@ def build_parser():
 
     s = sub.add_parser("positivity", help="Gram eigenvalue scan over q")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--samples", type=_positive, default=50)
+    s.add_argument("--samples", default=50, type=_int_at_least(
+        1, "a positive integer", _max_scan_samples))
     s.add_argument("--lo", type=_finite, default=-0.98)
     s.add_argument("--hi", type=_finite, default=0.98)
     s.set_defaults(fn=_cmd_positivity)

@@ -10,29 +10,29 @@ whose zeros all sit on the unit circle, so the norms stay positive on
 -1 < q < 1.  At q = +-1 the matrix collapses to rank one.
 
 The inner product does not change when the modes are relabelled, so
-<u, v> = <id, u^-1 v>: gram_matrix takes the one row <id, w> from the
-free-Fock action and fills the rest from the multiplication table of S_n.
-Every entry is a monic monomial q^e, so the matrix is stored as its
+<u, v> = <id, u^-1 v> = q^f(u^-1 v): exponent_row, the one reader of the
+free-Fock action here, gives the row f, and every other function takes
+it.  gram_matrix fills the rest from the multiplication table of S_n, as
 integer exponents; float values at a point come from a table of powers,
 and the integers +-1 at q = +-1 from an integer power of the sign.
 
-So M_n is a group matrix, M[u, v] = f(u^-1 v) with f(w) = q^row[w]: the
-sum of f(w) R(w) over the right regular representation R of S_n, which
-holds each irreducible rho_lambda f_lambda times.  By Frobenius,
+So M_n is a group matrix (Zagier, Commun. Math. Phys. 147 (1992) 199):
+the sum of q^f(w) R(w) over the right regular representation R of S_n,
+which holds each irreducible rho_lambda f_lambda times.  By Frobenius,
 
     det M_n = prod_lambda det(T_lambda)^f_lambda,
-    T_lambda = sum_w f(w) rho_lambda(w),
+    T_lambda = sum_w q^f(w) rho_lambda(w),
 
 over the irreducible representations rho_lambda of dimension f_lambda.
-One walk over S_n (_group_blocks) builds every block, reading f(w) from
-the Fock action as gram_matrix does, and never forms M_n.
+One walk over S_n (_group_blocks) takes the row, builds every block and
+never forms M_n.
 det_gram_exact takes the blocks in Young's seminormal form (rational
 matrices from standard tableaux and contents), of size at most 6 at
 n = 5; it uses neither the inversion count nor the product formula, so
 its agreement with zagier_determinant still tests the Fock action
 against Zagier.  positivity_scan takes them in Young's orthogonal form,
 where rho_lambda(w^-1) = rho_lambda(w)^T: when f(w) = f(w^-1), which it
-checks on the walk's row, each T_lambda(q) is real symmetric and the
+checks on the row, each T_lambda(q) is real symmetric and the
 eigenvalues of M_n(q) are those of the blocks, each repeated f_lambda
 times, so it finds the least eigenvalue with no n! x n! array.
 """
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +54,9 @@ from .qpoly import QPoly
 EXACT_LIMIT = 4
 # largest n the module builds at all
 BUILD_LIMIT = 6
+# most samples `quon positivity` takes: at n = 6 a positivity_scan holds
+# about 2.6 kB a sample at its peak, so this keeps it near 26 MB
+SAMPLE_LIMIT = 10 ** 4
 
 
 class GramLimitError(ValueError):
@@ -78,39 +82,41 @@ class GramMatrix:
                      for row in self.exponents.tolist())
 
     def evaluate_float(self, x):
-        """Matrix at q = x from the powers [1, x, x^2, ...] by repeated
-        multiplication: for a float x the values Horner's rule gives."""
-        x = float(x)
-        powers = [1.0]
-        for _ in range(int(self.exponents.max())):
-            powers.append(powers[-1] * x)
-        return np.array(powers)[self.exponents]
+        """Matrix at q = x from a table of float_powers."""
+        return np.array(float_powers(x, self.exponents.max()))[self.exponents]
 
 
-def _fock_exponent(w):
-    """The exponent e of <id, w> = q^e, from the free-Fock action for the
-    one-line permutation w; a value that is not a monic monomial raises
-    ValueError."""
-    identity = tuple(range(len(w)))
-    e = q_inner_product(identity, w)
-    if e != QPoly.monomial(e.degree):
-        raise ValueError(f"<{identity}, {w}> = {e} is not a monic monomial")
-    return e.degree
+def float_powers(x, top):
+    """[1, x, ..., x^top] by repeated multiplication: for a float x the
+    values Horner's rule gives."""
+    return list(itertools.accumulate(itertools.repeat(float(x), int(top)),
+                                     operator.mul, initial=1.0))
 
 
-def gram_matrix(n):
-    """Inner products of all orderings of n distinct-mode creators.
-
-    The row <id, w> is computed through the free-Fock annihilator action,
-    not from the inversion-count shortcut, so the matrix doubles as an
-    oracle for that closed form; entry (i, j) is that row at u_i^-1 u_j.
-    """
+def exponent_row(n):
+    """{w: f(w)} with <id, w> = q^f(w) from the free-Fock action, for the
+    one-line w of range(n) in lexicographic order: the row of M_n.  Raises
+    GramLimitError outside 1..BUILD_LIMIT, ValueError off monic monomials."""
     if not 1 <= n <= BUILD_LIMIT:
         raise GramLimitError(
             f"n={n} outside supported range 1..{BUILD_LIMIT}")
-    perms = tuple(itertools.permutations(range(n)))
+    identity = tuple(range(n))
+    row = {}
+    for w in itertools.permutations(identity):
+        e = q_inner_product(identity, w)
+        if e != QPoly.monomial(e.degree):
+            raise ValueError(f"<id, {w}> = {e} is not a monic monomial")
+        row[w] = e.degree
+    return row
+
+
+def gram_matrix(n):
+    """Inner products of all orderings of n distinct-mode creators: entry
+    (i, j) is the exponent row at u_i^-1 u_j."""
+    row = exponent_row(n)
+    perms = tuple(row)
     # inv(w) <= n(n-1)/2 fits int8 far beyond any n! x n! that fits memory
-    row = np.array([_fock_exponent(w) for w in perms], dtype=np.int8)
+    exponents = np.array(list(row.values()), dtype=np.int8)
     p = np.array(perms, dtype=np.intp)
     p_inv = np.argsort(p, axis=1)
     # base-n code of u_i^-1 u_j, whose letter at position k is
@@ -119,8 +125,8 @@ def gram_matrix(n):
     for k in range(n):
         code = code * n + p_inv[:, p[:, k]]
     perm_codes = p @ n ** np.arange(n - 1, -1, -1)
-    exponents = row[np.searchsorted(perm_codes, code)]
-    return GramMatrix(n=n, perms=perms, exponents=exponents)
+    return GramMatrix(n=n, perms=perms,
+                      exponents=exponents[np.searchsorted(perm_codes, code)])
 
 
 def zagier_determinant(n):
@@ -339,16 +345,16 @@ def _times_generator(rho, gen):
     return out
 
 
-def _group_blocks(n, generators):
-    """The exponent row and the blocks of M_n, from one walk over S_n.
+def _group_blocks(row, generators):
+    """The blocks of the group matrix q^f(u^-1 v) of an exponent row f, from
+    one walk over S_n that reads f(w) from the row alone.
 
-    Returns (row, blocks): row maps each one-line w to f(w), the exponent
-    of <id, w> = q^f(w) from the Fock action, and blocks holds, for each
-    shape lambda of partitions(n), the coefficients of T_lambda =
-    sum_w q^f(w) rho_lambda(w): its entry e is the sum of rho_lambda(w)
-    over the w with f(w) = e, as a list of columns, for e = 0 .. max f.
-    rho_lambda is generated by generators(shape), the matrices of the s_i
-    in one of Young's forms.
+    row maps each one-line w of S_n to f(w), as exponent_row gives it.
+    Returns, for each shape lambda of partitions(n), the coefficients of
+    T_lambda = sum_w q^f(w) rho_lambda(w): entry e is the sum of
+    rho_lambda(w) over the w with f(w) = e, as a list of columns, for
+    e = 0 .. max f.  rho_lambda is generated by generators(shape), the
+    matrices of the s_i in one of Young's forms.
 
     One depth-first walk reaches each w of S_n once, as w' s_(k-1) ... s_j
     with w' in S_k: w' with the letter k moved left to position j.  Only
@@ -356,15 +362,15 @@ def _group_blocks(n, generators):
     per shape, and each leaf adds its rho_lambda(w) into the coefficient of
     q^f(w) of every block.
     """
+    n = len(next(iter(row)))
     shapes = partitions(n)
     gens = [generators(shape) for shape in shapes]
     dims = [len(standard_tableaux(shape)) for shape in shapes]
-    row = {}
     blocks = [[] for _ in shapes]
 
     def walk(k, w, rhos):
         if k == n:
-            e = row[w] = _fock_exponent(w)
+            e = row[w]
             for by_power, rho, dim in zip(blocks, rhos, dims):
                 while len(by_power) <= e:
                     by_power.append([[0] * dim for _ in range(dim)])
@@ -383,7 +389,7 @@ def _group_blocks(n, generators):
     walk(1, tuple(range(n)),
          [[[int(r == c) for r in range(dim)] for c in range(dim)]
           for dim in dims])
-    return row, blocks
+    return blocks
 
 
 def det_gram_exact(n):
@@ -398,7 +404,7 @@ def det_gram_exact(n):
     if not 1 <= n <= EXACT_LIMIT:
         raise GramLimitError(f"n={n} outside supported range 1..{EXACT_LIMIT}"
                              f" of the exact determinant")
-    _, blocks = _group_blocks(n, seminormal_generators)
+    blocks = _group_blocks(exponent_row(n), seminormal_generators)
     det = QPoly.one()
     for by_power in blocks:
         dim = len(by_power[0])
@@ -424,7 +430,7 @@ def positivity_scan(n, q_samples):
     sum_w q^f(w) rho_lambda(w), each repeated f_lambda times, and with
     rho_lambda in Young's orthogonal form every block is real symmetric
     when f(w) = f(w^-1) for every w: the premise that M_n is symmetric,
-    checked exactly on the walk's row (ValueError if it fails).  Each
+    checked exactly on the exponent row (ValueError if it fails).  Each
     block is evaluated at all samples at once, from the powers of q times
     its coefficient matrices, and no n! x n! array is formed.
 
@@ -434,15 +440,13 @@ def positivity_scan(n, q_samples):
     for x in q_samples:
         if not -1 < float(x) < 1:
             raise ValueError(f"sample {x} not strictly inside (-1, 1)")
-    if not 1 <= n <= BUILD_LIMIT:
-        raise GramLimitError(
-            f"n={n} outside supported range 1..{BUILD_LIMIT}")
-    row, blocks = _group_blocks(n, orthogonal_generators)
+    row = exponent_row(n)
     for w, e in row.items():
         w_inv = tuple(sorted(range(n), key=w.__getitem__))
         if row[w_inv] != e:
             raise ValueError(f"f{w} = {e} but f{w_inv} = {row[w_inv]}: "
                              f"M_{n} is not symmetric")
+    blocks = _group_blocks(row, orthogonal_generators)
     x = np.array([float(v) for v in q_samples])
     powers = np.vander(x, max(row.values()) + 1, increasing=True)
     lowest = np.full(len(x), np.inf)
@@ -465,11 +469,12 @@ def rank_at_limit(n, sign):
 
 def limit_eigenvector_check(n, sign):
     """At q = +-1 the surviving state is the totally (anti)symmetric one:
-    the vector of signs is an eigenvector with eigenvalue n!.  Returns
-    (holds exactly, n!).  The int64 products are exact: every row sum is
-    at most n! in size."""
-    g = gram_matrix(n)
-    mat = np.power(sign, g.exponents, dtype=np.int64)
-    vec = np.array([sign ** inversions(p) for p in g.perms], dtype=np.int64)
-    fact = g.dim
-    return bool(np.array_equal(mat @ vec, fact * vec)), fact
+    chi(w) = sign^inv(w), a character of S_n, is an eigenvector of M_n
+    with eigenvalue n!.  With g(w) = sign^f(w), (M chi)[u] = chi(u) sum_w
+    g(w) chi(w), n! exactly when every term g(w) chi(w) is 1.  Returns
+    (holds exactly, n!), read from the exponent row alone."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    row = exponent_row(n)
+    holds = all(sign ** e == sign ** inversions(w) for w, e in row.items())
+    return holds, len(row)

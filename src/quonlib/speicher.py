@@ -37,6 +37,8 @@ a step loops over) summed over the steps of every diagram's path, times
 the samples contracted (every sample where signs are drawn, one where
 they are fixed), summed as each diagram is planned.  mc_estimate refuses
 more than _MAX_SAMPLES samples before it allocates anything.
+check_estimate, the pass rule, refuses fewer components than chords
+(BiasBoundError) before it plans anything.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class MCEstimate:
 class ContractionLimitError(ValueError):
     """A diagram's crossing graph does not fit one np.einsum call, or the
     contraction work of a call exceeds _WORK_BUDGET."""
+
+
+class BiasBoundError(ValueError):
+    """Fewer components than chords, where check_estimate passes every
+    estimate."""
 
 
 # numpy's C einsum takes at most NPY_MAXARGS operands (64 since numpy 2.0,
@@ -352,15 +359,27 @@ def bias_bound(diagrams, chords, n_components):
     return 2 * diagrams * (1 - Fraction(distinct, n ** chords))
 
 
-def check_estimate(est, word, q):
-    """(quon value, tolerance, passed) of an mc_estimate of `word` at q,
-    for `quon speicher` and criterion 8: the mean passes when it lies
-    within the tolerance of the quon value, three standard errors or the
-    finite-N bias bound, whichever is larger."""
+def check_estimate(word, q, n_components, samples, seed):
+    """(estimate, quon value, tolerance, passed) of mc_estimate(word, q,
+    n_components, samples, seed), for `quon speicher` and criterion 8: the
+    mean passes when it lies within the tolerance of the quon value, three
+    standard errors or the finite-N bias bound, whichever is larger.
+
+    Below m components for m chords no assignment gives every chord its
+    own component, so the bias bound is 2 D for D diagrams; every mean
+    and every quon value is at most D in size, so every estimate would
+    pass.  That raises BiasBoundError before the estimate is planned.
+    """
+    chords = len(word) // 2
+    if n_components < chords:
+        raise BiasBoundError(
+            f"N={n_components} is below the {chords} chords of the word, "
+            f"where the bias bound passes every estimate")
+    est = mc_estimate(word, q, n_components, samples, seed)
     target = wick_expectation(word)(q)
-    tol = max(3 * est.stderr, float(bias_bound(est.diagrams, len(word) // 2,
-                                               est.n_components)))
-    return target, tol, abs(est.mean - target) <= tol
+    tol = max(3 * est.stderr, float(bias_bound(est.diagrams, chords,
+                                               n_components)))
+    return est, target, tol, abs(est.mean - target) <= tol
 
 
 def mc_estimate(word, q, n_components, samples, seed):

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib import cli, parastat, speicher, verify
+from quonlib import cli, gram, parastat, speicher, verify
 
 # two criteria that take milliseconds, standing in for the full suite
 CHEAP_CRITERIA = [verify.bound_propagation, verify.composite_rule]
@@ -206,6 +206,20 @@ def test_speicher_samples_and_seed_outside_their_domain_are_usage_errors(
     assert f"argument {option}: not {domain}: {value!r}" in captured.err
 
 
+def test_positivity_samples_past_the_limit_is_a_usage_error(capsys):
+    # parsed only: past gram.SAMPLE_LIMIT the scan's arrays outgrow its
+    # bound
+    parser = cli.build_parser()
+    head = ["positivity", "--n", "6", "--samples"]
+    limit = gram.SAMPLE_LIMIT
+    assert parser.parse_args([*head, str(limit)]).samples == limit
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*head, str(limit + 1)])
+    assert exc.value.code == 2
+    assert (f"argument --samples: above the limit of {limit}: "
+            f"'{limit + 1}'") in capsys.readouterr().err
+
+
 def test_speicher_samples_past_the_limit_is_a_usage_error(capsys):
     # parsed only, so that no test runs 10^7 samples
     parser = cli.build_parser()
@@ -220,13 +234,13 @@ def test_speicher_samples_past_the_limit_is_a_usage_error(capsys):
 
 
 def test_a_closed_stdout_ends_quietly():
-    # the report (about 250 kB) overfills the pipe, which is closed after
+    # the report (about 450 kB) overfills the pipe, which is closed after
     # a few bytes
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     with subprocess.Popen(
-            [sys.executable, "-m", "quonlib.cli", "gram", "--n", "5",
-             "--at", "0.5"], env=env, stdout=subprocess.PIPE,
+            [sys.executable, "-m", "quonlib.cli", "positivity", "--n", "2",
+             "--samples", "5000"], env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE) as proc:
         assert proc.stdout.read(100).startswith(b"{")
         proc.stdout.close()
@@ -239,6 +253,19 @@ def test_observables_commutator(capsys, schema):
     code, rep = run_cli(capsys, "observables", "--modes", "2", "--cap", "2")
     assert code == 0
     assert rep["results"]["all_exact"] is True
+    validate(rep, schema)
+
+
+def test_observables_past_the_work_limit_is_refused_at_once(capsys, schema):
+    # about 1.1e10 basis words, and 10^21.4 term applications
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "observables", "--modes", "10", "--cap", "10")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        f"WorkLimitError: observables --check commutator takes about "
+        f"10^21.4 term applications, past the limit of {parastat.WORK_LIMIT}")
     validate(rep, schema)
 
 
@@ -317,7 +344,7 @@ def test_speicher_long_chain(capsys, schema):
         tokens += [f"a{i}", f"c{i - 1}"]
     word = " ".join(tokens + ["c27"])
     code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "20", "--samples", "50")
+                        "--N", "27", "--samples", "50")
     assert code == 0
     assert rep["status"] == "pass"
     assert rep["results"]["crossing_edges"] == 26
@@ -329,11 +356,32 @@ def test_speicher_contraction_limit_error(capsys, schema):
     word = " ".join([f"a{i}" for i in range(1, 15)] +
                     [f"c{i}" for i in range(1, 15)])
     code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "4", "--samples", "2")
+                        "--N", "14", "--samples", "2")
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"].startswith("ContractionLimitError: ")
     assert "91 edges" in rep["results"]["error"]
+    validate(rep, schema)
+
+
+def test_speicher_below_the_chord_count_is_refused_before_planning(
+        capsys, monkeypatch, schema):
+    # at N = 2 no assignment gives each of the 8 chords its own component,
+    # so the bias bound would be 2 D = 80640, and the 40320 diagrams would
+    # take about a minute to plan
+    def refuse(*args, **kwargs):
+        raise AssertionError("a contraction was planned")
+    monkeypatch.setattr(speicher.np, "einsum_path", refuse)
+    word = " ".join(["a1"] * 8 + ["c1"] * 8)
+    t0 = time.perf_counter()
+    code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
+                        "--N", "2", "--samples", "2")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert rep["status"] == "error"
+    assert rep["results"]["error"] == (
+        "BiasBoundError: N=2 is below the 8 chords of the word, where the "
+        "bias bound passes every estimate")
     validate(rep, schema)
 
 
@@ -886,12 +934,32 @@ def test_report_shape_all_subcommands(capsys, schema):
 
 
 def test_gram_n6_at_a_point(capsys, schema):
-    code, rep = run_cli(capsys, "gram", "--n", "6", "--at", "0.5")
-    assert code == 0
+    # the report gives the row, M[u, v] = row[u^-1 v]: the values of the
+    # matrix's first row, bit for bit, in about 24 kB, not 10 MB
+    assert cli.run(["gram", "--n", "6", "--at", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 100_000
+    rep = json.loads(out)
     assert rep["status"] == "pass"
     assert rep["results"]["dim"] == 720
-    matrix = rep["results"]["matrix_at_q"]
-    assert len(matrix) == 720 and all(len(row) == 720 for row in matrix)
+    g = gram.gram_matrix(6)
+    row = rep["results"]["row_at_q"]
+    assert [row[",".join(map(str, w))] for w in g.perms] == (
+        g.evaluate_float(0.5)[0].tolist())
+    validate(rep, schema)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gram_row_report_rebuilds_the_matrix(capsys, schema, n):
+    code, rep = run_cli(capsys, "gram", "--n", str(n))
+    assert code == 0
+    row = rep["results"]["row"]
+    g = gram.gram_matrix(n)
+    assert rep["results"]["dim"] == len(row) == g.dim
+    for u, entries in zip(g.perms, g.entries):
+        for v, entry in zip(g.perms, entries):
+            u_inv_v = [u.index(x) for x in v]
+            assert row[",".join(map(str, u_inv_v))] == str(entry)
     validate(rep, schema)
 
 

@@ -542,3 +542,105 @@ def test_n5_float_agreement():
         dv = float(np.linalg.det(g.evaluate_float(x)))
         zv = gram.zagier_eval_float(5, x)
         assert dv == pytest.approx(zv, rel=1e-9)
+
+
+def dense_eigenvector_check(n, sign):
+    """Oracle: M_n(sign) times the sign vector, as n! x n! int64 arrays;
+    the products are exact, as every row sum is at most n! in size."""
+    g = gram.gram_matrix(n)
+    mat = np.power(sign, g.exponents, dtype=np.int64)
+    vec = np.array([sign ** gram.inversions(p) for p in g.perms],
+                   dtype=np.int64)
+    return bool(np.array_equal(mat @ vec, g.dim * vec)), g.dim
+
+
+@st.composite
+def exponent_functions(draw):
+    """n <= 4 and an exponent function phi over the one-line permutations:
+    inv(w) plus an even offset, which keeps the parity, or arbitrary,
+    which mostly breaks it."""
+    n = draw(st.integers(1, 4))
+    perms = list(itertools.permutations(range(n)))
+    if draw(st.booleans()):
+        return n, {w: gram.inversions(w) + 2 * draw(st.integers(0, 2))
+                   for w in perms}
+    return n, {w: draw(st.integers(0, 6)) for w in perms}
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent_functions(), st.sampled_from([1, -1]))
+def test_eigenvector_check_matches_the_dense_oracle(n_phi, sign):
+    n, phi = n_phi
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(gram, "q_inner_product",
+                            lambda u, v: QPoly.monomial(phi[v]))
+        assert (gram.limit_eigenvector_check(n, sign)
+                == dense_eigenvector_check(n, sign))
+
+
+def test_eigenvector_check_fails_where_the_parity_breaks(monkeypatch):
+    # f raised by one at a single w: sign^f(w) = -chi(w) there at q = -1,
+    # and every entry is still 1 at q = +1
+    monkeypatch.setattr(gram, "q_inner_product", lambda u, v: QPoly.monomial(
+        gram.inversions(v) + (v == (1, 2, 0))))
+    assert gram.limit_eigenvector_check(3, -1) == (False, 6)
+    assert dense_eigenvector_check(3, -1) == (False, 6)
+    assert gram.limit_eigenvector_check(3, 1) == (True, 6)
+
+
+def test_eigenvector_check_refuses_a_sign_outside_the_limits():
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign must be"):
+            gram.limit_eigenvector_check(3, sign)
+
+
+def test_eigenvector_check_never_builds_the_gram_matrix(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"gram_matrix({n}) called")
+    monkeypatch.setattr(gram, "gram_matrix", refuse)
+    for sign in (1, -1):
+        assert gram.limit_eigenvector_check(5, sign) == (True, 120)
+
+
+@pytest.mark.parametrize("call, sizes", [
+    (gram.gram_matrix, (1, 2, 3, 4, 5)),
+    (gram.det_gram_exact, (1, 2, 3, 4)),
+    (lambda n: gram.positivity_scan(n, [0.5]), (1, 2, 3, 4, 5)),
+    (lambda n: gram.limit_eigenvector_check(n, -1), (1, 2, 3, 4, 5)),
+], ids=["gram_matrix", "det_gram_exact", "positivity_scan",
+        "limit_eigenvector_check"])
+def test_each_consumer_reads_the_row_once(monkeypatch, call, sizes):
+    # exponent_row is the one reader of the Fock action: n! calls of
+    # q_inner_product, one for each w
+    calls = []
+    monkeypatch.setattr(gram, "q_inner_product",
+                        lambda u, v: calls.append(v) or q_inner_product(u, v))
+    for n in sizes:
+        calls.clear()
+        call(n)
+        assert len(calls) == math.factorial(n)
+
+
+def test_the_walk_never_calls_the_fock_action(monkeypatch):
+    rows = {n: gram.exponent_row(n) for n in (1, 2, 3, 4)}
+    blocks = {(n, gens): gram._group_blocks(row, gens)
+              for n, row in rows.items()
+              for gens in (gram.seminormal_generators,
+                           gram.orthogonal_generators)}
+
+    def refuse(u, v):
+        raise AssertionError("the Fock action was called")
+    monkeypatch.setattr(gram, "q_inner_product", refuse)
+    for (n, gens), expected in blocks.items():
+        assert gram._group_blocks(rows[n], gens) == expected
+
+
+def test_exponent_row_is_the_inversion_count_in_lexicographic_order():
+    for n in range(1, 6):
+        row = gram.exponent_row(n)
+        assert list(row) == list(itertools.permutations(range(n)))
+        assert all(e == gram.inversions(w) for w, e in row.items())
+    for n in (0, 7):
+        with pytest.raises(gram.GramLimitError,
+                           match=rf"n={n} outside supported range 1\.\.6$"):
+            gram.exponent_row(n)

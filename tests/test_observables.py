@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib import observables as obs
+from quonlib import observables as obs, parastat
 from quonlib.observables import TruncatedFockSpace, transition_operator
 from quonlib.qfock import apply_symbol, apply_terms
 from quonlib.qpoly import QPoly
@@ -134,3 +135,41 @@ def test_adjoint_pairs(space):
             for v in space.basis:
                 b = apply_terms(nlk, {v: 1}, 0)
                 assert a.get(v, 0) == b.get(u, 0), (k, l, u, v)
+
+
+@pytest.mark.parametrize("check, run", [
+    ("commutator", obs.check_commutators),
+    ("locality", obs.check_locality),
+    ("hamiltonian", lambda space: obs.check_free_hamiltonian(
+        space, {k: k + 1 for k in space.modes})),
+])
+@pytest.mark.parametrize("modes, cap", [(1, 1), (1, 3), (2, 2), (3, 2),
+                                        (2, 3)])
+def test_work_estimate_counts_every_term_application(monkeypatch, check, run,
+                                                     modes, cap):
+    # the estimate, made before the space is built, against the terms the
+    # check applies to each state
+    estimates, applied = [], []
+    monkeypatch.setattr(obs, "_refuse_past_limit",
+                        lambda what, log_work, bits: estimates.append(
+                            math.exp(log_work)))
+    real = obs.apply_terms
+    monkeypatch.setattr(obs, "apply_terms", lambda terms, state, q: (
+        applied.append(len(terms) * len(state)) or real(terms, state, q)))
+    obs.refuse_past_limit(check, modes, cap)
+    run(TruncatedFockSpace(modes=tuple(range(modes)), cap=cap))
+    assert estimates == [pytest.approx(sum(applied), rel=1e-12)]
+
+
+def test_work_past_the_limit_is_refused_before_the_basis(monkeypatch):
+    # 10 modes capped at 10 would list about 1.1e10 basis words first
+    def refuse(*args, **kwargs):
+        raise AssertionError("the space was built")
+    monkeypatch.setattr(TruncatedFockSpace, "__post_init__", refuse)
+    for check in ("commutator", "locality", "hamiltonian"):
+        with pytest.raises(parastat.WorkLimitError,
+                           match=f"observables --check {check} takes about "
+                                 r"10\^"):
+            obs.refuse_past_limit(check, 10, 10)
+    # the README example and criterion 5's space are within it
+    obs.refuse_past_limit("commutator", 3, 3)
