@@ -74,6 +74,8 @@ def _rational(text):
 
 
 # -- subcommand implementations (each returns (results, passed)) -----------
+# passed is None for an error whose results still stand: a verify-all
+# criterion that raised
 
 
 def _cmd_vev(args):
@@ -86,6 +88,8 @@ def _cmd_vev(args):
 
 
 def _cmd_gram(args):
+    import numpy as np
+
     from . import gram
     # the exact determinant first: its range 1..EXACT_LIMIT is the narrower
     det = gram.det_gram_exact(args.n) if args.exact else None
@@ -95,7 +99,10 @@ def _cmd_gram(args):
         results["det_poly"] = det
         results["match"] = det == gram.zagier_determinant(args.n)
     if args.at is not None:
-        powers = gram.float_powers(args.at, max(row.values()))
+        # a power past the float range is inf, which the report refuses
+        with np.errstate(over="ignore"):
+            powers = np.vander([args.at], max(row.values()) + 1,
+                               increasing=True)[0].tolist()
         results["row_at_q"] = {w: powers[e] for w, e in row.items()}
     if not args.exact and args.at is None:
         results["row"] = {w: QPoly.monomial(e) for w, e in row.items()}
@@ -240,9 +247,11 @@ def _cmd_verify_all(args):
         for c in rep["criteria"]:
             c["elapsed"] = 0.0
     for c in rep["criteria"]:
-        line = "PASS" if c["passed"] else "FAIL"
+        line = "ERROR" if "error" in c else "PASS" if c["passed"] else "FAIL"
         print(f"[{line}] criterion {c['id']}: {c['name']} "
               f"({c['elapsed']}s)", file=sys.stderr)
+    if any("error" in c for c in rep["criteria"]):
+        return rep, None
     return rep, rep["passed"]
 
 
@@ -274,8 +283,8 @@ def _int_at_least(low, kind, limit=None):
 def _max_samples():
     # imported only when --samples is given: speicher loads numpy, which
     # the speicher command loads anyway
-    from .speicher import _MAX_SAMPLES
-    return _MAX_SAMPLES
+    from .speicher import MAX_SAMPLES
+    return MAX_SAMPLES
 
 
 def _max_scan_samples():
@@ -390,7 +399,7 @@ def run(argv=None):
     try:
         results, ok = args.fn(args)
         results = _jsonable(results)
-        status = "pass" if ok else "fail"
+        status = "error" if ok is None else "pass" if ok else "fail"
     except (ValueError, ZeroDivisionError) as exc:
         results = {"error": f"{type(exc).__name__}: {exc}"}
         status = "error"

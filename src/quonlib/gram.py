@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,15 +81,11 @@ class GramMatrix:
                      for row in self.exponents.tolist())
 
     def evaluate_float(self, x):
-        """Matrix at q = x from a table of float_powers."""
-        return np.array(float_powers(x, self.exponents.max()))[self.exponents]
-
-
-def float_powers(x, top):
-    """[1, x, ..., x^top] by repeated multiplication: for a float x the
-    values Horner's rule gives."""
-    return list(itertools.accumulate(itertools.repeat(float(x), int(top)),
-                                     operator.mul, initial=1.0))
+        """Matrix at q = x from a table of powers of x, each by one more
+        multiplication."""
+        powers = np.vander([float(x)], int(self.exponents.max()) + 1,
+                           increasing=True)[0]
+        return powers[self.exponents]
 
 
 def exponent_row(n):

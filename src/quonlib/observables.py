@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .parastat import _refuse_past_limit
+from .parastat import refuse_past_work_limit
 from .qfock import ANNIHILATOR, CREATOR, apply_terms
 
 
@@ -53,27 +53,29 @@ class TruncatedFockSpace:
 def refuse_past_limit(check, n_modes, cap):
     """Raise parastat.WorkLimitError, before a space is built, when the
     check ("commutator", "locality" or "hamiltonian") on n_modes modes
-    capped at cap makes more than parastat.WORK_LIMIT term applications
-    (one series term on one basis state).  With M modes and S =
-    sum_{n<cap} M^n, both the states below the cap and the terms of one
-    series, check_commutators applies 2S terms, and 2S + 1 where l = m,
-    to S states for each of the M^3 triples, M^2 S (2MS + 1) in all;
+    capped at cap applies more than parastat.WORK_LIMIT letters, the unit
+    of a para term application.  With M modes and S = sum_{n<cap} M^n,
+    both the states below the cap and the terms of one series,
+    check_commutators applies 2S terms, and 2S + 1 where l = m, to S
+    states for each of the M^3 triples, M^2 S (2MS + 1) in all;
     check_locality adds M^2 S on the vacuum, and check_free_hamiltonian
-    applies M S terms to each of the S + M^cap basis states.  In logs, as
-    M^cap can be too large to form.
+    applies M S terms to each of the S + M^cap basis states.  Each term
+    counts as 2 cap + 1 letters, the longest word any check applies.  In
+    logs, as M^cap can be too large to form.
     """
     log_m = math.log(n_modes)
     log_s = (math.log(cap) if n_modes == 1 else cap * log_m
              - math.log(n_modes - 1) + math.log1p(-math.exp(-cap * log_m)))
     if check == "hamiltonian":
         log_basis = cap * log_m + math.log1p(math.exp(log_s - cap * log_m))
-        log_work = log_m + log_s + log_basis
+        log_terms = log_m + log_s + log_basis
     else:
         # M^2 S (2MS + 1), or M^2 S (2MS + 2) with the vacuum terms
         ones = 2 if check == "locality" else 1
-        log_work = (3 * log_m + 2 * log_s
-                    + math.log(2 + ones * math.exp(-log_m - log_s)))
-    _refuse_past_limit(f"observables --check {check}", log_work, 0)
+        log_terms = (3 * log_m + 2 * log_s
+                     + math.log(2 + ones * math.exp(-log_m - log_s)))
+    refuse_past_work_limit(f"observables --check {check}",
+                           log_terms + math.log(2 * cap + 1), 0)
 
 
 def transition_operator(k, l, depth, modes):

@@ -36,9 +36,11 @@ class WorkLimitError(ValueError):
     """A check whose estimated work passes WORK_LIMIT."""
 
 
-def _refuse_past_limit(what, log_work, code_bits):
-    """The estimate is in logs, as it can be too large to form, and is
-    weighed by the width of the codes it acts on, code_bits bits."""
+def refuse_past_work_limit(what, log_work, code_bits):
+    """Raise WorkLimitError, naming what, when the estimated work of a
+    check passes WORK_LIMIT: the one limit of the para and observables
+    checks.  The estimate is in logs, as it can be too large to form, and
+    is weighed by the width of the codes it acts on, code_bits bits."""
     words = -(-code_bits // 64)
     log_work += math.log(max(1, words / CODE_WORDS))
     if log_work > math.log(WORK_LIMIT):
@@ -169,9 +171,9 @@ def check_trilinear(r):
     if not values:
         raise ValueError(f"parabose cap={r.cap} is below 2 and protects "
                          f"no state")
-    _refuse_past_limit("check_trilinear", sites * math.log(values)
-                       + 3 * math.log(r.modes * (r.order + 1)),
-                       2 * r.code_bits)
+    refuse_past_work_limit("check_trilinear", sites * math.log(values)
+                           + 3 * math.log(r.modes * (r.order + 1)),
+                           2 * r.code_bits)
     inner = 1 if r.kind == "parabose" else -1
     tag = r.code_bits
     states = r.protected_states()
@@ -188,8 +190,9 @@ def check_trilinear(r):
 def check_vacuum_conditions(r):
     """a_k|0> = 0, and measure c in a_k a†_l |0> = c delta_kl |0> (c = p,
     reported, not asserted).  Estimate: M^2 (p + 1)^2."""
-    _refuse_past_limit("check_vacuum_conditions",
-                       2 * math.log(r.modes * (r.order + 1)), r.code_bits)
+    refuse_past_work_limit("check_vacuum_conditions",
+                           2 * math.log(r.modes * (r.order + 1)),
+                           r.code_bits)
     vacuum = {0: 1}
     kill = not any(r.annihilate(k, vacuum) for k in range(r.modes))
     consts, off = {}, 0
@@ -244,7 +247,7 @@ def check_occupancy(kind, p):
     (parabose)."""
     sym = kind == "parafermi"
     r = build_green(kind, p, 1 if sym else p + 1, cap=1)
-    _refuse_past_limit(
+    refuse_past_work_limit(
         "check_occupancy", 2 * math.log(p + 1) + math.log(p)
         + (p * math.log(2) if sym else math.lgamma(p + 2) + p * math.log(p)),
         r.code_bits)

@@ -36,9 +36,9 @@ estimated work exceeds _WORK_BUDGET multiply-adds: _path_work, N^(labels
 a step loops over) summed over the steps of every diagram's path, times
 the samples contracted (every sample where signs are drawn, one where
 they are fixed), summed as each diagram is planned.  mc_estimate refuses
-more than _MAX_SAMPLES samples before it allocates anything.
-check_estimate, the pass rule, refuses fewer components than chords
-(BiasBoundError) before it plans anything.
+more than MAX_SAMPLES samples before it allocates anything.
+check_estimate, the pass rule, refuses (BiasBoundError) before it plans
+anything a bias bound under which no mean can fail.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class ContractionLimitError(ValueError):
 
 
 class BiasBoundError(ValueError):
-    """Fewer components than chords, where check_estimate passes every
-    estimate."""
+    """A bias bound at or past the largest deviation a mean can have,
+    where check_estimate passes every estimate."""
 
 
 # numpy's C einsum takes at most NPY_MAXARGS operands (64 since numpy 2.0,
@@ -89,7 +89,7 @@ _BLOCK_BYTES = 1 << 20
 _WORK_BUDGET = 10 ** 10
 # samples of one mc_estimate call: each holds 8 bytes of values, so this
 # bounds that array to 80 MB
-_MAX_SAMPLES = 10 ** 7
+MAX_SAMPLES = 10 ** 7
 # partitions per vectorised step of expected_over_signs, which keeps its
 # temporaries small
 _PARTITION_ROWS = 4096
@@ -209,6 +209,11 @@ def _assignment_sum(plan, signs, n):
 def _check_q(q):
     if not -1.0 <= q <= 1.0:
         raise ValueError(f"q={q} outside [-1, 1]")
+
+
+def _check_n(n_components):
+    if n_components < 1:
+        raise ValueError("need at least one component")
 
 
 def _check_symmetric(signs):
@@ -365,20 +370,28 @@ def check_estimate(word, q, n_components, samples, seed):
     mean passes when it lies within the tolerance of the quon value, three
     standard errors or the finite-N bias bound, whichever is larger.
 
-    Below m components for m chords no assignment gives every chord its
-    own component, so the bias bound is 2 D for D diagrams; every mean
-    and every quon value is at most D in size, so every estimate would
-    pass.  That raises BiasBoundError before the estimate is planned.
+    Each diagram contributes at most 1 in size to a sample, so a mean of
+    D diagrams lies within D + |quon value| of the quon value.  A bias
+    bound that reaches it passes every estimate, and raises
+    BiasBoundError before the estimate is planned; compared exactly, with
+    D the quon value at q = 1.  Below m components for m chords the bound
+    is 2 D, and a word with no diagram has D = 0: both are refused.
     """
-    chords = len(word) // 2
-    if n_components < chords:
+    _check_n(n_components)
+    _check_q(q)
+    value = wick_expectation(word)
+    diagrams = value(1)
+    reach = diagrams + abs(value(Fraction(q)))
+    bias = bias_bound(diagrams, len(word) // 2, n_components)
+    if bias >= reach:
         raise BiasBoundError(
-            f"N={n_components} is below the {chords} chords of the word, "
-            f"where the bias bound passes every estimate")
+            f"at N={n_components} the bias bound {float(bias):.6g} reaches "
+            f"D + |quon value| = {float(reach):.6g} for D={diagrams}, the "
+            f"largest deviation a mean can have, so every estimate would "
+            f"pass")
     est = mc_estimate(word, q, n_components, samples, seed)
-    target = wick_expectation(word)(q)
-    tol = max(3 * est.stderr, float(bias_bound(est.diagrams, chords,
-                                               n_components)))
+    target = value(q)
+    tol = max(3 * est.stderr, float(bias))
     return est, target, tol, abs(est.mean - target) <= tol
 
 
@@ -403,15 +416,14 @@ def mc_estimate(word, q, n_components, samples, seed):
     bit for bit those of drawn samples, and multiply_adds counts that one
     contraction: the work of each path.
 
-    samples runs from 2 to _MAX_SAMPLES, checked before any allocation.
+    samples runs from 2 to MAX_SAMPLES, checked before any allocation.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    if samples > _MAX_SAMPLES:
+    if samples > MAX_SAMPLES:
         raise ValueError(f"samples={samples} above the limit of"
-                         f" {_MAX_SAMPLES:.0e} (8 bytes each)")
-    if n_components < 1:
-        raise ValueError("need at least one component")
+                         f" {MAX_SAMPLES:.0e} (8 bytes each)")
+    _check_n(n_components)
     _check_q(q)
     n = n_components
     plus = (1.0 + q) / 2.0

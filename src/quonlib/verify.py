@@ -1,7 +1,8 @@
 """The full machine-checkable verification suite.
 
 Each criterion function returns a small dict with a boolean `passed` and
-enough detail to diagnose a failure; run_all executes every criterion.
+enough detail to diagnose a failure, or, when its check raises, `passed`
+false and the typed `error`; run_all executes every criterion.
 The CLI `verify-all` subcommand and the acceptance tests both run these,
 so there is exactly one definition of what "verified" means.
 """
@@ -27,11 +28,17 @@ def _criterion(cid, name):
     def deco(fn):
         def wrapper():
             t0 = time.perf_counter()
-            details = fn()
-            passed = details.pop("passed")
-            return {"id": cid, "name": name, "passed": bool(passed),
-                    "elapsed": round(time.perf_counter() - t0, 3),
-                    "details": details}
+            report = {"id": cid, "name": name}
+            try:
+                details = fn()
+                report["passed"] = bool(details.pop("passed"))
+            except Exception as exc:
+                details = {}
+                report.update(passed=False,
+                              error=f"{type(exc).__name__}: {exc}")
+            report.update(elapsed=round(time.perf_counter() - t0, 3),
+                          details=details)
+            return report
         wrapper.cid = cid
         wrapper.__name__ = fn.__name__
         return wrapper
@@ -250,6 +257,7 @@ ALL_CRITERIA = [
 
 
 def run_all():
+    """Every criterion's report, each one's error its own."""
     reports = [fn() for fn in ALL_CRITERIA]
     return {"criteria": reports,
             "passed": all(r["passed"] for r in reports),

@@ -5,6 +5,8 @@ cached module-wide) and prints a single pass/fail line, so the -s output
 doubles as a human-readable report.
 """
 
+import dataclasses
+import json
 import time
 
 import pytest
@@ -46,8 +48,6 @@ def test_criterion_12_full_suite_runtime():
 def test_cli_verify_all_exit_code(capsys, monkeypatch):
     # every criterion already ran above; this checks only the CLI wiring,
     # on two cheap criteria and a stub that fails
-    import json
-
     from quonlib import cli
     cheap = [verify.bound_propagation, verify.composite_rule]
     failing = verify._criterion(99, "always fails")(lambda: {"passed": False})
@@ -59,3 +59,47 @@ def test_cli_verify_all_exit_code(capsys, monkeypatch):
         assert code == want_code
         assert rep["status"] == want_status
         assert len(rep["results"]["criteria"]) == len(criteria)
+
+
+def _verdicts(reports):
+    return {r["id"]: (r["passed"], "error" in r) for r in reports}
+
+
+def test_a_moved_speicher_mean_fails_criterion_8_alone(monkeypatch):
+    # the mean moved to q + 1, past the tolerance (bias bound 0.02) but
+    # within the reach D + |q| = 1.5 that check_estimate keeps failable
+    from quonlib import speicher
+    real = speicher.mc_estimate
+
+    def moved(*args):
+        return dataclasses.replace(real(*args), mean=1.5)
+
+    monkeypatch.setattr(speicher, "mc_estimate", moved)
+    faulted = _verdicts(verify.run_all()["criteria"])
+    want = _verdicts(_run_suite())
+    want[8] = (False, False)
+    assert faulted == want
+
+
+def test_a_criterion_that_raises_is_its_own_error(capsys, monkeypatch):
+    # every criterion still reports, and the raising one is typed
+    from quonlib import bounds, cli
+
+    def raises(q, n):
+        raise ValueError("composite_q is broken")
+
+    monkeypatch.setattr(bounds, "composite_q", raises)
+    code = cli.run(["--stable-output", "verify-all"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["status"] == "error"
+    criteria = rep["results"]["criteria"]
+    assert [c["id"] for c in criteria] == [fn.cid for fn in
+                                           verify.ALL_CRITERIA]
+    errors = [c for c in criteria if "error" in c]
+    assert [(c["id"], c["passed"], c["error"]) for c in errors] == [
+        (11, False, "ValueError: composite_q is broken")]
+    assert all(c["passed"] for c in criteria if "error" not in c)
+    assert "[ERROR] criterion 11: Composite statistics sign rule" in err
+    assert err.count("[PASS]") == len(criteria) - 1

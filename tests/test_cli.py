@@ -224,7 +224,7 @@ def test_speicher_samples_past_the_limit_is_a_usage_error(capsys):
     # parsed only, so that no test runs 10^7 samples
     parser = cli.build_parser()
     head = ["speicher", "--word", "a1 c1", "--q", "0.5", "--samples"]
-    limit = speicher._MAX_SAMPLES
+    limit = speicher.MAX_SAMPLES
     assert parser.parse_args([*head, str(limit)]).samples == limit
     with pytest.raises(SystemExit) as exc:
         parser.parse_args([*head, str(limit + 1)])
@@ -257,7 +257,8 @@ def test_observables_commutator(capsys, schema):
 
 
 def test_observables_past_the_work_limit_is_refused_at_once(capsys, schema):
-    # about 1.1e10 basis words, and 10^21.4 term applications
+    # about 1.1e10 basis words, and 10^21.4 term applications of 21
+    # letters each
     t0 = time.perf_counter()
     code, rep = run_cli(capsys, "observables", "--modes", "10", "--cap", "10")
     assert time.perf_counter() - t0 < 1
@@ -265,7 +266,7 @@ def test_observables_past_the_work_limit_is_refused_at_once(capsys, schema):
     assert rep["status"] == "error"
     assert rep["results"]["error"] == (
         f"WorkLimitError: observables --check commutator takes about "
-        f"10^21.4 term applications, past the limit of {parastat.WORK_LIMIT}")
+        f"10^22.7 term applications, past the limit of {parastat.WORK_LIMIT}")
     validate(rep, schema)
 
 
@@ -338,13 +339,15 @@ def test_speicher_fails_an_estimate_past_the_tolerance(capsys, monkeypatch,
 
 
 def test_speicher_long_chain(capsys, schema):
-    # 27 chords, each crossing its neighbours: 26 edges over 27 labels
+    # 27 chords, each crossing its neighbours: 26 edges over 27 labels; 516
+    # is the least N whose bias bound is below 1 + 0.5^26, the largest
+    # deviation of a mean of the one diagram
     tokens = ["a1"]
     for i in range(2, 28):
         tokens += [f"a{i}", f"c{i - 1}"]
     word = " ".join(tokens + ["c27"])
     code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "27", "--samples", "50")
+                        "--N", "516", "--samples", "50")
     assert code == 0
     assert rep["status"] == "pass"
     assert rep["results"]["crossing_edges"] == 26
@@ -352,11 +355,12 @@ def test_speicher_long_chain(capsys, schema):
 
 
 def test_speicher_contraction_limit_error(capsys, schema):
-    # all 14 chords interleave pairwise: 91 edges, more than one einsum takes
+    # all 14 chords interleave pairwise: 91 edges, more than one einsum
+    # takes; below N = 136 the bias bound refuses the word first
     word = " ".join([f"a{i}" for i in range(1, 15)] +
                     [f"c{i}" for i in range(1, 15)])
     code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "14", "--samples", "2")
+                        "--N", "136", "--samples", "2")
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"].startswith("ContractionLimitError: ")
@@ -364,24 +368,42 @@ def test_speicher_contraction_limit_error(capsys, schema):
     validate(rep, schema)
 
 
-def test_speicher_below_the_chord_count_is_refused_before_planning(
-        capsys, monkeypatch, schema):
-    # at N = 2 no assignment gives each of the 8 chords its own component,
-    # so the bias bound would be 2 D = 80640, and the 40320 diagrams would
-    # take about a minute to plan
+def _speicher_refusal(capsys, monkeypatch, n):
+    """The report of 8 x a1 then 8 x c1 at N = n, which must come in under
+    a second with no contraction planned: its 40320 diagrams would take
+    about a minute to plan."""
     def refuse(*args, **kwargs):
         raise AssertionError("a contraction was planned")
     monkeypatch.setattr(speicher.np, "einsum_path", refuse)
     word = " ".join(["a1"] * 8 + ["c1"] * 8)
     t0 = time.perf_counter()
     code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "2", "--samples", "2")
+                        "--N", str(n), "--samples", "2")
     assert time.perf_counter() - t0 < 1
     assert code == 1
     assert rep["status"] == "error"
+    return rep
+
+
+def test_speicher_below_the_chord_count_is_refused_before_planning(
+        capsys, monkeypatch, schema):
+    # at N = 2 no assignment gives each of the 8 chords its own component,
+    # so the bias bound is 2 D = 80640, past D + |target| = 40394.2
+    rep = _speicher_refusal(capsys, monkeypatch, 2)
     assert rep["results"]["error"] == (
-        "BiasBoundError: N=2 is below the 8 chords of the word, where the "
-        "bias bound passes every estimate")
+        "BiasBoundError: at N=2 the bias bound 80640 reaches D + |quon "
+        "value| = 40394.2 for D=40320, the largest deviation a mean can "
+        "have, so every estimate would pass")
+    validate(rep, schema)
+
+
+def test_speicher_refuses_every_n_whose_tolerance_cannot_fail(
+        capsys, monkeypatch, schema):
+    # N = 42 is above the 8 chords, but its bias bound still reaches
+    # D + |target|; N = 43 is the least it does not (tests/test_speicher.py)
+    rep = _speicher_refusal(capsys, monkeypatch, 42)
+    assert rep["results"]["error"].startswith(
+        "BiasBoundError: at N=42 the bias bound ")
     validate(rep, schema)
 
 

@@ -12,6 +12,9 @@ Likewise every defaulted parameter of a def in src/quonlib must be set by
 some call in src/quonlib or bench/, matched by the callee's name (an
 __init__ by its class's): by position, after self or cls, or by keyword,
 or through * or **.  A default no call sets is a constant.
+
+And no module of src/quonlib imports or reads another's private name: a
+name one module takes from another is public.
 """
 
 import ast
@@ -217,3 +220,48 @@ def test_every_traced_name_resolves():
     pairs = tracer.Tracer()._replacements()
     assert all(callable(orig) and callable(wrapper)
                for orig, wrapper in pairs)
+
+
+def _private_imports_in(tree, own, modules):
+    """(module, name) of every private name of another quonlib module that
+    one parsed file imports or reads as an attribute of that module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            mod = node.module.removeprefix("quonlib.")
+            if mod in modules and mod != own:
+                out.update((mod, alias.name) for alias in node.names
+                           if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules - {own} \
+                and node.attr.startswith("_"):
+            out.add((node.value.id, node.attr))
+    return out
+
+
+def test_no_module_reads_another_modules_private_name():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    found = sorted(f"{path.stem} -> {mod}.{name}"
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for mod, name in _private_imports_in(
+                       _parse(path), path.stem, modules))
+    assert not found, "private names read across modules: " + ", ".join(found)
+
+
+def test_each_kind_of_private_read_counts():
+    source = """
+from .parastat import _refuse, WORK_LIMIT
+from quonlib.speicher import _MAX
+from . import gram
+
+def f():
+    return gram._bareiss(gram.EXACT_LIMIT), _own._x, self._y
+"""
+    modules = {"parastat", "speicher", "gram", "mod", "_own"}
+    assert _private_imports_in(ast.parse(source), "mod", modules) == {
+        ("parastat", "_refuse"), ("speicher", "_MAX"), ("gram", "_bareiss"),
+        ("_own", "_x")}
+    # a module's own private names are its own
+    assert _private_imports_in(ast.parse(source), "_own", modules) == {
+        ("parastat", "_refuse"), ("speicher", "_MAX"), ("gram", "_bareiss")}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib import observables as obs, parastat
+from quonlib import observables as obs, parastat, qfock
 from quonlib.observables import TruncatedFockSpace, transition_operator
 from quonlib.qfock import apply_symbol, apply_terms
 from quonlib.qpoly import QPoly
@@ -147,18 +147,24 @@ def test_adjoint_pairs(space):
                                         (2, 3)])
 def test_work_estimate_counts_every_term_application(monkeypatch, check, run,
                                                      modes, cap):
-    # the estimate, made before the space is built, against the terms the
-    # check applies to each state
-    estimates, applied = [], []
-    monkeypatch.setattr(obs, "_refuse_past_limit",
+    # the estimate, made before the space is built, is 2 cap + 1 letters for
+    # each term the check applies to each state, and no fewer than the
+    # letters it applies
+    estimates, applied, letters = [], [], []
+    monkeypatch.setattr(obs, "refuse_past_work_limit",
                         lambda what, log_work, bits: estimates.append(
                             math.exp(log_work)))
     real = obs.apply_terms
     monkeypatch.setattr(obs, "apply_terms", lambda terms, state, q: (
         applied.append(len(terms) * len(state)) or real(terms, state, q)))
+    symbol = qfock.apply_symbol
+    monkeypatch.setattr(qfock, "apply_symbol", lambda sym, state, q: (
+        letters.append(len(state)) or symbol(sym, state, q)))
     obs.refuse_past_limit(check, modes, cap)
     run(TruncatedFockSpace(modes=tuple(range(modes)), cap=cap))
-    assert estimates == [pytest.approx(sum(applied), rel=1e-12)]
+    assert estimates == [pytest.approx((2 * cap + 1) * sum(applied),
+                                       rel=1e-12)]
+    assert estimates[0] >= sum(letters) > 0
 
 
 def test_work_past_the_limit_is_refused_before_the_basis(monkeypatch):

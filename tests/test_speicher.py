@@ -176,6 +176,41 @@ def chain_word(k):
     return parse_word(" ".join(tokens + [f"c{k}"]))
 
 
+class _Planned(Exception):
+    """check_estimate went on to the estimate."""
+
+
+@pytest.mark.parametrize("word, refused", [
+    (parse_word("a1 a2 c1 c2"), 1),
+    (parse_word("a1 " * 8 + "c1 " * 8), 42),
+    (chain_word(27), 515),
+])
+def test_check_estimate_refuses_every_tolerance_no_mean_can_fail(
+        monkeypatch, word, refused):
+    # up to N = refused the bias bound reaches D + |q-value|, the farthest
+    # a mean of D diagrams can lie from the q-value; one component more and
+    # a mean can fail
+    def planned(*args):
+        raise _Planned
+    monkeypatch.setattr(speicher, "mc_estimate", planned)
+    value = wick_expectation(word)
+    reach = value(1) + abs(value(Fraction(1, 2)))
+    for n in (refused, refused // 2 + 1):
+        assert speicher.bias_bound(value(1), len(word) // 2, n) >= reach
+        with pytest.raises(speicher.BiasBoundError,
+                           match=f"at N={n} the bias bound"):
+            speicher.check_estimate(word, 0.5, n, 2, 0)
+    with pytest.raises(_Planned):
+        speicher.check_estimate(word, 0.5, refused + 1, 2, 0)
+
+
+def test_check_estimate_refuses_a_word_without_diagrams():
+    # D = 0: every mean is 0, the quon value too
+    for n in (1, 100):
+        with pytest.raises(speicher.BiasBoundError, match="for D=0"):
+            speicher.check_estimate(parse_word("a1 c2"), 0.5, n, 2, 0)
+
+
 def test_mc_estimate_sums_past_int64():
     # 11 chords at N = 100: the sign sums reach 100^11 > 2^63
     word = chain_word(11)
@@ -452,7 +487,7 @@ def test_a_word_past_the_budget_is_refused_before_it_is_planned_out(
 
 def test_sample_bound():
     # refused before anything is allocated: 8 bytes of values per sample
-    bound = speicher._MAX_SAMPLES
+    bound = speicher.MAX_SAMPLES
     with pytest.raises(ValueError, match=re.escape(f"limit of {bound:.0e}")):
         mc_estimate(parse_word("a1 c1"), 0.5, 3, bound + 1, seed=0)
 
