@@ -26,7 +26,7 @@ from .wick import wick_expectation
 
 # Every other quonlib module is imported by the subcommand that drives it,
 # when it runs: numpy alone costs most of an interpreter's start-up, and
-# vev, observables and bounds never load it.
+# only the commands that compute in floats load it.
 
 
 class ResultSizeError(ValueError):
@@ -88,8 +88,6 @@ def _cmd_vev(args):
 
 
 def _cmd_gram(args):
-    import numpy as np
-
     from . import gram
     # the exact determinant first: its range 1..EXACT_LIMIT is the narrower
     det = gram.det_gram_exact(args.n) if args.exact else None
@@ -99,6 +97,7 @@ def _cmd_gram(args):
         results["det_poly"] = det
         results["match"] = det == gram.zagier_determinant(args.n)
     if args.at is not None:
+        import numpy as np
         # a power past the float range is inf, which the report refuses
         with np.errstate(over="ignore"):
             powers = np.vander([args.at], max(row.values()) + 1,
@@ -111,7 +110,6 @@ def _cmd_gram(args):
 
 def _cmd_zagier(args):
     from . import gram
-    # the exact determinant first: past EXACT_LIMIT it fails at once
     det = gram.det_gram_exact(args.n)
     zag = gram.zagier_determinant(args.n)
     results = {"n": args.n, "det_poly": zag,
@@ -287,10 +285,12 @@ def _max_samples():
     return MAX_SAMPLES
 
 
-def _max_scan_samples():
-    # as _max_samples: gram loads numpy, as the positivity command does
-    from .gram import SAMPLE_LIMIT
-    return SAMPLE_LIMIT
+def _gram():
+    # imported when an option of gram, zagier or positivity is checked
+    # against its limit: those commands import gram anyway, and gram
+    # loads no numpy
+    from . import gram
+    return gram
 
 
 # a check over no modes, no particles or no samples would pass over nothing
@@ -311,7 +311,8 @@ def build_parser():
     s.set_defaults(fn=_cmd_vev)
 
     s = sub.add_parser("gram", help="n-quon Gram matrix")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", required=True, type=_int_at_least(
+        1, "a positive integer", lambda: _gram().BUILD_LIMIT))
     s.add_argument("--exact", action="store_true",
                    help="compute the exact determinant and compare")
     s.add_argument("--at", type=_finite, default=None,
@@ -319,13 +320,15 @@ def build_parser():
     s.set_defaults(fn=_cmd_gram)
 
     s = sub.add_parser("zagier", help="closed-form Gram determinant")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", required=True, type=_int_at_least(
+        1, "a positive integer", lambda: _gram().EXACT_LIMIT))
     s.set_defaults(fn=_cmd_zagier)
 
     s = sub.add_parser("positivity", help="Gram eigenvalue scan over q")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", required=True, type=_int_at_least(
+        1, "a positive integer", lambda: _gram().BUILD_LIMIT))
     s.add_argument("--samples", default=50, type=_int_at_least(
-        1, "a positive integer", _max_scan_samples))
+        1, "a positive integer", lambda: _gram().SAMPLE_LIMIT))
     s.add_argument("--lo", type=_finite, default=-0.98)
     s.add_argument("--hi", type=_finite, default=0.98)
     s.set_defaults(fn=_cmd_positivity)

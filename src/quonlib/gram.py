@@ -35,6 +35,10 @@ where rho_lambda(w^-1) = rho_lambda(w)^T: when f(w) = f(w^-1), which it
 checks on the row, each T_lambda(q) is real symmetric and the
 eigenvalues of M_n(q) are those of the blocks, each repeated f_lambda
 times, so it finds the least eigenvalue with no n! x n! array.
+
+Only the float functions (GramMatrix.evaluate_float, gram_matrix,
+positivity_scan and rank_at_limit) import numpy, so the exact ones load
+no more than qpoly and qfock.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .qfock import inversions, q_inner_product
 from .qpoly import QPoly
@@ -66,7 +68,7 @@ class GramLimitError(ValueError):
 class GramMatrix:
     n: int
     perms: tuple            # lexicographic one-line permutations of range(n)
-    exponents: np.ndarray   # n! x n! int8: entry (i, j) is q ** exponents[i, j]
+    exponents: object       # n! x n! int8 ndarray: entry (i, j) is q ** it
 
     @property
     def dim(self):
@@ -83,6 +85,7 @@ class GramMatrix:
     def evaluate_float(self, x):
         """Matrix at q = x from a table of powers of x, each by one more
         multiplication."""
+        import numpy as np
         powers = np.vander([float(x)], int(self.exponents.max()) + 1,
                            increasing=True)[0]
         return powers[self.exponents]
@@ -108,6 +111,7 @@ def exponent_row(n):
 def gram_matrix(n):
     """Inner products of all orderings of n distinct-mode creators: entry
     (i, j) is the exponent row at u_i^-1 u_j."""
+    import numpy as np
     row = exponent_row(n)
     perms = tuple(row)
     # inv(w) <= n(n-1)/2 fits int8 far beyond any n! x n! that fits memory
@@ -432,6 +436,7 @@ def positivity_scan(n, q_samples):
     Not meaningful as a positivity claim at q -> +-1, where the
     determinant zeros sit on the unit circle.
     """
+    import numpy as np
     for x in q_samples:
         if not -1 < float(x) < 1:
             raise ValueError(f"sample {x} not strictly inside (-1, 1)")
@@ -456,6 +461,7 @@ def positivity_scan(n, q_samples):
 def rank_at_limit(n, sign):
     """Exact rank of M_n(q) evaluated at q = +1 or q = -1, whose entries
     sign^exponent are the integers +-1."""
+    import numpy as np
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     g = gram_matrix(n)

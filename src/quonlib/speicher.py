@@ -18,6 +18,10 @@ block along a path planned per word and N, on a stack of one.  B is
 chosen so the stack fits _BLOCK_BYTES.  Every sample draws from its own
 SeedSequence child, spawned as its block starts, and float64 sums of ±1
 products are exact below 2^53, so the estimate does not depend on B.
+A block's signs are filled as bytes: one uniform per unordered pair
+gives a bool mask of the +1s, scattered once into the upper triangle of
+a mask whose diagonal is preset, ORed with its transpose, and written
+into the float64 stack as ±1 by one int8 copy.
 Signs are drawn only where one can change a sample: when 0 < (1+q)/2 < 1
 and some diagram's crossing graph has an edge.  At q = ±1 every draw is
 the same matrix (+1 on the diagonal, q off it), so each diagram is
@@ -224,25 +228,32 @@ def _check_symmetric(signs):
 
 def _pair_indices(n):
     """Flat positions in an N x N matrix of the unordered pairs i < j, in
-    the row-major order of the upper triangle, and of their mirrors."""
+    the row-major order of the upper triangle."""
     i, j = np.triu_indices(n, 1)
-    return i * n + j, j * n + i
+    return i * n + j
 
 
 def _draw_signs(stack, uniforms, rngs, q, positions):
-    """Fill the off-diagonal of stack[k] with ±1 from rngs[k]: one uniform
-    per unordered pair, in the order of positions (see _pair_indices),
-    gives +1 with probability (1+q)/2.  uniforms is a (B, N(N-1)/2)
-    scratch buffer."""
+    """Fill stack[k] with a sign matrix from rngs[k]: +1 on the diagonal,
+    and one uniform per unordered pair, in the order of positions (see
+    _pair_indices), gives +1 with probability (1+q)/2 at the pair and at
+    its mirror.  uniforms is a (B, N(N-1)/2) scratch buffer.
+
+    The signs stay bytes until the last step: the bool mask of the +1s is
+    scattered once into the upper triangle, with the diagonal preset, and
+    ORed with its transpose; its ±1 as int8 are then copied into the
+    float64 stack."""
     for row, rng in zip(uniforms, rngs):
         rng.random(out=row)
-    np.less(uniforms, (1.0 + q) / 2.0, out=uniforms)
-    uniforms *= 2.0
-    uniforms -= 1.0
-    flat = stack.reshape(len(stack), -1)
-    upper, lower = positions
-    flat[:, upper] = uniforms
-    flat[:, lower] = uniforms
+    b, n = stack.shape[:2]
+    plus = np.zeros((b, n * n), dtype=bool)
+    plus[:, ::n + 1] = True
+    plus[:, positions] = uniforms < (1.0 + q) / 2.0
+    plus = plus.reshape(b, n, n)
+    signs = (plus | plus.transpose(0, 2, 1)).view(np.int8)
+    signs *= 2
+    signs -= 1
+    stack[...] = signs
 
 
 def sample_sign_matrix(n_components, q, rng):
@@ -251,7 +262,7 @@ def sample_sign_matrix(n_components, q, rng):
     _check_q(q)
     rng = np.random.default_rng(rng)    # a Generator comes back as it is
     n = n_components
-    stack = np.ones((1, n, n))
+    stack = np.empty((1, n, n))
     _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q,
                 _pair_indices(n))
     return stack[0].astype(np.int64)
@@ -440,7 +451,7 @@ def mc_estimate(word, q, n_components, samples, seed):
     if drawn:
         batch = min(samples, max(1, _BLOCK_BYTES // (8 * n * n)))
         positions = _pair_indices(n)
-        stack = np.ones((batch, n, n))
+        stack = np.empty((batch, n, n))
         uniforms = np.empty((batch, n * (n - 1) // 2))
         seeds = np.random.SeedSequence(seed)
         for start in range(0, samples, batch):

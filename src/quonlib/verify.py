@@ -20,7 +20,6 @@ import numpy as np
 from . import bounds, gram, observables, parastat, speicher
 from .qfock import (ANNIHILATOR, CREATOR, apply_terms, parse_word,
                     vacuum_expectation)
-from .qpoly import QPoly
 from .wick import wick_expectation
 
 
@@ -102,18 +101,26 @@ def gram_positivity():
 
 @_criterion(4, "Defining relation on the free Fock action")
 def quon_relation():
-    modes = 3
+    """a_k a†_l |w> - q a†_l a_k |w> = delta_kl |w> on every word w of up
+    to 5 letters over 3 modes, each polynomial packed as its value at
+    q = 2^shift (see QPoly.from_packed).  At one result word, a power's
+    coefficient counts letter positions: +1 for each of the len(w) + 1 of
+    a†_l w that the first term removes at that power, -1 for each of the
+    len(w) of w that the second does, so it is at most len(w) + 1 in size
+    and no digit carries, whatever power each position is weighed by."""
+    modes, longest = 3, 5
     words = []
-    for n in range(6):
+    for n in range(longest + 1):
         words.extend(itertools.product(range(modes), repeat=n))
+    shift = (longest + 1).bit_length() + 1
+    q = 1 << shift
     for k in range(modes):
         for l in range(modes):
             a_k, c_l = (ANNIHILATOR, k), (CREATOR, l)
-            relation = (((a_k, c_l), 1), ((c_l, a_k), -QPoly.q()))
+            relation = (((a_k, c_l), 1), ((c_l, a_k), -q))
             for w in words:
-                # a_k a†_l |w> - q a†_l a_k |w> must be delta_kl |w>
-                lhs = apply_terms(relation, {w: QPoly.one()})
-                want = {w: QPoly.one()} if k == l else {}
+                lhs = apply_terms(relation, {w: 1}, q)
+                want = {w: 1} if k == l else {}
                 if lhs != want:
                     return {"passed": False, "failure": (k, l, w)}
     return {"passed": True, "words_checked": len(words), "modes": modes}

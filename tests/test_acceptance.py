@@ -81,6 +81,22 @@ def test_a_moved_speicher_mean_fails_criterion_8_alone(monkeypatch):
     assert faulted == want
 
 
+def test_a_fock_weight_of_q_to_the_2i_fails_criterion_4(monkeypatch):
+    # the annihilator weighs position i by q^(2i): the action at q^2.
+    # Criterion 4 packs its polynomials into ints, whose read-back must
+    # still tell 1 + q^2 - q from 1
+    from quonlib import qfock
+    real = qfock.apply_symbol
+
+    def squared(symbol, state, q):
+        return real(symbol, state, q * q)
+
+    monkeypatch.setattr(qfock, "apply_symbol", squared)
+    rep = verify.quon_relation()
+    assert (rep["passed"], "error" in rep) == (False, False)
+    assert rep["details"]["failure"] == (0, 0, (0,))
+
+
 def test_a_criterion_that_raises_is_its_own_error(capsys, monkeypatch):
     # every criterion still reports, and the raising one is typed
     from quonlib import bounds, cli

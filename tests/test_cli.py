@@ -61,13 +61,20 @@ def test_gram_exact(capsys, schema):
     validate(rep, schema)
 
 
-def test_gram_limit_error(capsys, schema):
-    code, rep = run_cli(capsys, "gram", "--n", "9")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert rep["results"]["error"] == (
-        "GramLimitError: n=9 outside supported range 1..6")
-    validate(rep, schema)
+def usage_error(capsys, argv):
+    """The stderr of argv, which must end in an argparse usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_gram_limit_error(capsys):
+    # past gram.BUILD_LIMIT, refused before anything is built
+    err = usage_error(capsys, ["gram", "--n", "7"])
+    assert "argument --n: above the limit of 6: '7'" in err
 
 
 def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
@@ -89,23 +96,6 @@ def test_gram_exact_past_the_exact_limit_is_a_typed_error(schema):
     validate(rep, schema)
 
 
-@pytest.mark.parametrize("argv, limit", [
-    (["zagier", "--n", "0"], "1..4 of the exact determinant"),
-    (["gram", "--n", "0", "--exact"], "1..4 of the exact determinant"),
-    (["gram", "--n", "0"], "1..6"),
-])
-def test_a_size_below_one_names_the_range_of_its_command(capsys, schema,
-                                                          argv, limit):
-    # the exact determinant covers 1..EXACT_LIMIT, a Gram build
-    # 1..BUILD_LIMIT
-    code, rep = run_cli(capsys, "--stable-output", *argv)
-    assert code == 1
-    assert rep["status"] == "error"
-    assert rep["results"]["error"] == (
-        f"GramLimitError: n=0 outside supported range {limit}")
-    validate(rep, schema)
-
-
 def test_zagier(capsys, schema):
     code, rep = run_cli(capsys, "zagier", "--n", "2")
     assert code == 0
@@ -114,15 +104,10 @@ def test_zagier(capsys, schema):
     validate(rep, schema)
 
 
-def test_zagier_past_the_exact_limit_is_a_typed_error(capsys, schema):
-    # nothing to compare the closed form with, so no pass
-    code, rep = run_cli(capsys, "--stable-output", "zagier", "--n", "5")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert rep["results"]["error"] == (
-        "GramLimitError: n=5 outside supported range 1..4 of the exact"
-        " determinant")
-    validate(rep, schema)
+def test_zagier_past_the_exact_limit_is_a_usage_error(capsys):
+    # nothing to compare the closed form with past gram.EXACT_LIMIT
+    err = usage_error(capsys, ["zagier", "--n", "5"])
+    assert "argument --n: above the limit of 4: '5'" in err
 
 
 def test_positivity(capsys, schema):
@@ -142,30 +127,11 @@ def test_positivity_at_n6(capsys):
     assert len(rep["results"]["eigen_table"]) == 50
 
 
-def positivity_range_report(n):
-    return (
-        '{\n'
-        '  "elapsed": 0.0,\n'
-        '  "parameters": {\n'
-        '    "hi": 0.98,\n'
-        '    "lo": -0.98,\n'
-        f'    "n": {n},\n'
-        '    "samples": 50,\n'
-        '    "stable_output": true,\n'
-        '    "subcommand": "positivity"\n'
-        '  },\n'
-        '  "results": {\n'
-        f'    "error": "GramLimitError: n={n} outside supported range 1..6"\n'
-        '  },\n'
-        '  "status": "error",\n'
-        '  "subcommand": "positivity"\n'
-        '}\n')
-
-
 @pytest.mark.parametrize("n", [0, 7])
 def test_positivity_outside_the_build_range(capsys, n):
-    assert cli.run(["--stable-output", "positivity", "--n", str(n)]) == 1
-    assert capsys.readouterr().out == positivity_range_report(n)
+    err = usage_error(capsys, ["positivity", "--n", str(n)])
+    assert (f"argument --n: not a positive integer: '{n}'" if n < 1 else
+            f"argument --n: above the limit of 6: '{n}'") in err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -178,16 +144,15 @@ def test_positivity_outside_the_build_range(capsys, n):
     (["para", "--kind", "fermi", "--p", "1", "--modes", "0"], "--modes"),
     (["para", "--kind", "bose", "--p", "1", "--cap", "-1"], "--cap"),
     (["bounds", "composite", "--q", "1/2", "--n", "0"], "--n"),
+    (["zagier", "--n", "0"], "--n"),
+    (["gram", "--n", "0", "--exact"], "--n"),
+    (["gram", "--n", "0"], "--n"),
 ])
 def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
     # a check over no modes, no particles or no samples would pass over
     # nothing
-    with pytest.raises(SystemExit) as exc:
-        cli.run(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {option}: not a positive integer" in captured.err
+    err = usage_error(capsys, argv)
+    assert f"argument {option}: not a positive integer" in err
 
 
 @pytest.mark.parametrize("option, value, domain", [
@@ -517,6 +482,9 @@ def test_cli_import_leaves_heavy_modules_out():
 # the subcommands whose exact arithmetic never needs numpy
 NUMPY_FREE_COMMANDS = (
     ["vev", "--word", "a1 a2 c1 c2"],
+    ["gram", "--n", "3"],
+    ["gram", "--n", "3", "--exact"],
+    ["zagier", "--n", "4"],
     ["observables", "--modes", "3", "--cap", "3"],
     ["para", "--kind", "fermi", "--p", "2", "--check", "trilinear"],
     ["para", "--kind", "bose", "--p", "2", "--check", "occupancy"],
@@ -524,8 +492,37 @@ NUMPY_FREE_COMMANDS = (
     ["bounds", "convert", "--vf", "17/1000000000000000000000000000"],
     ["bounds", "propagate", "--qe=-1/2"],
     ["bounds", "composite", "--q=-1", "--n", "2"],
+    ["bounds", "overlap", "--la", "0.5", "--lb", "0.25"],
     ["bounds", "conservation", "--qe=-1/2"],
 )
+# the subcommands that compute in floats
+NUMPY_COMMANDS = (
+    ["gram", "--n", "3", "--at", "0.5"],
+    ["positivity", "--n", "4", "--samples", "50"],
+    ["speicher", "--word", "a1 a2 c1 c2", "--q", "0.5", "--N", "100",
+     "--samples", "2000", "--seed", "1"],
+    ["verify-all"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads", [(argv, False) for argv in NUMPY_FREE_COMMANDS]
+    + [(argv, True) for argv in NUMPY_COMMANDS], ids=lambda v: (
+        " ".join(v) if isinstance(v, list) else f"numpy={v}"))
+def test_numpy_loads_only_for_the_float_commands(argv, loads):
+    # each command in a fresh interpreter, as `quon` runs it: numpy alone
+    # costs most of a process that does not need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import contextlib, io, sys\n"
+            "from quonlib import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.run(['--stable-output', *sys.argv[1:]])\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", str(loads)], proc.stderr
 
 
 def test_exact_subcommands_run_without_numpy(schema):
