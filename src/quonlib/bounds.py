@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
@@ -54,13 +53,12 @@ def v_from_q(q, flavor):
 # -- conservation of statistics --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Propagation:
-    q_fermionic: Fraction
-    q_bosonic_exact: Fraction        # q_f^2
-    v_bosonic_exact: Fraction        # 2 eps (1 - eps) with eps = v_F
-    q_bosonic_leading: Fraction      # 1 - 4 eps
-    v_bosonic_leading: Fraction      # 2 eps
+# every field a Fraction: q_bosonic_exact = q_f^2, v_bosonic_exact =
+# 2 eps (1 - eps) with eps = v_F, q_bosonic_leading = 1 - 4 eps and
+# v_bosonic_leading = 2 eps
+Propagation = namedtuple("Propagation", [
+    "q_fermionic", "q_bosonic_exact", "v_bosonic_exact",
+    "q_bosonic_leading", "v_bosonic_leading"])
 
 
 def propagate_statistics(q_f):

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qfock import inversions, q_inner_product
@@ -64,11 +63,11 @@ class GramLimitError(ValueError):
     """Requested size exceeds the configured resource limit."""
 
 
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
-    n: int
-    perms: tuple            # lexicographic one-line permutations of range(n)
-    exponents: object       # n! x n! int8 ndarray: entry (i, j) is q ** it
+    def __init__(self, n, perms, exponents):
+        self.n = n
+        self.perms = perms          # lexicographic one-line perms of range(n)
+        self.exponents = exponents  # n! x n! int8 ndarray: (i, j) is q ** it
 
     @property
     def dim(self):

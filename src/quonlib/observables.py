@@ -23,24 +23,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .parastat import refuse_past_work_limit
 from .qfock import ANNIHILATOR, CREATOR, apply_terms
 
 
-@dataclass(frozen=True)
 class TruncatedFockSpace:
-    modes: tuple
-    cap: int
-    basis: tuple = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, modes, cap):
+        self.modes = modes
+        self.cap = cap
         words = []
-        for n in range(self.cap + 1):
-            words.extend(itertools.product(self.modes, repeat=n))
-        object.__setattr__(self, "basis", tuple(words))
+        for n in range(cap + 1):
+            words.extend(itertools.product(modes, repeat=n))
+        self.basis = tuple(words)
 
     @property
     def dim(self):

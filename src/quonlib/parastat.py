@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partialmethod
 
@@ -58,14 +57,15 @@ def combine(*terms):
     return {code: c for code, c in out.items() if c}
 
 
-@dataclass(frozen=True)
 class GreenRealization:
     """Site alpha * modes + k, component alpha of mode k, is the bit field
     of width cap.bit_length() at offset site * width of a state code."""
-    kind: str               # "parabose" | "parafermi"
-    order: int              # p
-    modes: int              # M
-    cap: int                # per-site occupancy cap (1 for parafermi)
+
+    def __init__(self, kind, order, modes, cap):
+        self.kind = kind        # "parabose" | "parafermi"
+        self.order = order      # p
+        self.modes = modes      # M
+        self.cap = cap          # per-site occupancy cap (1 for parafermi)
 
     @property
     def dim(self):

@@ -16,6 +16,15 @@ the coefficients the dense schoolbook loop gives, exactly.
 An integer polynomial p can also be packed as one int, p(2^s) (Kronecker
 substitution).  QPoly.from_packed is the one read-back, for gram, qfock
 and wick, each of which takes s from a proven coefficient bound.
+
+Every QPoly holds the tuple _normalize returns: no trailing zero, and a
+Fraction of denominator 1 stored as an int.  Three constructors build
+that tuple directly and skip _normalize: QPoly.monomial (its one
+coefficient is nonzero and converted as _normalize converts it, the
+zeros below it are ints), QPoly.from_packed (int digits, the last one
+nonzero) and the shift by a monic q^j in a product (a normal tuple with
+int zeros put in front).  Each result equals, repr for repr, the one
+_normalize would give.
 """
 
 from __future__ import annotations
@@ -60,9 +69,13 @@ class QPoly:
 
     @classmethod
     def monomial(cls, power, coeff=1):
+        """coeff q^power, normalised as _normalize would: zero is _ZERO
+        and a Fraction with denominator 1 is an int."""
         if coeff == 0:
             return _ZERO
-        return cls([0] * power + [coeff])
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            coeff = int(coeff)
+        return _from_normalized((0,) * power + (coeff,))
 
     @classmethod
     def from_packed(cls, value, shift):
@@ -179,11 +192,13 @@ class QPoly:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
+        # the QPoly test first: isinstance on Fraction goes through the
+        # ABC machinery, and most comparisons are of two QPolys
+        if isinstance(other, QPoly):
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = QPoly([other])
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+            return self.coeffs == QPoly([other]).coeffs
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)

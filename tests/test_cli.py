@@ -525,6 +525,24 @@ def test_numpy_loads_only_for_the_float_commands(argv, loads):
     assert proc.stdout.split() == ["0", str(loads)], proc.stderr
 
 
+@pytest.mark.parametrize("argv", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_exact_commands_do_not_import_dataclasses(argv):
+    # `dataclasses` brings `inspect` with it, a few ms of each exact
+    # command's start-up; only the float commands, through numpy and
+    # speicher, may load it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import contextlib, io, sys\n"
+            "from quonlib import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = cli.run(['--stable-output', *sys.argv[1:]])\n"
+            "print(code, 'dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 def test_exact_subcommands_run_without_numpy(schema):
     # numpy blocked: importing it anywhere raises ImportError
     src = Path(__file__).resolve().parents[1] / "src"

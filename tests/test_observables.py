@@ -171,7 +171,7 @@ def test_work_past_the_limit_is_refused_before_the_basis(monkeypatch):
     # 10 modes capped at 10 would list about 1.1e10 basis words first
     def refuse(*args, **kwargs):
         raise AssertionError("the space was built")
-    monkeypatch.setattr(TruncatedFockSpace, "__post_init__", refuse)
+    monkeypatch.setattr(TruncatedFockSpace, "__init__", refuse)
     for check in ("commutator", "locality", "hamiltonian"):
         with pytest.raises(parastat.WorkLimitError,
                            match=f"observables --check {check} takes about "

@@ -199,3 +199,56 @@ def test_packed_examples():
         for value in (1, -1, 5):
             with pytest.raises(ValueError, match="no packed polynomial"):
                 QPoly.from_packed(value, shift)
+
+
+@pytest.mark.parametrize("coeff", [
+    0, 1, -1, 7, 10 ** 30, -10 ** 30, Fraction(0), Fraction(3),
+    Fraction(-4, 1), Fraction(1, 2), Fraction(-10 ** 30, 7), True, False],
+    ids=repr)
+def test_monomial_equals_the_normalised_list(coeff):
+    # monomial builds its tuple without _normalize; the QPoly must be the
+    # one the list constructor gives, coefficient types and repr included
+    for power in [*range(41), -1]:
+        m = QPoly.monomial(power, coeff)
+        dense = QPoly([0] * power + [coeff])
+        assert repr(m) == repr(dense)
+        assert exact_coeffs(m) == exact_coeffs(dense)
+        assert m == dense and hash(m) == hash(dense)
+
+
+_EQ_CASES = [
+    # (QPoly, other, equal)
+    (QPoly([]), QPoly([]), True),
+    (QPoly([]), QPoly([0, 0]), True),
+    (QPoly([1, 2]), QPoly([1, 2]), True),
+    (QPoly([1, 2]), QPoly([1, 2, 0, 0]), True),
+    (QPoly([1, 2]), QPoly([1, 3]), False),
+    (QPoly([0, 1]), QPoly.monomial(1), True),
+    (QPoly([Fraction(1, 2)]), QPoly([Fraction(2, 4)]), True),
+    (QPoly([Fraction(4, 2)]), QPoly([2]), True),
+    (QPoly([]), 0, True),
+    (QPoly([]), False, True),
+    (QPoly([]), Fraction(0), True),
+    (QPoly([1]), 1, True),
+    (QPoly([1]), True, True),
+    (QPoly([True]), 1, True),
+    (QPoly([3]), Fraction(3), True),
+    (QPoly([3]), 4, False),
+    (QPoly([0, 1]), 0, False),
+    (QPoly([0, 1]), 1, False),
+    (QPoly([Fraction(1, 2)]), Fraction(1, 2), True),
+    (QPoly([Fraction(1, 2)]), 1, False),
+    # neither side compares a QPoly with a float or a str: unequal
+    (QPoly([1]), 1.0, False),
+    (QPoly([]), 0.0, False),
+    (QPoly([1.5]), 1.5, False),
+    (QPoly([1]), "1", False),
+    (QPoly([]), "", False),
+    (QPoly([]), None, False),
+]
+
+
+@pytest.mark.parametrize("p, other, equal", _EQ_CASES, ids=repr)
+def test_equality_with_qpolys_numbers_and_other_types(p, other, equal):
+    assert (p == other) is equal and (other == p) is equal
+    assert (p != other) is not equal and (other != p) is not equal
