@@ -3,7 +3,9 @@
 Covers the v <-> q affine maps, conservation of statistics (q_b = q_f^2)
 checked through exact residual polynomials on the q-Fock representation,
 the composite rule q_composite = q_constituent^(n^2), and the
-compositeness apparent-violation overlap.
+compositeness apparent-violation overlap.  Its matrix elements come from
+the Fock action on ints packed at q = 2^shift, each read back once as a
+QPoly; the action over QPoly or Fraction q is a test oracle.
 
 Everything that can be exact rational is: a fermionic bound
 v_F <= 1.7e-26 propagates to q_e = -1 + 3.4e-26 and (to leading order)
@@ -17,7 +19,7 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
-from .qfock import ANNIHILATOR, CREATOR, apply_terms, q_inner_product
+from .qfock import ANNIHILATOR, CREATOR, apply_terms
 from .qpoly import QPoly
 
 FERMIONIC = "fermionic"
@@ -39,10 +41,16 @@ def q_from_v(v, flavor):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def v_from_q(q, flavor):
+def _q_in_range(q):
+    """q as a Fraction, ValueError outside [-1, 1]."""
     q = Fraction(q)
     if not -1 <= q <= 1:
         raise ValueError(f"q={q} outside [-1, 1]")
+    return q
+
+
+def v_from_q(q, flavor):
+    q = _q_in_range(q)
     if flavor == FERMIONIC:
         return (q + 1) / 2
     if flavor == BOSONIC:
@@ -65,9 +73,7 @@ def propagate_statistics(q_f):
     """A fermion-like field of parameter q_f couples to a boson-like field
     of parameter q_b = q_f^2; both the exact map and the small-violation
     leading order are reported."""
-    q_f = Fraction(q_f)
-    if not -1 <= q_f <= 1:
-        raise ValueError(f"q={q_f} outside [-1, 1]")
+    q_f = _q_in_range(q_f)
     eps = (q_f + 1) / 2          # fermionic violation parameter
     q_b = q_f * q_f
     return Propagation(
@@ -95,9 +101,7 @@ def composite_q(q_constituent, n):
     """
     if n < 1:
         raise ValueError("constituent count must be >= 1")
-    q = Fraction(q_constituent)
-    if not -1 <= q <= 1:
-        raise ValueError(f"q={q} outside [-1, 1]")
+    q = _q_in_range(q_constituent)
     bits = n * n * (abs(q.numerator).bit_length()
                     + q.denominator.bit_length() - 2)
     if bits > COMPOSITE_BIT_BUDGET:
@@ -162,36 +166,33 @@ def _matrix_elements(momenta, max_particles):
     of two words vanishes unless they carry the same labels, so only the
     phi with the label multiset of a word of psi's image (r -> l+r,
     k+p -> p) are computed; every other pair is an exact zero.
+
+    Each element is phi's annihilators applied to psi's image at
+    q = 2^shift and read back once (QPoly.from_packed).  Its coefficient
+    of q^j counts the pairs of two annihilator positions in b1 b2 (at most
+    n^2) and a matching of phi with the word left (at most n!) that pick
+    up q^j, so it lies in [0, n^2 n!], n = max_particles: no digit carries.
     """
     states = _conservation_test_states(momenta, max_particles)
     k, l, p, r = momenta
     b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
     b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
-    one = QPoly.one()
+    n = max_particles
+    shift = (n * n * math.factorial(n)).bit_length() + 1
+    x = 1 << shift
     by_labels = defaultdict(list)
     for i, phi in enumerate(states):
         by_labels[tuple(sorted(phi))].append(i)
-    memo = {}
-
-    def element(phi, image):
-        total = QPoly.zero()
-        for word, c in image.items():
-            key = (phi, word)
-            inner = memo.get(key)
-            if inner is None:
-                inner = memo[key] = q_inner_product(phi, word)
-            if inner:
-                total = total + c * inner
-        return total
-
     out = []
     for psi in states:
-        ab = apply_terms(((b1 + b2, 1),), {psi: one})
-        ba = apply_terms(((b2 + b1, 1),), {psi: one})
+        ab = apply_terms(((b1 + b2, 1),), {psi: 1}, x)
+        ba = apply_terms(((b2 + b1, 1),), {psi: 1}, x)
         labels = {tuple(sorted(word)) for word in (*ab, *ba)}
         pairs = []
         for i in sorted(i for key in labels for i in by_labels.get(key, ())):
-            a, b = element(states[i], ab), element(states[i], ba)
+            down = ((tuple((ANNIHILATOR, m) for m in reversed(states[i])), 1),)
+            a, b = (QPoly.from_packed(apply_terms(down, image, x).get((), 0),
+                                      shift) for image in (ab, ba))
             if a or b:
                 pairs.append((a, b))
         out.append((psi, pairs))

@@ -387,7 +387,7 @@ def build_parser():
     c = bs.add_parser("conservation")
     c.add_argument("--qe", required=True)
     c.add_argument("--momenta", default="1,2,5,9")
-    c.add_argument("--cap", type=int, default=3)
+    c.add_argument("--cap", type=_positive, default=3)
     c.set_defaults(fn=_cmd_bounds)
 
     s = sub.add_parser("verify-all", help="run the full verification suite")

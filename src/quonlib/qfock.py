@@ -7,11 +7,11 @@ The single defining relation is
 with no relation at all between two creators or two annihilators.
 Everything here is exact.  Rewriting (vacuum_expectation) runs on words
 coded as ints with each polynomial packed into one int, and returns one
-QPoly.  The free Fock action's coefficients live in the polynomial ring
-QPoly, in the ints of polynomials packed at q = 2^shift (q_inner_product),
-or, where it is taken at q = 0 (the observables), in the integers and
-Fractions of the state it acts on.  The action itself is written once, in
-apply_symbol.
+QPoly.  The free Fock action is written once, in apply_symbol, generic in
+the ring of the q it is given.  The library runs it on ints only: on
+polynomials packed at q = 2^shift and read back once (q_inner_product,
+criterion 4 and bounds' matrix elements), or at q = 0 (the observables).
+The QPoly and Fraction rings are test oracles.
 
 Conventions
 -----------
@@ -116,13 +116,14 @@ def _rewrite(word, memo, shift):
 # -- free Fock-space action ------------------------------------------------
 
 
-def apply_symbol(symbol, state, q=QPoly.q()):
+def apply_symbol(symbol, state, q):
     """One operator symbol acting on a state dict {Fock word: scalar}.
 
     a†_k prepends k; a_k removes a letter k at position i with weight q^i.
-    The scalar ring follows from q: the default QPoly q gives polynomial
-    coefficients, and q = 0 keeps only the leftmost match.  The state
-    stores no zero coefficient, and neither does the result.
+    The scalar ring follows from q: an int 2^shift gives packed
+    polynomial coefficients, a QPoly q symbolic ones, and q = 0 keeps only
+    the leftmost match.  The state stores no zero coefficient, and neither
+    does the result.
     """
     kind, mode = symbol
     if kind == CREATOR:
@@ -146,7 +147,7 @@ def apply_symbol(symbol, state, q=QPoly.q()):
     return {w: c for w, c in out.items() if c}
 
 
-def apply_terms(terms, state, q=QPoly.q()):
+def apply_terms(terms, state, q):
     """Apply a sum of (operator word, scalar coefficient) terms to a state;
     the rightmost symbol of each word acts first."""
     out = {}

@@ -6,25 +6,26 @@ at a Fraction is exact, at a float it is ordinary IEEE arithmetic.
 
 The coefficient list is dense, but products skip the work that is zero by
 construction: a product pairs only the nonzero terms of its operands, so
-its cost is the product of their term counts, not of their lengths, and a
-product with a monic monomial q^j is a shift of the other operand.  A
+its cost is the product of their term counts, not of their lengths.  A
 power of a polynomial with at most two terms, (c0 q^s + c1 q^t)^e, is
 written down by the binomial theorem with no multiplication of
-polynomials; Zagier's factors (1 - q^d)^e are of this form.  All give
+polynomials; Zagier's factors (1 - q^d)^e are of this form.  Both give
 the coefficients the dense schoolbook loop gives, exactly.
 
 An integer polynomial p can also be packed as one int, p(2^s) (Kronecker
-substitution).  QPoly.from_packed is the one read-back, for gram, qfock
-and wick, each of which takes s from a proven coefficient bound.
+substitution).  QPoly.from_packed is the one read-back, for gram, qfock,
+wick and bounds, each of which takes s from a proven coefficient bound.
+The free Fock action in src runs on those packed ints (or at q = 0),
+never over QPoly coefficients; the QPoly ring of the action is a test
+oracle.
 
 Every QPoly holds the tuple _normalize returns: no trailing zero, and a
-Fraction of denominator 1 stored as an int.  Three constructors build
+Fraction of denominator 1 stored as an int.  Two constructors build
 that tuple directly and skip _normalize: QPoly.monomial (its one
 coefficient is nonzero and converted as _normalize converts it, the
-zeros below it are ints), QPoly.from_packed (int digits, the last one
-nonzero) and the shift by a monic q^j in a product (a normal tuple with
-int zeros put in front).  Each result equals, repr for repr, the one
-_normalize would give.
+zeros below it are ints) and QPoly.from_packed (int digits, the last one
+nonzero).  Each result equals, repr for repr, the one _normalize would
+give.
 """
 
 from __future__ import annotations
@@ -135,11 +136,6 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _ZERO
-        # times q^j: a shift, and the shifted tuple is already normalised
-        if _is_monic_monomial(b):
-            return _from_normalized((0,) * (len(b) - 1) + a)
-        if _is_monic_monomial(a):
-            return _from_normalized((0,) * (len(a) - 1) + b)
         terms = [(j, cb) for j, cb in enumerate(b) if cb]
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
@@ -254,13 +250,6 @@ def _binomial_power(terms, n):
         binom = binom * (n - k) // (k + 1)
         c1_power *= c1
     return QPoly(out)
-
-
-def _is_monic_monomial(coeffs):
-    """coeffs, nonempty and normalised, are those of q^j for some j."""
-    last = coeffs[-1]
-    return type(last) is int and last == 1 and \
-        coeffs.count(0) == len(coeffs) - 1
 
 
 def _from_normalized(coeffs):

@@ -16,8 +16,9 @@ sign matrices of B samples form one (B, N, N) float64 stack, every operand
 carries one shared batch label, and each diagram is contracted once per
 block along a path planned per word and N, on a stack of one.  B is
 chosen so the stack fits _BLOCK_BYTES.  Every sample draws from its own
-SeedSequence child, spawned as its block starts, and float64 sums of ±1
-products are exact below 2^53, so the estimate does not depend on B.
+SeedSequence child, spawned as its block starts.  Float64 sums of ±1
+products are exact only while N^m < 2^53 for m chords, and the tests pin
+that the estimate does not depend on B past that too.
 A block's signs are filled as bytes: one uniform per unordered pair
 gives a bool mask of the +1s, scattered once into the upper triangle of
 a mask whose diagonal is preset, ORed with its transpose, and written
@@ -200,8 +201,8 @@ def _assignment_sum(plan, signs, n):
     Chords form a product over interleaving edges; the diagonal of the
     sign matrix is 1, which is exactly the same-component Bose factor, so
     a plain tensor contraction over all N values per chord is exact in the
-    dtype of signs: object for exact integers, float64 while every partial
-    sum stays below 2^53.
+    dtype of signs: object for exact integers, float64 while N^m < 2^53
+    for m chords, which bounds every partial sum.
     """
     free = n ** plan.free_chords
     if not plan.edges:
@@ -415,9 +416,9 @@ def mc_estimate(word, q, n_components, samples, seed):
     once, for the word and N; samples are drawn in blocks of B, each
     block's streams spawned as the block starts (a SeedSequence continues
     its count, so the children are those of one spawn of every sample),
-    into one reused (B, N, N) float64 stack, whose sums of ±1 products are
-    exact below 2^53 and never wrap, and each diagram is contracted once
-    per block;
+    into one reused (B, N, N) float64 stack, whose sums of ±1 products
+    never wrap and are exact while N^m < 2^53 for m chords, and each
+    diagram is contracted once per block;
     multiply_adds is samples times the work of each path.
 
     Only 0 < (1+q)/2 < 1 on a word with a crossing draws signs.  At

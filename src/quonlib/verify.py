@@ -241,11 +241,16 @@ def conservation():
 
 @_criterion(11, "Composite statistics sign rule")
 def composite_rule():
+    # at q = -1 the exponents n^2, n and n^3 agree; q = 1/2 tells them apart
     max_n = 10
     signs_ok = all(
         bounds.composite_q(Fraction(-1), n) == Fraction((-1) ** n)
         for n in range(1, max_n + 1))
-    return {"passed": signs_ok, "max_n": max_n}
+    half_ok = all(
+        bounds.composite_q(Fraction(1, 2), n) == Fraction(1, 2 ** (n * n))
+        for n in range(1, max_n + 1))
+    return {"passed": signs_ok and half_ok, "max_n": max_n,
+            "exponent_at_one_half": half_ok}
 
 
 ALL_CRITERIA = [

@@ -8,6 +8,7 @@ doubles as a human-readable report.
 import dataclasses
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,18 @@ def test_a_moved_speicher_mean_fails_criterion_8_alone(monkeypatch):
     faulted = _verdicts(verify.run_all()["criteria"])
     want = _verdicts(_run_suite())
     want[8] = (False, False)
+    assert faulted == want
+
+
+def test_a_composite_exponent_of_n_fails_criterion_11_alone(monkeypatch):
+    # q^n agrees with q^(n^2) at q = -1 for every n; only the exact point
+    # q = 1/2 tells the two apart
+    from quonlib import bounds
+    monkeypatch.setattr(bounds, "composite_q",
+                        lambda q, n: Fraction(q) ** n)
+    faulted = _verdicts(verify.run_all()["criteria"])
+    want = _verdicts(_run_suite())
+    want[11] = (False, False)
     assert faulted == want
 
 

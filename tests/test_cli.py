@@ -147,6 +147,8 @@ def test_positivity_outside_the_build_range(capsys, n):
     (["zagier", "--n", "0"], "--n"),
     (["gram", "--n", "0", "--exact"], "--n"),
     (["gram", "--n", "0"], "--n"),
+    (["bounds", "conservation", "--qe=-1/2", "--cap", "0"], "--cap"),
+    (["bounds", "conservation", "--qe=-1/2", "--cap", "-1"], "--cap"),
 ])
 def test_a_count_below_one_is_a_usage_error(capsys, argv, option):
     # a check over no modes, no particles or no samples would pass over
@@ -834,7 +836,6 @@ def test_bounds_conservation_builds_its_elements_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--cap", "0", "ValueError: max_particles must be >= 1, got 0"),
     ("--momenta", "1,2",
      "ValueError: momenta must be four values (k, l, p, r), got 2"),
 ])

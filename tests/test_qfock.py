@@ -169,7 +169,7 @@ def test_vev_vanishes_on_unbalanced_words():
 
 
 def annihilate(k, word):
-    return apply_symbol(("a", k), {word: ONE})
+    return apply_symbol(("a", k), {word: ONE}, Q)
 
 
 def test_apply_annihilator_examples():
@@ -261,7 +261,8 @@ fock_states = st.dictionaries(
 def test_action_is_the_same_over_every_scalar_ring(state, kind, mode, q):
     # exact Fraction q agrees with the QPoly action evaluated at q
     symbol = (kind, mode)
-    poly = apply_symbol(symbol, {w: QPoly([c]) for w, c in state.items()})
+    poly = apply_symbol(symbol, {w: QPoly([c]) for w, c in state.items()},
+                        Q)
     at_q = {w: c(q) for w, c in poly.items() if c(q) != 0}
     assert apply_symbol(symbol, state, q) == at_q
     # q = 0: an annihilator keeps only a leftmost match
@@ -275,7 +276,7 @@ def fock_inner_product(u, v):
     """Oracle: <u, v> by the annihilator action in the QPoly ring."""
     state = {tuple(v): ONE}
     for m in u:
-        state = apply_symbol((ANNIHILATOR, m), state)
+        state = apply_symbol((ANNIHILATOR, m), state, Q)
     return state.get((), QPoly.zero())
 
 
