@@ -14,12 +14,11 @@ q_b = 1 - 6.8e-26 without ever collapsing to the float +-1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
-from .qfock import ANNIHILATOR, CREATOR, apply_terms
+from .qfock import ANNIHILATOR, CREATOR, apply_terms, fock_words
 from .qpoly import QPoly
 
 FERMIONIC = "fermionic"
@@ -151,10 +150,7 @@ def _conservation_test_states(momenta, max_particles):
             raise ValueError(
                 f"max_particles={max_particles} on {len(modes)} modes "
                 f"exceeds the limit of {STATE_LIMIT} test states")
-    states = []
-    for n in range(1, max_particles + 1):
-        states.extend(itertools.product(modes, repeat=n))
-    return states
+    return fock_words(modes, max_particles)[1:]
 
 
 def _matrix_elements(momenta, max_particles):

@@ -17,6 +17,10 @@ annihilators, and its annihilators act first, so no term lengthens a
 word; a bare creator only ever acts on states below the cap.  No state
 leaves the capped space, and the Fock action needs no cap of its own.
 All arithmetic is exact: integers, and Fractions for the energies.
+
+Every function takes the modes and the cap, and lists the words it acts
+on with qfock.fock_words.  Each public check first estimates its work,
+once, and refuses past WORK_LIMIT before it lists a word.
 """
 
 from __future__ import annotations
@@ -25,31 +29,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from .parastat import refuse_past_work_limit
-from .qfock import ANNIHILATOR, CREATOR, apply_terms
+from .qfock import (ANNIHILATOR, CREATOR, apply_terms, fock_words,
+                    refuse_past_work_limit)
 
 
-class TruncatedFockSpace:
-    def __init__(self, modes, cap):
-        self.modes = modes
-        self.cap = cap
-        words = []
-        for n in range(cap + 1):
-            words.extend(itertools.product(modes, repeat=n))
-        self.basis = tuple(words)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def states_below_cap(self):
-        return [w for w in self.basis if len(w) < self.cap]
-
-
-def refuse_past_limit(check, n_modes, cap):
-    """Raise parastat.WorkLimitError, before a space is built, when the
-    check ("commutator", "locality" or "hamiltonian") on n_modes modes
-    capped at cap applies more than parastat.WORK_LIMIT letters, the unit
+def _refuse_past_limit(check, n_modes, cap):
+    """Raise WorkLimitError, before a word is listed, when the check
+    ("commutator", "locality" or "hamiltonian") on n_modes modes
+    capped at cap applies more than WORK_LIMIT letters, the unit
     of a para term application.  With M modes and S = sum_{n<cap} M^n,
     both the states below the cap and the terms of one series,
     check_commutators applies 2S terms, and 2S + 1 where l = m, to S
@@ -90,28 +77,28 @@ def transition_operator(k, l, depth, modes):
     return terms
 
 
-def commutator_residual(space, k, l, m, depth):
-    """[n_kl, a†_m] - delta_lm a†_k applied to every basis state below the
+def commutator_residual(modes, cap, k, l, m, depth):
+    """[n_kl, a†_m] - delta_lm a†_k applied to every Fock word below the
     cap.  Returns a dict state -> residual (as a state dict); exact."""
     c_m = (CREATOR, m)
-    terms = [t for word, c in transition_operator(k, l, depth, space.modes)
+    terms = [t for word, c in transition_operator(k, l, depth, modes)
              for t in ((word + (c_m,), c), ((c_m,) + word, -c))]
     if l == m:
         terms.append((((CREATOR, k),), -1))
     res = {}
-    for w in space.states_below_cap():
+    for w in fock_words(modes, cap - 1):
         diff = apply_terms(terms, {w: 1}, 0)
         if diff:
             res[w] = diff
     return res
 
 
-def check_transition_commutator(space, k, l, m):
+def check_transition_commutator(modes, cap, k, l, m):
     """Report for the defining commutator, with the series at depth
     cap - 1, the least at which it holds; exact=True means zero residual
     on every state below the cap."""
-    depth = space.cap - 1
-    res = commutator_residual(space, k, l, m, depth)
+    depth = cap - 1
+    res = commutator_residual(modes, cap, k, l, m, depth)
     max_res = max((max(abs(c) for c in d.values()) for d in res.values()),
                   default=0)
     return {"k": k, "l": l, "m": m, "depth": depth,
@@ -119,49 +106,57 @@ def check_transition_commutator(space, k, l, m):
             "failing_states": sorted(res)}
 
 
-def check_commutators(space):
+def check_commutators(modes, cap):
     """check_transition_commutator on every triple (k, l, m) of modes, for
     `quon observables --check commutator` and criterion 5."""
-    reports = [check_transition_commutator(space, k, l, m)
-               for k, l, m in itertools.product(space.modes, repeat=3)]
+    _refuse_past_limit("commutator", len(modes), cap)
+    return _commutators(modes, cap)
+
+
+def _commutators(modes, cap):
+    reports = [check_transition_commutator(modes, cap, k, l, m)
+               for k, l, m in itertools.product(modes, repeat=3)]
     exact = all(r["exact"] for r in reports)
-    return {"depth": space.cap - 1, "dim": space.dim,
+    return {"depth": cap - 1,
+            "dim": sum(len(modes) ** n for n in range(cap + 1)),
             "triples": len(reports), "all_exact": exact,
             "failures": [r for r in reports if not r["exact"]]}
 
 
-def check_locality(space):
+def check_locality(modes, cap):
     """Discrete-mode locality, for `quon observables --check locality`:
-    [n_xy, a†_w] = delta_yw a†_x on the capped space for every triple, by
-    check_commutators, and n_xy|0> = 0 for every pair (x, y)."""
-    commutators = check_commutators(space)
+    [n_xy, a†_w] = delta_yw a†_x on the capped space for every triple, as
+    in check_commutators, and n_xy|0> = 0 for every pair (x, y)."""
+    _refuse_past_limit("locality", len(modes), cap)
+    commutators = _commutators(modes, cap)
     vacuum_failures = [
-        (x, y) for x, y in itertools.product(space.modes, repeat=2)
-        if apply_terms(transition_operator(x, y, space.cap - 1, space.modes),
+        (x, y) for x, y in itertools.product(modes, repeat=2)
+        if apply_terms(transition_operator(x, y, cap - 1, modes),
                        {(): 1}, 0)]
     return {"commutators": commutators, "vacuum_failures": vacuum_failures,
             "all_exact": commutators["all_exact"] and not vacuum_failures}
 
 
-def free_hamiltonian_terms(space, energies):
+def free_hamiltonian_terms(modes, cap, energies):
     """H = sum_k eps_k n_k as explicit q = 0 series terms, at depth
     cap - 1."""
-    missing = [k for k in space.modes if k not in energies]
+    missing = [k for k in modes if k not in energies]
     if missing:
         raise ValueError(f"no energy given for modes {missing}")
     terms = []
-    for k in space.modes:
+    for k in modes:
         eps = Fraction(energies[k])
         terms.extend((word, eps * c) for word, c in
-                     transition_operator(k, k, space.cap - 1, space.modes))
+                     transition_operator(k, k, cap - 1, modes))
     return terms
 
 
-def check_free_hamiltonian(space, energies):
+def check_free_hamiltonian(modes, cap, energies):
     """H must act diagonally: H|w> = (sum of letter energies) |w>."""
-    terms = free_hamiltonian_terms(space, energies)
+    _refuse_past_limit("hamiltonian", len(modes), cap)
+    terms = free_hamiltonian_terms(modes, cap, energies)
     failures = []
-    for w in space.basis:
+    for w in fock_words(modes, cap):
         got = apply_terms(terms, {w: 1}, 0)
         want_e = sum(Fraction(energies[m]) for m in w)
         want = {w: want_e} if want_e != 0 else {}

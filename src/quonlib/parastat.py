@@ -16,36 +16,15 @@ import math
 from fractions import Fraction
 from functools import cached_property, partialmethod
 
-from .qfock import inversions
+# WORK_LIMIT and WorkLimitError are the para checks' limit and error,
+# named here for their callers
+from .qfock import (WORK_LIMIT, WorkLimitError, inversions,
+                    refuse_past_work_limit)
 
-# term applications (one component on one code) a check may make
-WORK_LIMIT = 2 * 10 ** 7
-# 64-bit words of a state code whose big-integer work costs about as much
-# as a term application's fixed interpreter cost (about 100 ns against
-# about 0.9 ns a word); a term on a wider code counts as its width in
-# words over CODE_WORDS term applications
-CODE_WORDS = 128
 # protected states check_trilinear applies the relation to at once
 BATCH = 256
 # largest float squared norm gentile_demo counts as zero
 FLOAT_ZERO = 1e-10
-
-
-class WorkLimitError(ValueError):
-    """A check whose estimated work passes WORK_LIMIT."""
-
-
-def refuse_past_work_limit(what, log_work, code_bits):
-    """Raise WorkLimitError, naming what, when the estimated work of a
-    check passes WORK_LIMIT: the one limit of the para and observables
-    checks.  The estimate is in logs, as it can be too large to form, and
-    is weighed by the width of the codes it acts on, code_bits bits."""
-    words = -(-code_bits // 64)
-    log_work += math.log(max(1, words / CODE_WORDS))
-    if log_work > math.log(WORK_LIMIT):
-        raise WorkLimitError(
-            f"{what} takes about 10^{log_work / math.log(10):.1f} term "
-            f"applications, past the limit of {WORK_LIMIT}")
 
 
 def combine(*terms):

@@ -25,7 +25,9 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from collections import Counter
 
 from .qpoly import QPoly
@@ -33,9 +35,38 @@ from .qpoly import QPoly
 CREATOR = "c"
 ANNIHILATOR = "a"
 
+# the work a check may take, in term applications: a para component on
+# one state code, an observables letter on one Fock word, a Wick candidate
+# chord on one set of used creators, or a letter or coefficient the
+# rewriting memo stores
+WORK_LIMIT = 2 * 10 ** 7
+# 64-bit words of a state code whose big-integer work costs about as much
+# as a term application's fixed interpreter cost (about 100 ns against
+# about 0.9 ns a word); a term on a wider code counts as its width in
+# words over CODE_WORDS term applications
+CODE_WORDS = 128
+
 # OperatorWord: tuple[tuple[str, int], ...]
 # FockWord: tuple[int, ...]
 # State: dict mapping Fock word -> scalar, no zero values stored.
+
+
+class WorkLimitError(ValueError):
+    """A check whose estimated work passes WORK_LIMIT."""
+
+
+def refuse_past_work_limit(what, log_work, code_bits):
+    """Raise WorkLimitError, naming what, when the estimated work of a
+    check passes WORK_LIMIT: the one limit of the para and observables
+    checks and of the two vacuum-expectation walks.  The estimate is in
+    logs, as it can be too large to form, and is weighed by the width of
+    the codes it acts on, code_bits bits."""
+    words = -(-code_bits // 64)
+    log_work += math.log(max(1, words / CODE_WORDS))
+    if log_work > math.log(WORK_LIMIT):
+        raise WorkLimitError(
+            f"{what} takes about 10^{log_work / math.log(10):.1f} term "
+            f"applications, past the limit of {WORK_LIMIT}")
 
 
 def parse_word(text):
@@ -71,6 +102,10 @@ def vacuum_expectation(word):
     code to their right.  That holds at every memoised subword, as swaps
     and contractions only shrink each annihilator's candidates and a
     subword's coefficients count its own contractions; so no digit carries.
+
+    Past WORK_LIMIT letters and coefficients stored in the memo, or past
+    the interpreter's recursion limit (one frame per rewrite step), it
+    raises WorkLimitError.
     """
     codes = {}
     coded = []
@@ -84,12 +119,20 @@ def vacuum_expectation(word):
         else:
             bound *= creators.get(-code, 0)
     shift = bound.bit_length() + 1
-    return QPoly.from_packed(_rewrite(tuple(coded), {}, shift), shift)
+    try:
+        packed = _rewrite(tuple(coded), {}, shift, [WORK_LIMIT])
+    except RecursionError:
+        raise WorkLimitError(
+            f"vacuum_expectation of a {len(coded)}-letter word nests its "
+            f"rewriting past the interpreter's recursion limit of "
+            f"{sys.getrecursionlimit()} frames") from None
+    return QPoly.from_packed(packed, shift)
 
 
-def _rewrite(word, memo, shift):
+def _rewrite(word, memo, shift, room):
     """The vacuum expectation of a coded word at q = 2^shift (see
-    vacuum_expectation)."""
+    vacuum_expectation); room[0] is what the memo may still store, in
+    letters and coefficients."""
     if not word:
         return 1
     if word[0] > 0 or word[-1] < 0:
@@ -106,14 +149,28 @@ def _rewrite(word, memo, shift):
         i += 1
     a, c = word[i], word[i + 1]
     # times q: a shift by one digit
-    result = _rewrite(word[:i] + (c, a) + word[i + 2:], memo, shift) << shift
+    result = (_rewrite(word[:i] + (c, a) + word[i + 2:], memo, shift, room)
+              << shift)
     if a == -c:
-        result += _rewrite(word[:i] + word[i + 2:], memo, shift)
+        result += _rewrite(word[:i] + word[i + 2:], memo, shift, room)
+    room[0] -= len(word) + result.bit_length() // shift + 1
+    if room[0] < 0:
+        raise WorkLimitError(
+            f"the rewriting memo of vacuum_expectation passes the limit of "
+            f"{WORK_LIMIT} letters and coefficients")
     memo[word] = result
     return result
 
 
 # -- free Fock-space action ------------------------------------------------
+
+
+def fock_words(modes, longest):
+    """Every Fock word over modes of at most longest letters, shortest
+    first, each length in itertools.product order: the observables basis,
+    bounds' test states and criterion 4's words."""
+    return [w for n in range(longest + 1)
+            for w in itertools.product(modes, repeat=n)]
 
 
 def apply_symbol(symbol, state, q):

@@ -40,8 +40,13 @@ raises ContractionLimitError when it is planned.  So does a call whose
 estimated work exceeds _WORK_BUDGET multiply-adds: _path_work, N^(labels
 a step loops over) summed over the steps of every diagram's path, times
 the samples contracted (every sample where signs are drawn, one where
-they are fixed), summed as each diagram is planned.  mc_estimate refuses
-more than MAX_SAMPLES samples before it allocates anything.
+they are fixed), summed as each diagram is planned, in the order
+wick.walk_contractions yields them, so no diagram is listed past the
+first sum over the budget.  mc_estimate raises it too for an N^m, m
+chords, past the float64 range.  mc_estimate refuses more than
+MAX_SAMPLES samples before it allocates anything, and where signs are
+drawn, an N whose one sample takes more than 8 MAX_SAMPLES bytes (see
+_pair_indices); only where no sign is drawn does it take any N >= 1.
 check_estimate, the pass rule, refuses (BiasBoundError) before it plans
 anything a bias bound under which no mean can fail.
 """
@@ -55,7 +60,7 @@ from math import prod
 
 import numpy as np
 
-from .wick import enumerate_contractions, wick_expectation
+from .wick import enumerate_contractions, walk_contractions, wick_expectation
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,9 @@ class MCEstimate:
 
 
 class ContractionLimitError(ValueError):
-    """A diagram's crossing graph does not fit one np.einsum call, or the
-    contraction work of a call exceeds _WORK_BUDGET."""
+    """A diagram's crossing graph does not fit one np.einsum call, the
+    contraction work of a call exceeds _WORK_BUDGET, or N^m for m chords,
+    which divides every sample, is past the float64 range."""
 
 
 class BiasBoundError(ValueError):
@@ -93,7 +99,8 @@ _BLOCK_BYTES = 1 << 20
 # per second, so this bounds a call to minutes
 _WORK_BUDGET = 10 ** 10
 # samples of one mc_estimate call: each holds 8 bytes of values, so this
-# bounds that array to 80 MB
+# bounds that array to 80 MB, the bound _pair_indices puts on the sign
+# arrays of one sample too
 MAX_SAMPLES = 10 ** 7
 # partitions per vectorised step of expected_over_signs, which keeps its
 # temporaries small
@@ -170,10 +177,11 @@ def _path_work(edges, path, n):
 
 def _plan_word(word, n_components, samples=1):
     """Plans of every diagram of word, for contracting samples sign
-    matrices; the first running sum of their work past _WORK_BUDGET
-    raises ContractionLimitError, as the total would be past it too."""
+    matrices, each planned as walk_contractions yields it; the first
+    running sum of their work past _WORK_BUDGET raises
+    ContractionLimitError, as the total would be past it too."""
     plans, work = [], 0
-    for diagram in enumerate_contractions(word):
+    for diagram in walk_contractions(word):
         plan = _plan_contraction(diagram, n_components)
         plans.append(plan)
         work += samples * plan.work
@@ -229,7 +237,17 @@ def _check_symmetric(signs):
 
 def _pair_indices(n):
     """Flat positions in an N x N matrix of the unordered pairs i < j, in
-    the row-major order of the upper triangle."""
+    the row-major order of the upper triangle.
+
+    Every draw of signs asks for them before it allocates anything, and
+    here an N is refused (ValueError) whose one sample takes more than
+    8 MAX_SAMPLES bytes: an N x N float64 matrix and byte mask, and a
+    float64 uniform and an int64 position per unordered pair."""
+    size = 9 * n * n + 8 * n * (n - 1)
+    if size > 8 * MAX_SAMPLES:
+        raise ValueError(
+            f"at N={n} one sample of drawn signs takes {size} bytes, past"
+            f" the limit of {8 * MAX_SAMPLES}")
     i, j = np.triu_indices(n, 1)
     return i * n + j
 
@@ -259,13 +277,14 @@ def _draw_signs(stack, uniforms, rngs, q, positions):
 
 def sample_sign_matrix(n_components, q, rng):
     """An N x N int64 sign matrix: symmetric, diagonal +1, an independent
-    ±1 per unordered pair with prob(+1) = (1+q)/2."""
+    ±1 per unordered pair with prob(+1) = (1+q)/2; an N past the sample
+    size _pair_indices allows is refused before anything is allocated."""
     _check_q(q)
     rng = np.random.default_rng(rng)    # a Generator comes back as it is
     n = n_components
+    positions = _pair_indices(n)
     stack = np.empty((1, n, n))
-    _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q,
-                _pair_indices(n))
+    _draw_signs(stack, np.empty((1, n * (n - 1) // 2)), [rng], q, positions)
     return stack[0].astype(np.int64)
 
 
@@ -428,7 +447,9 @@ def mc_estimate(word, q, n_components, samples, seed):
     bit for bit those of drawn samples, and multiply_adds counts that one
     contraction: the work of each path.
 
-    samples runs from 2 to MAX_SAMPLES, checked before any allocation.
+    samples runs from 2 to MAX_SAMPLES, checked before any allocation,
+    and where signs are drawn, N is refused past the sample size
+    _pair_indices allows before the stack is allocated.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -445,7 +466,12 @@ def mc_estimate(word, q, n_components, samples, seed):
     plans = _plan_word(word, n, contracted)
     work = contracted * sum(plan.work for plan in plans)
     n_chords = len(word) // 2
-    denom = float(n) ** n_chords if n_chords else 1.0
+    try:
+        denom = float(n) ** n_chords
+    except OverflowError:
+        raise ContractionLimitError(
+            f"each sample is divided by N^m = {n}^{n_chords}, past the"
+            f" float64 range") from None
     crossed = any(plan.edges for plan in plans)
     drawn = 0.0 < plus < 1.0 and crossed
     values = np.empty(samples)

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, gram, observables, parastat, speicher
-from .qfock import (ANNIHILATOR, CREATOR, apply_terms, parse_word,
-                    vacuum_expectation)
+from .qfock import (ANNIHILATOR, CREATOR, apply_terms, fock_words,
+                    parse_word, vacuum_expectation)
 from .wick import wick_expectation
 
 
@@ -109,9 +109,7 @@ def quon_relation():
     len(w) of w that the second does, so it is at most len(w) + 1 in size
     and no digit carries, whatever power each position is weighed by."""
     modes, longest = 3, 5
-    words = []
-    for n in range(longest + 1):
-        words.extend(itertools.product(range(modes), repeat=n))
+    words = fock_words(range(modes), longest)
     shift = (longest + 1).bit_length() + 1
     q = 1 << shift
     for k in range(modes):
@@ -128,13 +126,13 @@ def quon_relation():
 
 @_criterion(5, "q=0 transition-operator commutator")
 def transition_commutator():
-    space = observables.TruncatedFockSpace(modes=(0, 1, 2), cap=3)
-    all_exact = observables.check_commutators(space)["all_exact"]
+    modes, cap = (0, 1, 2), 3
+    all_exact = observables.check_commutators(modes, cap)["all_exact"]
     # the series is genuinely infinite degree: depth 0 must fail somewhere
     shallow_fails = any(
         any(len(w) == 2 for w in
-            observables.commutator_residual(space, k, l, m, 0))
-        for k, l, m in itertools.product(space.modes, repeat=3))
+            observables.commutator_residual(modes, cap, k, l, m, 0))
+        for k, l, m in itertools.product(modes, repeat=3))
     return {"passed": all_exact and shallow_fails,
             "deep_exact": all_exact, "shallow_depth_fails": shallow_fails}
 

@@ -11,18 +11,18 @@ a and c, so its new crossings depend only on the set of creators already
 used.  wick_expectation sums the crossing histogram over those sets,
 merging every partial matching with the same used set (the transfer behind
 the Touchard-Riordan statistic), and lists no matching.
-enumerate_contractions lists the diagrams one by one, each with its
-crossing graph read by the same rule, for the Speicher ansatz's
-per-diagram contractions.
+walk_contractions yields the diagrams one by one, each with its crossing
+graph read by the same rule, for the Speicher ansatz's per-diagram
+contractions; enumerate_contractions lists them.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import defaultdict
-from math import prod
 
-from .qfock import ANNIHILATOR, CREATOR
+from .qfock import ANNIHILATOR, CREATOR, refuse_past_work_limit
 from .qpoly import QPoly
 
 
@@ -58,42 +58,58 @@ def _chord_table(word):
     return ann, table
 
 
-def enumerate_contractions(word):
-    """All label-respecting perfect matchings of a word, with their
-    crossing graphs.
+def walk_contractions(word):
+    """Yield every label-respecting perfect matching of a word, with its
+    crossing graph.
 
-    Returns a list of (pairs, edges) where pairs is a tuple of
-    (annihilator position, creator position) index pairs sorted by
-    annihilator position, and edges the tuple of index pairs (i, j),
-    i < j in lexicographic order, of the chords pairs[i] and pairs[j] that
+    Each is a pair (pairs, edges): pairs is a tuple of (annihilator
+    position, creator position) index pairs sorted by annihilator
+    position, and edges the tuple of index pairs (i, j), i < j in
+    lexicographic order, of the chords pairs[i] and pairs[j] that
     interleave; the diagram's crossing number is len(edges).
     Deterministic lexicographic order: annihilators are matched left to
     right, each to its candidate creators in ascending position.  Edges
-    are read as the chords are placed, by the rule of _chord_table.
+    are read as the chords are placed, by the rule of _chord_table.  The
+    walk is depth first on an explicit stack, so a word of any length
+    takes no recursion, and each diagram is made only when it is asked
+    for.
     """
     ann, table = _chord_table(word)
-    diagrams = []
+    if not ann:
+        yield (), ()
+        return
     chosen = []
     # creator bit -> the chord that used it last, current for the bits in
     # used
     chord_of = {}
-
-    def extend(i, used, edges):
-        if i == len(ann):
-            diagrams.append((tuple(chosen), tuple(sorted(edges))))
-            return
-        for bit, cpos, between in table[i]:
-            if used & bit:
-                continue
-            crossed = used & between
-            chord_of[bit] = i
-            chosen.append((ann[i], cpos))
-            extend(i + 1, used | bit,
-                   edges + [(chord_of[b], i) for b in chord_of if crossed & b])
+    # one frame per annihilator reached: the creators used left of it, the
+    # crossing edges so far, and its candidates not yet tried
+    frames = [(0, [], iter(table[0]))]
+    while frames:
+        used, edges, options = frames[-1]
+        i = len(frames) - 1
+        for bit, cpos, between in options:
+            if not used & bit:
+                break
+        else:
+            frames.pop()
+            if chosen:      # the choice that led to the frame popped
+                chosen.pop()
+            continue
+        crossed = used & between
+        chord_of[bit] = i
+        chosen.append((ann[i], cpos))
+        edges = edges + [(chord_of[b], i) for b in chord_of if crossed & b]
+        if i + 1 < len(ann):
+            frames.append((used | bit, edges, iter(table[i + 1])))
+        else:
+            yield tuple(chosen), tuple(sorted(edges))
             chosen.pop()
 
-    extend(0, 0, [])
-    return diagrams
+
+def enumerate_contractions(word):
+    """The diagrams of walk_contractions, as a list."""
+    return list(walk_contractions(word))
 
 
 def wick_expectation(word):
@@ -109,9 +125,20 @@ def wick_expectation(word):
     matchings at every step, and width is one bit past it, so no count
     carries into its neighbour and each is below 2^(width - 1), as the
     read-back needs.
+
+    Before the pass it refuses, past WORK_LIMIT, the candidates it may
+    try: layer i holds at most min(C(c, i), prod_{j<i} |O_j|) sets of
+    used creators, c the creators and O_j the candidates of annihilator j,
+    each tried against the |O_i| candidates of annihilator i.
     """
     _, table = _chord_table(word)
-    width = prod(len(options) for options in table).bit_length() + 1
+    work, sets, matchings = 0, 1, 1
+    for i, options in enumerate(table):
+        work += min(sets, matchings) * len(options)
+        sets = sets * (len(table) - i) // (i + 1)
+        matchings *= len(options)
+    refuse_past_work_limit("wick_expectation", math.log(max(work, 1)), 0)
+    width = matchings.bit_length() + 1
     layer = {0: 1}
     for options in table:
         nxt = defaultdict(int)

@@ -46,11 +46,28 @@ def test_vev_both_methods(capsys, schema):
 
 
 def test_vev_parse_error(capsys, schema):
-    code, rep = run_cli(capsys, "vev", "--word", "z9")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert "error" in rep["results"]
-    validate(rep, schema)
+    # a word the parser refuses, and words past the work limit of a walk:
+    # 45 pairs that all cross nest the rewriting past the recursion limit;
+    # unbounded, the next takes 5.5 s and 518 MB to rewrite, and the last
+    # 8.5 s and 251 MB in wick_expectation
+    crossing = " ".join([f"a{i}" for i in range(1, 46)] +
+                        [f"c{i}" for i in range(1, 46)])
+    for word, error in [
+            ("z9", "ValueError: bad operator token 'z9'"),
+            (crossing, "WorkLimitError: vacuum_expectation of a 90-letter "
+                     "word nests its rewriting past the interpreter's "
+                     "recursion limit of "),
+            (" ".join(["a1 a2 a3"] * 7 + ["c3 c2 c1"] * 7),
+             "WorkLimitError: the rewriting memo of vacuum_expectation "
+             "passes the limit of 20000000 letters and coefficients"),
+            (" ".join(["a1"] * 20 + ["c1"] * 20),
+             "WorkLimitError: wick_expectation takes about 10^7.3 term "
+             "applications, past the limit of 20000000")]:
+        code, rep = run_cli(capsys, "vev", "--word", word)
+        assert code == 1
+        assert rep["status"] == "error"
+        assert rep["results"]["error"].startswith(error)
+        validate(rep, schema)
 
 
 def test_gram_exact(capsys, schema):
@@ -323,16 +340,23 @@ def test_speicher_long_chain(capsys, schema):
 
 def test_speicher_contraction_limit_error(capsys, schema):
     # all 14 chords interleave pairwise: 91 edges, more than one einsum
-    # takes; below N = 136 the bias bound refuses the word first
-    word = " ".join([f"a{i}" for i in range(1, 15)] +
-                    [f"c{i}" for i in range(1, 15)])
-    code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
-                        "--N", "136", "--samples", "2")
-    assert code == 1
-    assert rep["status"] == "error"
-    assert rep["results"]["error"].startswith("ContractionLimitError: ")
-    assert "91 edges" in rep["results"]["error"]
-    validate(rep, schema)
+    # takes; below N = 136 the bias bound refuses the word first.  1000
+    # nested chords are planned without recursion, and N^1000 at N = 1000
+    # has no float64
+    crossing = " ".join([f"a{i}" for i in range(1, 15)] +
+                        [f"c{i}" for i in range(1, 15)])
+    nested = " ".join([f"a{i}" for i in range(1, 1001)] +
+                      [f"c{i}" for i in range(1000, 0, -1)])
+    for word, n, error in [
+            (crossing, "136", "91 edges"),
+            (nested, "1000", "N^m = 1000^1000, past the float64 range")]:
+        code, rep = run_cli(capsys, "speicher", "--word", word, "--q", "0.5",
+                            "--N", n, "--samples", "2")
+        assert code == 1
+        assert rep["status"] == "error"
+        assert rep["results"]["error"].startswith("ContractionLimitError: ")
+        assert error in rep["results"]["error"]
+        validate(rep, schema)
 
 
 def _speicher_refusal(capsys, monkeypatch, n):

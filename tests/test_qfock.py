@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, parse_word,
-                           q_inner_product, vacuum_expectation)
+from quonlib.qfock import (ANNIHILATOR, CREATOR, apply_symbol, fock_words,
+                           parse_word, q_inner_product, vacuum_expectation)
 from quonlib.qpoly import QPoly
 from quonlib.wick import wick_expectation
 
@@ -301,3 +301,24 @@ def test_packed_inner_product_equals_the_fock_action(words):
     # no coefficient reaches past the product of the labels' factorials
     u, v = words
     assert q_inner_product(u, v) == fock_inner_product(u, v)
+
+
+@pytest.mark.parametrize("modes, longest", [((0,), 0), ((0,), 4),
+                                            ((0, 1, 2), 3), (range(3), 5),
+                                            ((1, 2, 5, 9), 3)])
+def test_fock_words_lists_as_the_three_listers_it_replaced(modes, longest):
+    # the observables basis, the bounds conservation test states (no empty
+    # word) and criterion 4's words, each as it was listed before
+    basis = []
+    for n in range(longest + 1):
+        basis.extend(itertools.product(modes, repeat=n))
+    states = []
+    for n in range(1, longest + 1):
+        states.extend(itertools.product(modes, repeat=n))
+    words = []
+    for n in range(longest + 1):
+        words.extend(itertools.product(range(len(modes)), repeat=n))
+    listed = fock_words(modes, longest)
+    assert tuple(listed) == tuple(basis)
+    assert listed[1:] == states
+    assert fock_words(range(len(modes)), longest) == words

@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -488,13 +489,44 @@ def test_a_word_past_the_budget_is_refused_before_it_is_planned_out(
                        match="estimated at least .* multiply-adds"):
         mc_estimate(word, 0.5, 10, 200, seed=0)
     assert 0 < len(calls) < 500
+    # the first of 9! = 362880 diagrams alone, 36 crossing edges at
+    # N = 100, is past the budget, so no other is listed (listing them all
+    # takes about 5 s and 430 MB)
+    plans = []
+    plan = speicher._plan_contraction
+    monkeypatch.setattr(speicher, "_plan_contraction",
+                        lambda *a: plans.append(1) or plan(*a))
+    t0 = time.perf_counter()
+    with pytest.raises(speicher.ContractionLimitError,
+                       match="estimated at least .* multiply-adds"):
+        mc_estimate(parse_word("a1 " * 9 + "c1 " * 9), 0.5, 100, 2, seed=0)
+    assert time.perf_counter() - t0 < 1
+    assert plans == [1]
 
 
-def test_sample_bound():
+def test_sample_bound(monkeypatch):
     # refused before anything is allocated: 8 bytes of values per sample
     bound = speicher.MAX_SAMPLES
     with pytest.raises(ValueError, match=re.escape(f"limit of {bound:.0e}")):
         mc_estimate(parse_word("a1 c1"), 0.5, 3, bound + 1, seed=0)
+    # and 8 MAX_SAMPLES bytes of drawn signs per sample, 17 N^2 - 8 N: N =
+    # 2170 is the least past it, and N = 70000, within the work budget,
+    # would take 83 GB a sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pair positions were allocated")
+    monkeypatch.setattr(speicher.np, "triu_indices", refuse)
+    assert 17 * 2169 ** 2 - 8 * 2169 <= 8 * bound
+    for n in (2170, 70_000):
+        refused = re.escape(f"at N={n} one sample of drawn signs takes "
+                            f"{17 * n * n - 8 * n} bytes, past the limit "
+                            f"of {8 * bound}")
+        with pytest.raises(ValueError, match=refused):
+            mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, n, 2, seed=0)
+        with pytest.raises(ValueError, match=refused):
+            sample_sign_matrix(n, 0.5, 0)
+    # a word without crossings draws no sign, and takes any N
+    est = mc_estimate(parse_word("a1 a2 c2 c1"), 0.5, 70_000, 2, seed=0)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
 
 
 def test_q_is_checked_once_per_call(monkeypatch):
