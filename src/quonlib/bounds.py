@@ -15,10 +15,11 @@ q_b = 1 - 6.8e-26 without ever collapsing to the float +-1.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
-from .qfock import ANNIHILATOR, CREATOR, apply_terms, fock_words
+from .qfock import (ANNIHILATOR, CREATOR, apply_symbol, apply_terms,
+                    fock_words)
 from .qpoly import QPoly
 
 FERMIONIC = "fermionic"
@@ -158,16 +159,17 @@ def _matrix_elements(momenta, max_particles):
     in q over the test states, with b1 = b†(p) b(k+p) and b2 = b†(l+r) b(r).
 
     Returns [(psi, [(A, B) for each phi with A or B nonzero])] in the order
-    of the test states, each list in the order of phi.  The inner product
-    of two words vanishes unless they carry the same labels, so only the
-    phi with the label multiset of a word of psi's image (r -> l+r,
-    k+p -> p) are computed; every other pair is an exact zero.
+    of the test states, each list in the order of phi.  As <phi, X> applies
+    a_{phi_1} to X first, both images of psi are walked together, a level
+    per letter of psi, each node extended by each label its states hold,
+    in sorted order: each annihilator acts once per (psi, prefix of phi,
+    label), and the leaves are the phi in the order of the test states.
 
-    Each element is phi's annihilators applied to psi's image at
-    q = 2^shift and read back once (QPoly.from_packed).  Its coefficient
-    of q^j counts the pairs of two annihilator positions in b1 b2 (at most
-    n^2) and a matching of phi with the word left (at most n!) that pick
-    up q^j, so it lies in [0, n^2 n!], n = max_particles: no digit carries.
+    The walk runs at q = 2^shift, where no coefficient is negative, so no
+    child is empty, and reads each leaf back once (QPoly.from_packed).  Its
+    coefficient of q^j counts the pairs of two annihilator positions in
+    b1 b2 and a matching of phi with the word left that pick up q^j, at
+    most n^2 n! for n = max_particles, so no digit carries.
     """
     states = _conservation_test_states(momenta, max_particles)
     k, l, p, r = momenta
@@ -176,22 +178,18 @@ def _matrix_elements(momenta, max_particles):
     n = max_particles
     shift = (n * n * math.factorial(n)).bit_length() + 1
     x = 1 << shift
-    by_labels = defaultdict(list)
-    for i, phi in enumerate(states):
-        by_labels[tuple(sorted(phi))].append(i)
     out = []
     for psi in states:
-        ab = apply_terms(((b1 + b2, 1),), {psi: 1}, x)
-        ba = apply_terms(((b2 + b1, 1),), {psi: 1}, x)
-        labels = {tuple(sorted(word)) for word in (*ab, *ba)}
-        pairs = []
-        for i in sorted(i for key in labels for i in by_labels.get(key, ())):
-            down = ((tuple((ANNIHILATOR, m) for m in reversed(states[i])), 1),)
-            a, b = (QPoly.from_packed(apply_terms(down, image, x).get((), 0),
-                                      shift) for image in (ab, ba))
-            if a or b:
-                pairs.append((a, b))
-        out.append((psi, pairs))
+        level = [[apply_terms(((word, 1),), {psi: 1}, x)
+                  for word in (b1 + b2, b2 + b1)]]
+        for _ in psi:
+            level = [[apply_symbol((ANNIHILATOR, m), image, x)
+                      for image in images]
+                     for images in level
+                     for m in sorted({label for image in images
+                                      for w in image for label in w})]
+        out.append((psi, [tuple(QPoly.from_packed(image.get((), 0), shift)
+                                for image in images) for images in level]))
     return out
 
 
@@ -219,8 +217,8 @@ def _conservation_residual(per_state, q_e, q_b):
 
 def conservation_residual_check(q_e, momenta=(1, 2, 5, 9), max_particles=3):
     """Residual report at q_e with q_b = q_e^2, with conservation_sweep's
-    under `sweep`."""
-    q_e = Fraction(q_e)
+    under `sweep`; q_e outside [-1, 1] is a ValueError."""
+    q_e = _q_in_range(q_e)
     q_b = q_e * q_e
     elements = _matrix_elements(momenta, max_particles)
     per_state = _conservation_residual(elements, q_e, q_b)

@@ -44,9 +44,10 @@ they are fixed), summed as each diagram is planned, in the order
 wick.walk_contractions yields them, so no diagram is listed past the
 first sum over the budget.  mc_estimate raises it too for an N^m, m
 chords, past the float64 range.  mc_estimate refuses more than
-MAX_SAMPLES samples before it allocates anything, and where signs are
-drawn, an N whose one sample takes more than 8 MAX_SAMPLES bytes (see
-_pair_indices); only where no sign is drawn does it take any N >= 1.
+MAX_SAMPLES samples before it allocates anything, and on a word with a
+crossing, an N whose sign arrays take more than 8 MAX_SAMPLES bytes: one
+drawn sample (see _pair_indices), or the one fixed matrix at q = ±1; only
+a word without crossings takes any N >= 1.
 check_estimate, the pass rule, refuses (BiasBoundError) before it plans
 anything a bias bound under which no mean can fail.
 """
@@ -99,8 +100,8 @@ _BLOCK_BYTES = 1 << 20
 # per second, so this bounds a call to minutes
 _WORK_BUDGET = 10 ** 10
 # samples of one mc_estimate call: each holds 8 bytes of values, so this
-# bounds that array to 80 MB, the bound _pair_indices puts on the sign
-# arrays of one sample too
+# bounds that array to 80 MB, the bound _check_sample_bytes puts on the
+# sign arrays of one sample too
 MAX_SAMPLES = 10 ** 7
 # partitions per vectorised step of expected_over_signs, which keeps its
 # temporaries small
@@ -243,13 +244,18 @@ def _pair_indices(n):
     here an N is refused (ValueError) whose one sample takes more than
     8 MAX_SAMPLES bytes: an N x N float64 matrix and byte mask, and a
     float64 uniform and an int64 position per unordered pair."""
-    size = 9 * n * n + 8 * n * (n - 1)
-    if size > 8 * MAX_SAMPLES:
-        raise ValueError(
-            f"at N={n} one sample of drawn signs takes {size} bytes, past"
-            f" the limit of {8 * MAX_SAMPLES}")
+    _check_sample_bytes("one sample of drawn signs", n,
+                        9 * n * n + 8 * n * (n - 1))
     i, j = np.triu_indices(n, 1)
     return i * n + j
+
+
+def _check_sample_bytes(what, n, size):
+    """ValueError, naming what, when what takes more than 8 MAX_SAMPLES
+    bytes at N = n."""
+    if size > 8 * MAX_SAMPLES:
+        raise ValueError(f"at N={n} {what} takes {size} bytes, past the"
+                         f" limit of {8 * MAX_SAMPLES}")
 
 
 def _draw_signs(stack, uniforms, rngs, q, positions):
@@ -447,9 +453,11 @@ def mc_estimate(word, q, n_components, samples, seed):
     bit for bit those of drawn samples, and multiply_adds counts that one
     contraction: the work of each path.
 
-    samples runs from 2 to MAX_SAMPLES, checked before any allocation,
-    and where signs are drawn, N is refused past the sample size
-    _pair_indices allows before the stack is allocated.
+    samples runs from 2 to MAX_SAMPLES, checked before any allocation.
+    On a word with a crossing, N is refused before its signs are
+    allocated where they take more than 8 MAX_SAMPLES bytes: a drawn
+    sample past the size _pair_indices allows, or the fixed N x N matrix
+    from N = 3163.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -495,6 +503,7 @@ def mc_estimate(word, q, n_components, samples, seed):
         # _assignment_sum reads only the batch's length and dtype
         signs = np.empty((1, 0, 0))
         if crossed:
+            _check_sample_bytes("the fixed sign matrix", n, 8 * n * n)
             signs = np.full((1, n, n), 1.0 if plus > 0.0 else -1.0)
             np.fill_diagonal(signs[0], 1.0)
         total = sum(_assignment_sum(plan, signs, n) for plan in plans)

@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quonlib import bounds
+from quonlib import bounds, qfock
 from quonlib.bounds import (BOSONIC, FERMIONIC, STATE_LIMIT,
                             _conservation_residual, _conservation_test_states,
                             _derivative_at, _fermi_gate, _matrix_elements,
@@ -327,11 +328,65 @@ def _label_matched_agree(momenta, cap, q):
     assert nonzero == oracle
 
 
-@pytest.mark.parametrize("q", [Q, Fraction(-1, 2), Fraction(-1)],
-                         ids=["symbolic", "-1/2", "-1"])
-@pytest.mark.parametrize("cap", [1, 2, 3])
+EXACT_QS = {"symbolic": Q, "-1/2": Fraction(-1, 2), "-1": Fraction(-1)}
+
+
+# cap 4, where the walk shares phi-prefixes, at the symbolic q only: the
+# all-pairs oracle takes about 2 s there
+@pytest.mark.parametrize("cap, q", [
+    pytest.param(cap, q, id=f"{cap}-{name}")
+    for cap in (1, 2, 3) for name, q in EXACT_QS.items()]
+    + [pytest.param(4, Q, id="4-symbolic")])
 def test_label_matched_elements_equal_all_pairs(cap, q):
     _label_matched_agree((1, 2, 5, 9), cap, q)
+
+
+def _shared_prefix_applications(momenta, cap):
+    """Annihilator applications on nonempty states that _matrix_elements
+    makes if each acts once per (psi, phi-prefix, label) on each image,
+    counted from the words alone.  The images take an a_r and an a_{k+p}
+    each, the second only where psi holds the first's label; then every
+    prefix some image word contains, as a multiset, is extended by every
+    label the words containing it hold past it, once for each image with
+    such a word."""
+    k, l, p, r = momenta
+    b1 = ((CREATOR, p), (ANNIHILATOR, k + p))
+    b2 = ((CREATOR, l + r), (ANNIHILATOR, r))
+    count = 0
+    for psi in _conservation_test_states(momenta, cap):
+        count += 2 + (r in psi) + (k + p in psi)
+        images = [[Counter(w) for w in apply_terms(((word, 1),), {psi: 1}, 1)]
+                  for word in (b1 + b2, b2 + b1)]
+        prefixes = [()]
+        for _ in psi:
+            longer = []
+            for prefix in prefixes:
+                held = [[w - Counter(prefix) for w in image
+                         if not Counter(prefix) - w] for image in images]
+                labels = sorted({m for rest in held for w in rest for m in w})
+                count += len(labels) * sum(map(bool, held))
+                longer += [prefix + (m,) for m in labels]
+            prefixes = longer
+    return count
+
+
+def test_each_annihilator_acts_once_per_psi_prefix_and_label(monkeypatch):
+    # 7,572 applications at cap 4, where applying each phi's annihilators
+    # to the images afresh took 10,016
+    expected = _shared_prefix_applications((1, 2, 5, 9), 4)
+    assert expected == 7572
+    calls = []
+    real = qfock.apply_symbol
+
+    def spy(symbol, state, q):
+        if symbol[0] == ANNIHILATOR and state:
+            calls.append(symbol)
+        return real(symbol, state, q)
+
+    monkeypatch.setattr(qfock, "apply_symbol", spy)
+    monkeypatch.setattr(bounds, "apply_symbol", spy, raising=False)
+    _matrix_elements((1, 2, 5, 9), 4)
+    assert len(calls) == expected
 
 
 def test_label_matched_elements_with_coinciding_modes():

@@ -398,6 +398,24 @@ def test_speicher_refuses_every_n_whose_tolerance_cannot_fail(
     validate(rep, schema)
 
 
+def test_speicher_fixed_sign_matrix_past_the_byte_limit(capsys, monkeypatch,
+                                                       schema):
+    # at q = ±1 on a crossing word, the one N x N float64 matrix of N =
+    # 3163 takes 80036552 bytes, past 8 MAX_SAMPLES; refused unallocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sign matrix was allocated")
+    monkeypatch.setattr(speicher.np, "full", refuse)
+    for q in ("1", "-1"):
+        code, rep = run_cli(capsys, "speicher", "--word", "a1 a2 c1 c2",
+                            "--q", q, "--N", "3163", "--samples", "2")
+        assert code == 1
+        assert rep["status"] == "error"
+        assert rep["results"]["error"] == (
+            "ValueError: at N=3163 the fixed sign matrix takes 80036552 "
+            "bytes, past the limit of 80000000")
+        validate(rep, schema)
+
+
 def test_speicher_work_budget_error(schema):
     # 8 chords, all crossing: 28 edges under the operand limit, but about
     # N^8 = 10^16 multiply-adds per sample
@@ -862,11 +880,15 @@ def test_bounds_conservation_builds_its_elements_once(capsys, monkeypatch):
 @pytest.mark.parametrize("flag, value, message", [
     ("--momenta", "1,2",
      "ValueError: momenta must be four values (k, l, p, r), got 2"),
+    ("--qe", "2", "ValueError: q=2 outside [-1, 1]"),
+    ("--qe", "-3/2", "ValueError: q=-3/2 outside [-1, 1]"),
 ])
 def test_bounds_conservation_bad_input_is_a_typed_error(capsys, schema, flag,
                                                         value, message):
+    # the later --qe wins; --qe=-3/2 in one token, as argparse reads a
+    # separate -3/2 as a flag
     code, rep = run_cli(capsys, "bounds", "conservation", "--qe=-1/2",
-                        flag, value)
+                        f"{flag}={value}")
     assert code == 1
     assert rep["status"] == "error"
     assert rep["results"]["error"] == message

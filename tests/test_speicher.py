@@ -524,9 +524,24 @@ def test_sample_bound(monkeypatch):
             mc_estimate(parse_word("a1 a2 c1 c2"), 0.5, n, 2, seed=0)
         with pytest.raises(ValueError, match=refused):
             sample_sign_matrix(n, 0.5, 0)
-    # a word without crossings draws no sign, and takes any N
-    est = mc_estimate(parse_word("a1 a2 c2 c1"), 0.5, 70_000, 2, seed=0)
-    assert (est.mean, est.stderr) == (1.0, 0.0)
+    # a word without crossings reads no sign, and takes any N
+    for q in (0.5, 1.0, -1.0):
+        est = mc_estimate(parse_word("a1 a2 c2 c1"), q, 70_000, 2, seed=0)
+        assert (est.mean, est.stderr) == (1.0, 0.0)
+    # at q = ±1 the one fixed N x N float64 matrix, 8 N^2 bytes, is held
+    # to the same limit: N = 3163 is the least past it, and N = 100000,
+    # within the work budget, would take 80 GB
+    def unallocated(*args, **kwargs):
+        raise AssertionError("the fixed sign matrix was allocated")
+    monkeypatch.setattr(speicher.np, "full", unallocated)
+    assert 8 * 3162 ** 2 <= 8 * bound
+    for n in (3163, 100_000):
+        refused = re.escape(f"at N={n} the fixed sign matrix takes "
+                            f"{8 * n * n} bytes, past the limit of "
+                            f"{8 * bound}")
+        for q in (1.0, -1.0):
+            with pytest.raises(ValueError, match=refused):
+                mc_estimate(parse_word("a1 a2 c1 c2"), q, n, 2, seed=0)
 
 
 def test_q_is_checked_once_per_call(monkeypatch):
